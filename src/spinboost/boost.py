@@ -5,16 +5,19 @@ momentum label is kept (the observer relabels all momenta coherently,
 so amplitudes ride along with their labels) while the spin is rotated
 about that label's axis.  Three equivalent routes are provided:
 
-* build_boost_unitary / boost_pure — the full 216x216 unitary, used as
-  the brute-force reference;
-* permutation_spin_ensemble — the six-term mixture the reduced spin
-  state collapses to when the momentum part lives on the six
-  label-assignment kets and the spin factorizes;
+* boosted_amplitudes / boost_pure — the per-particle rotations applied
+  to the 216-amplitude tensor, batched over boost angles;
+  build_boost_unitary assembles the full 216x216 unitary as the
+  brute-force reference it is tested against;
+* permutation_spin_amplitudes / permutation_spin_ensemble — the
+  six-term mixture the reduced spin state collapses to when the momentum
+  part lives on the six label-assignment kets and the spin factorizes,
+  batched over any number of boost angles;
 * composite_spin_ensemble / boost_mixed — the general route, expanding
   any state over the 27 momentum basis kets.
 
 Every route also yields a SpinEnsemble: the explicit list of
-(weight, local rotation, base projector) terms whose mixture is the
+(weight, local rotation, base vector) terms whose mixture is the
 reduced spin state.  Because each term applies a *local* unitary to a
 pure spin state, the ensemble certifies that boosting cannot move a
 state between local-unitary entanglement classes.
@@ -35,10 +38,11 @@ from .constants import (
 )
 from .errors import ShapeError, ValidationError
 from .kinematics import BoostScenario, local_unitary
-from .linalg import kron, projector
+from .linalg import kron
 from .states import CompositeState, MixedState, _as_state_vector
 
 _NEGLIGIBLE_WEIGHT = 1e-30
+_PERMUTATIONS = np.array(PERMUTATIONS)
 
 
 @dataclass(frozen=True)
@@ -56,23 +60,21 @@ class BoostUnitary:
 class SpinEnsemble:
     """Mixture certificate for a reduced spin state.
 
-    Term k contributes weights[k] * U_k |phi_k><phi_k| U_k^H where U_k =
-    unitaries[k] is a product of three single-qubit rotations and
-    bases[k] = |phi_k><phi_k| (base_vectors holds the phi_k).
+    Term k contributes weights[k] * |psi_k><psi_k| with psi_k = U_k phi_k,
+    where U_k = unitaries[k] is a product of three single-qubit rotations
+    and phi_k = base_vectors[k].
     """
 
     weights: np.ndarray
     unitaries: np.ndarray
-    bases: np.ndarray
     base_vectors: np.ndarray
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float).ravel()
         u = np.asarray(self.unitaries, dtype=np.complex128)
-        b = np.asarray(self.bases, dtype=np.complex128)
         vecs = np.asarray(self.base_vectors, dtype=np.complex128)
         k = w.size
-        if u.shape != (k, SPIN_DIM, SPIN_DIM) or b.shape != (k, SPIN_DIM, SPIN_DIM):
+        if u.shape != (k, SPIN_DIM, SPIN_DIM):
             raise ShapeError("ensemble arrays have inconsistent shapes")
         if vecs.shape != (k, SPIN_DIM):
             raise ShapeError("base_vectors shape inconsistent with weights")
@@ -84,71 +86,107 @@ class SpinEnsemble:
             raise ValidationError(f"ensemble weights sum to {w.sum()}, not 1")
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "unitaries", u)
-        object.__setattr__(self, "bases", b)
         object.__setattr__(self, "base_vectors", vecs)
 
     def __len__(self) -> int:
         return int(self.weights.size)
 
     def mix(self) -> np.ndarray:
-        """The 8x8 density matrix sum_k w_k U_k sigma_k U_k^H."""
-        out = np.zeros((SPIN_DIM, SPIN_DIM), dtype=np.complex128)
-        for w, u, b in zip(self.weights, self.unitaries, self.bases):
-            out += w * (u @ b @ u.conj().T)
-        return out
+        """The 8x8 density matrix sum_k w_k U_k |phi_k><phi_k| U_k^H."""
+        psi = np.einsum("kij,kj->ki", self.unitaries, self.base_vectors)
+        return _mixture(self.weights, psi)
+
+
+def _mixture(weights: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    # sum_k w_k |psi_k><psi_k| for amplitudes psi of shape (K, 8)
+    return np.einsum("k,ki,kj->ij", weights, psi, psi.conj())
 
 
 def build_boost_unitary(scenario: BoostScenario) -> BoostUnitary:
     """Assemble the 216x216 boost: per particle, a block-diagonal 6x6
-    momentum-controlled spin rotation, tensored over the three particles."""
+    momentum-controlled spin rotation, tensored over the three particles.
+    The reference boost_pure is checked against."""
     block = np.zeros((6, 6), dtype=np.complex128)
     for p in range(3):
         block[2 * p : 2 * p + 2, 2 * p : 2 * p + 2] = scenario.rotation(p)
     return BoostUnitary(matrix=kron([block, block, block]), scenario=scenario)
 
 
-def boost_pure(state: CompositeState, scenario: BoostScenario) -> CompositeState:
-    """Brute-force route: apply the full boost unitary to a pure state."""
+def boosted_amplitudes(state: CompositeState, rotations: np.ndarray) -> np.ndarray:
+    """Boosted amplitudes of a pure state for a batch of boosts.
+
+    Every particle's spin is rotated by the rotation of the momentum label
+    it carries: one einsum over the (3, 2, 3, 2, 3, 2) amplitude tensor,
+    no 216x216 matrix.  `rotations` holds per-label rotations of shape
+    (..., 3, 2, 2), e.g. spin_rotations(axes, deltas) for a sweep; the
+    result has shape (..., 216).
+    """
     if not isinstance(state, CompositeState):
         state = CompositeState(np.asarray(state))
-    return build_boost_unitary(scenario)(state)
+    r = np.asarray(rotations, dtype=np.complex128)
+    out = np.einsum("...axi,...byj,...czk,aibjck->...axbycz", r, r, r, state.tensor())
+    return out.reshape(out.shape[:-6] + (COMPOSITE_DIM,))
 
 
-def permutation_spin_ensemble(
-    coeffs, spin, scenario: BoostScenario
-) -> SpinEnsemble:
-    """Fast route for momenta on the six label-assignment kets.
+def boost_pure(state: CompositeState, scenario: BoostScenario) -> CompositeState:
+    """Apply the boost to a pure state (a batch of one boosted_amplitudes)."""
+    return CompositeState(boosted_amplitudes(state, scenario.rotations()))
 
-    For sum_i c_i |Pi_i(A,B,C)> (x) |phi>, tracing the boosted state over
-    momentum gives sum_i |c_i|^2 U_i |phi><phi| U_i^H with U_i the product
-    of the three rotations the i-th assignment dictates.
-    """
+
+def _permutation_terms(coeffs) -> tuple[np.ndarray, np.ndarray]:
+    # Weights |c_i|^2 and label assignments (K, 3) of the nonnegligible
+    # permutation coefficients.
     c = np.asarray(coeffs, dtype=np.complex128).ravel()
     if c.size != 6:
         raise ShapeError(f"expected 6 permutation coefficients, got {c.size}")
     if abs(np.linalg.norm(c) - 1.0) > ATOL_PHYSICS:
         raise ValidationError("permutation coefficients are not normalized")
+    w = np.abs(c) ** 2
+    keep = w > _NEGLIGIBLE_WEIGHT
+    return w[keep], _PERMUTATIONS[keep]
+
+
+def permutation_spin_amplitudes(
+    coeffs, spin, rotations: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Weights and boosted spin amplitudes of the permutation ensemble.
+
+    For sum_i c_i |Pi_i(A,B,C)> (x) |phi>, the boosted reduced spin state
+    is sum_k w_k |psi_k><psi_k| with w_k = |c_k|^2 and psi_k = (u_a (x)
+    u_b (x) u_c) phi, (a, b, c) the k-th label assignment.  `rotations`
+    holds per-label 2x2 rotations with any leading batch shape, (..., 3,
+    2, 2), e.g. spin_rotations(axes, deltas) for a sweep.  Returns
+    weights (K,) and amplitudes (..., K, 8); zero weights are dropped.
+    """
+    w, perms = _permutation_terms(coeffs)
+    phi = _as_state_vector(spin, SPIN_DIM, "spin state").reshape(2, 2, 2)
+    r = np.asarray(rotations, dtype=np.complex128)[..., perms, :, :]
+    psi = np.einsum(
+        "...ai,...bj,...ck,ijk->...abc", r[..., 0, :, :], r[..., 1, :, :],
+        r[..., 2, :, :], phi,
+    )
+    return w, psi.reshape(psi.shape[:-3] + (SPIN_DIM,))
+
+
+def permutation_spin_ensemble(
+    coeffs, spin, scenario: BoostScenario
+) -> SpinEnsemble:
+    """The permutation ensemble as a certificate: term k applies the local
+    unitary of the k-th label assignment to the unboosted spin state."""
+    w, perms = _permutation_terms(coeffs)
     phi = _as_state_vector(spin, SPIN_DIM, "spin state")
-    base = projector(phi)
-    weights, unitaries = [], []
-    for ci, perm in zip(c, PERMUTATIONS):
-        w = float(abs(ci) ** 2)
-        if w <= _NEGLIGIBLE_WEIGHT:
-            continue
-        weights.append(w)
-        unitaries.append(local_unitary(perm, scenario))
-    k = len(weights)
     return SpinEnsemble(
-        weights=np.array(weights),
-        unitaries=np.array(unitaries),
-        bases=np.broadcast_to(base, (k, SPIN_DIM, SPIN_DIM)).copy(),
-        base_vectors=np.broadcast_to(phi, (k, SPIN_DIM)).copy(),
+        weights=w,
+        unitaries=np.array([local_unitary(p, scenario) for p in perms]),
+        base_vectors=np.broadcast_to(phi, (w.size, SPIN_DIM)).copy(),
     )
 
 
 def boosted_spin_density_fast(coeffs, spin, scenario: BoostScenario) -> np.ndarray:
-    """Reduced 8x8 spin density after the boost, via the six-term mixture."""
-    return permutation_spin_ensemble(coeffs, spin, scenario).mix()
+    """Reduced 8x8 spin density after the boost, from the permutation
+    ensemble's amplitudes (a sweep of one boost angle)."""
+    w, psi = permutation_spin_amplitudes(coeffs, spin, scenario.rotations())
+    return _mixture(w, psi)
 
 
 def _momentum_basis_labels(k: int) -> tuple[int, int, int]:
@@ -165,7 +203,7 @@ def composite_spin_ensemble(
     if not isinstance(state, CompositeState):
         state = CompositeState(np.asarray(state))
     m = state.momentum_spin_matrix()  # (27, 8), rows are momentum kets
-    weights, unitaries, bases, vecs = [], [], [], []
+    weights, unitaries, vecs = [], [], []
     for k in range(MOMENTUM_DIM):
         w = float(np.vdot(m[k], m[k]).real)
         if w <= _NEGLIGIBLE_WEIGHT:
@@ -173,12 +211,10 @@ def composite_spin_ensemble(
         phi = m[k] / np.sqrt(w)
         weights.append(w)
         unitaries.append(local_unitary(_momentum_basis_labels(k), scenario))
-        bases.append(projector(phi))
         vecs.append(phi)
     return SpinEnsemble(
         weights=np.array(weights),
         unitaries=np.array(unitaries),
-        bases=np.array(bases),
         base_vectors=np.array(vecs),
     )
 
@@ -194,19 +230,16 @@ def boost_mixed(
     """
     if isinstance(mixed, CompositeState):
         mixed = MixedState(np.array([1.0]), (mixed,))
-    unit = build_boost_unitary(scenario)
-    boosted_states = tuple(unit(st) for st in mixed.states)
-    weights, unitaries, bases, vecs = [], [], [], []
+    boosted_states = tuple(boost_pure(st, scenario) for st in mixed.states)
+    weights, unitaries, vecs = [], [], []
     for q, st in zip(mixed.weights, mixed.states):
         member = composite_spin_ensemble(st, scenario)
         weights.extend(q * member.weights)
         unitaries.extend(member.unitaries)
-        bases.extend(member.bases)
         vecs.extend(member.base_vectors)
     cert = SpinEnsemble(
         weights=np.array(weights),
         unitaries=np.array(unitaries),
-        bases=np.array(bases),
         base_vectors=np.array(vecs),
     )
     boosted = MixedState(mixed.weights, boosted_states)

@@ -243,7 +243,7 @@ def check_condition1(
 @dataclass(frozen=True)
 class ClassCertificate:
     """A SpinEnsemble together with the unboosted spin state it came from;
-    valid iff every ensemble base projector equals |base><base|."""
+    valid iff every ensemble base vector equals base_state."""
 
     base_state: np.ndarray
     ensemble: SpinEnsemble

@@ -18,7 +18,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,8 +25,9 @@ import numpy as np
 from .boost import (
     boost_mixed,
     boost_pure,
-    boosted_spin_density_fast,
+    boosted_amplitudes,
     composite_spin_ensemble,
+    permutation_spin_amplitudes,
 )
 from .classcheck import (
     SPIN_BIPARTITIONS,
@@ -39,9 +39,15 @@ from .classcheck import (
 )
 from .constants import ATOL_PHYSICS, SPIN_DIMS
 from .errors import InputError, NumericError, SpinboostError
-from .kinematics import BoostScenario, default_geometry, rapidity, wigner_angle
-from .linalg import projector, purity_unchecked
-from .measures import ghz_witness, gme_lower_bound, m_concurrence_pure
+from .kinematics import (
+    BoostScenario,
+    default_geometry,
+    rapidity,
+    spin_rotations,
+    wigner_angle,
+)
+from .linalg import projector, purity_unchecked, require_density
+from .measures import ghz_witness, m_concurrence_pure, witness_from_amplitudes
 from .states import (
     CompositeState,
     MixedState,
@@ -86,9 +92,7 @@ class ScanConfig:
     spin: str
     momentum: str
     variant: str
-    threads: int
     out: str | None
-    seed: int
 
 
 def _variant_key(name: str) -> str:
@@ -128,13 +132,6 @@ def _write_lines(lines, out: str | None) -> None:
             fh.write(text)
 
 
-def _map_maybe_parallel(fn, items, threads: int):
-    if threads <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 def cmd_wigner(args) -> int:
     delta = wigner_angle(rapidity(args.observer_speed), rapidity(args.particle_speed))
     print(f"delta_rad {_fmt(delta)}")
@@ -142,33 +139,37 @@ def cmd_wigner(args) -> int:
     return 0
 
 
+def _sweep_rotations(grid: int) -> tuple[np.ndarray, np.ndarray]:
+    """The swept deltas and their per-label rotations, (grid, 3, 2, 2)."""
+    deltas = np.linspace(0.0, math.pi / 2.0, grid)
+    return deltas, spin_rotations(default_geometry().rotation_axes(), deltas)
+
+
 def _scan_fig2(cfg: ScanConfig) -> list[str]:
+    # One alpha row at a time: each row's ensemble amplitudes are a
+    # (grid, K, 8) array and the witness comes from them directly.
     coeffs = _momentum_coeffs(cfg.momentum)
     alphas = (
         [cfg.alpha]
         if cfg.alpha is not None
-        else list(np.linspace(0.0, math.pi, cfg.grid))
+        else np.linspace(0.0, math.pi, cfg.grid)
     )
-    deltas = list(np.linspace(0.0, math.pi / 2.0, cfg.grid))
+    deltas, rotations = _sweep_rotations(cfg.grid)
     variant = _variant_key(cfg.variant)
-
-    def rows_for_alpha(alpha: float) -> list[str]:
-        spin = ghz_alpha(alpha)
-        out = []
-        for delta in deltas:
-            scenario = BoostScenario.from_angle(delta)
-            rho = boosted_spin_density_fast(coeffs, spin, scenario)
-            report = ghz_witness(rho, variant=variant, validate=False)
-            bound = gme_lower_bound(rho, validate=False)
-            out.append(
-                f"{_fmt(alpha)},{_fmt(delta)},{_fmt(report.value)},{_fmt(bound)}"
-            )
-        return out
-
-    chunks = _map_maybe_parallel(rows_for_alpha, alphas, cfg.threads)
     lines = ["alpha,delta,witness,gme_bound"]
-    for chunk in chunks:
-        lines.extend(chunk)
+    for alpha in alphas:
+        weights, psi = permutation_spin_amplitudes(coeffs, ghz_alpha(alpha), rotations)
+        values = witness_from_amplitudes(weights, psi, variant)
+        bounds = (
+            values
+            if variant == "symmetric"
+            else witness_from_amplitudes(weights, psi, "symmetric")
+        )
+        head = _fmt(alpha)
+        lines.extend(
+            f"{head},{_fmt(delta)},{_fmt(value)},{_fmt(max(0.0, bound))}"
+            for delta, value, bound in zip(deltas, values, bounds)
+        )
     return lines
 
 
@@ -176,20 +177,14 @@ def _scan_fig3(cfg: ScanConfig) -> list[str]:
     momentum = permutation_momentum(_momentum_coeffs(cfg.momentum))
     spin = _spin_vector(cfg.spin, cfg.alpha)
     state = compose(momentum, spin)
-    deltas = list(np.linspace(0.0, math.pi / 2.0, cfg.grid))
-
-    def rows_for_delta(delta: float) -> list[str]:
-        boosted = boost_pure(state, BoostScenario.from_angle(delta))
-        return [
-            f"{_fmt(delta)},{name},{_fmt(m_concurrence_pure(boosted, spec))}"
-            for name, spec in FIG3_CATALOG
-        ]
-
-    chunks = _map_maybe_parallel(rows_for_delta, deltas, cfg.threads)
+    deltas, rotations = _sweep_rotations(cfg.grid)
     catalog = "; ".join(f"{name}={spec}" for name, spec in FIG3_CATALOG)
     lines = [f"# partitions: {catalog}", "delta,partition,m_concurrence"]
-    for chunk in chunks:
-        lines.extend(chunk)
+    for delta, boosted in zip(deltas, boosted_amplitudes(state, rotations)):
+        lines.extend(
+            f"{_fmt(delta)},{name},{_fmt(m_concurrence_pure(boosted, spec))}"
+            for name, spec in FIG3_CATALOG
+        )
     return lines
 
 
@@ -202,13 +197,11 @@ def cmd_scan(args) -> int:
         spin=args.spin,
         momentum=args.momentum,
         variant=args.variant,
-        threads=args.threads,
         out=args.out,
-        seed=args.seed,
     )
     if cfg.grid < 2:
         raise InputError("--grid must be at least 2")
-    if cfg.threads < 1:
+    if args.threads < 1:  # accepted for compatibility; scans run in one thread
         raise InputError("--threads must be at least 1")
     lines = _scan_fig2(cfg) if cfg.kind == "fig2" else _scan_fig3(cfg)
     _write_lines(lines, cfg.out)
@@ -224,8 +217,9 @@ def _spin_density_of(state) -> np.ndarray:
 def cmd_witness(args) -> int:
     state = read_state(args.state)
     rho = _spin_density_of(state)
+    require_density(rho)
     reports = {
-        (path, variant): ghz_witness(rho, path=path, variant=variant)
+        (path, variant): ghz_witness(rho, path=path, variant=variant, validate=False)
         for path in ("matrix_elements", "pauli_settings")
         for variant in ("symmetric", "as_printed")
     }
@@ -402,8 +396,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="antisymmetric | product | 6 comma-separated coefficients")
     p.add_argument("--variant", choices=("symmetric", "as-printed"),
                    default="symmetric")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="accepted and ignored (must be at least 1)")
     p.add_argument("--out", default=None, help="output CSV path (default stdout)")
     p.set_defaults(func=cmd_scan)
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constants import ATOL_PHYSICS, ID2, MOMENTUM_LABELS, PAULI_X, PAULI_Y, PAULI_Z
+from .constants import ATOL_PHYSICS, MOMENTUM_LABELS
 from .errors import InputError, ShapeError
 from .linalg import kron
 
@@ -69,8 +69,27 @@ def spin_rotation(axis: np.ndarray, delta: float) -> np.ndarray:
     n = np.asarray(axis, dtype=float).reshape(3)
     if abs(np.linalg.norm(n) - 1.0) > ATOL_PHYSICS:
         raise InputError("rotation axis must be a unit vector")
-    ns = n[0] * PAULI_X + n[1] * PAULI_Y + n[2] * PAULI_Z
-    return math.cos(delta / 2.0) * ID2 - 1j * math.sin(delta / 2.0) * ns
+    return spin_rotations(n, delta)
+
+
+def spin_rotations(axes: np.ndarray, deltas) -> np.ndarray:
+    """spin_rotation for every angle in `deltas` and unit row of `axes`.
+
+    The result has shape deltas.shape + axes.shape[:-1] + (2, 2); axes of
+    shape (3, 3) and G angles give the (G, 3, 2, 2) per-label rotations of
+    a whole sweep.  Axes are taken as given (unit rows, unchecked).
+    """
+    n = np.asarray(axes, dtype=float)
+    d = np.asarray(deltas, dtype=float)
+    d = d.reshape(d.shape + (1,) * (n.ndim - 1))
+    c, s = np.cos(d / 2.0), np.sin(d / 2.0)
+    nx, ny, nz = n[..., 0], n[..., 1], n[..., 2]
+    u = np.empty(np.broadcast_shapes(d.shape, nx.shape) + (2, 2), dtype=np.complex128)
+    u[..., 0, 0] = c - 1j * s * nz
+    u[..., 0, 1] = -1j * s * (nx - 1j * ny)
+    u[..., 1, 0] = -1j * s * (nx + 1j * ny)
+    u[..., 1, 1] = c + 1j * s * nz
+    return u
 
 
 def _unit_rows(arr: np.ndarray, what: str) -> np.ndarray:
@@ -168,6 +187,10 @@ class BoostScenario:
         """2x2 spin rotation for the particle carrying the given momentum label."""
         return spin_rotation(self.axes[momentum_label_index(label)], self.delta)
 
+    def rotations(self) -> np.ndarray:
+        """The rotations of all three labels, shape (3, 2, 2)."""
+        return spin_rotations(self.axes, self.delta)
+
 
 def momentum_label_index(label: int | str) -> int:
     """Normalize a momentum label ('A'/'B'/'C' or 0/1/2) to an index."""
@@ -192,4 +215,4 @@ def local_unitary(assignment, scenario: BoostScenario) -> np.ndarray:
     labels = [momentum_label_index(a) for a in assignment]
     if len(labels) != 3:
         raise InputError(f"assignment must name three labels, got {assignment!r}")
-    return kron([scenario.rotation(p) for p in labels])
+    return kron(list(scenario.rotations()[labels]))

@@ -164,12 +164,17 @@ def is_density_matrix(rho: np.ndarray, atol: float = ATOL_PHYSICS) -> DensityChe
     return DensityCheck(bool(ok), float(herm), float(tr_err), min_eig)
 
 
-def purity(rho: np.ndarray, atol: float = ATOL_PHYSICS) -> float:
-    """Tr(rho^2) of a validated density matrix; 1/dim <= purity <= 1."""
-    rho = np.asarray(rho, dtype=np.complex128)
+def require_density(rho: np.ndarray, atol: float = ATOL_PHYSICS) -> None:
+    """Raise ValidationError unless `rho` passes is_density_matrix."""
     check = is_density_matrix(rho, atol)
     if not check:
         raise ValidationError(f"not a density matrix: {check}")
+
+
+def purity(rho: np.ndarray, atol: float = ATOL_PHYSICS) -> float:
+    """Tr(rho^2) of a validated density matrix; 1/dim <= purity <= 1."""
+    rho = np.asarray(rho, dtype=np.complex128)
+    require_density(rho, atol)
     return purity_unchecked(rho)
 
 

@@ -22,6 +22,17 @@ variant="as_printed" replaces the third pairing by sqrt(rho_44 rho_44)
 (sqrt(.9)|u> + sqrt(.1)|d>) (x) (|uu>+|dd>)/sqrt(2) it evaluates to
 +0.2 on a manifestly biseparable state.  The default variant is the
 symmetric pairing, and only that variant feeds the GME bound.
+
+Conditioning: the population terms are square roots, so an absolute
+error e in a population rho_jj moves the value by about sqrt(e rho_kk)
+for its partner k, not by e.  A population that is exactly zero but
+computed as an entry of U rho U^H carries roundoff of about 1e-17, which
+the square root lifts to about 1e-9 (roundoff eps becomes sqrt(eps)).
+Populations taken from amplitudes, sum_k w_k |psi_kj|^2, are
+nonnegative by construction and keep an exact zero within eps^2, so the
+value stays within a few eps; witness_from_amplitudes evaluates the
+witness that way for whole sweeps.  ghz_witness on a density matrix
+inherits the conditioning of the matrix it is given.
 """
 
 from __future__ import annotations
@@ -45,7 +56,7 @@ from .constants import (
     SPIN_DIMS,
 )
 from .errors import InputError, NumericError, ShapeError, ValidationError
-from .linalg import is_density_matrix, kron
+from .linalg import kron, require_density
 from .states import CompositeState, PartitionSpec
 
 WITNESS_PATHS = ("matrix_elements", "pauli_settings")
@@ -69,18 +80,18 @@ _IM_STRINGS = (
 _RE_OPS = tuple((kron([a, b, c]), s) for a, b, c, s in _RE_STRINGS)
 _IM_OPS = tuple((kron([a, b, c]), s) for a, b, c, s in _IM_STRINGS)
 
-# Projector triples for the population pairs: (up,up,down)&(down,down,up),
-# (up,down,up)&(down,up,down), (down,up,up)&(up,down,down).
-_POP_PAIRS_OPS = tuple(
-    (kron([pa, pb, pc]), kron([qa, qb, qc]))
-    for (pa, pb, pc), (qa, qb, qc) in (
-        ((PROJ_UP, PROJ_UP, PROJ_DOWN), (PROJ_DOWN, PROJ_DOWN, PROJ_UP)),
-        ((PROJ_UP, PROJ_DOWN, PROJ_UP), (PROJ_DOWN, PROJ_UP, PROJ_DOWN)),
-        ((PROJ_DOWN, PROJ_UP, PROJ_UP), (PROJ_UP, PROJ_DOWN, PROJ_DOWN)),
-    )
+# Computational-basis projectors |j><j| as products of single-qubit
+# projectors (bit 0 = up): the one setting that yields the populations.
+_POPULATION_OPS = tuple(
+    kron([(PROJ_UP, PROJ_DOWN)[(j >> b) & 1] for b in (2, 1, 0)])
+    for j in range(SPIN_DIM)
 )
-# Population index pairs in the flat spin basis, same order as above.
-_POP_PAIRS_IDX = ((1, 6), (2, 5), (4, 3))
+# Population index pairs in the flat spin basis: (uud, ddu), (udu, dud),
+# (duu, udd).  as_printed pairs the third as (duu, duu).
+_POP_PAIRS = {
+    "symmetric": ((1, 6), (2, 5), (4, 3)),
+    "as_printed": ((1, 6), (2, 5), (4, 4)),
+}
 
 
 @dataclass(frozen=True)
@@ -102,13 +113,15 @@ class WitnessReport:
         return self.value > 0.0
 
 
-def _sqrt_pop_product(a: float, b: float) -> float:
-    # populations may dip an epsilon below zero on valid densities
-    return math.sqrt(max(a, 0.0) * max(b, 0.0))
-
-
 def _expect(rho: np.ndarray, op: np.ndarray) -> float:
     return float(np.trace(rho @ op).real)
+
+
+def _check_variant(variant: str) -> None:
+    if variant not in WITNESS_VARIANTS:
+        raise InputError(
+            f"unknown variant {variant!r}, expected one of {WITNESS_VARIANTS}"
+        )
 
 
 def ghz_witness(
@@ -129,31 +142,25 @@ def ghz_witness(
         raise ShapeError(f"witness needs an 8x8 density matrix, got {rho.shape}")
     if path not in WITNESS_PATHS:
         raise InputError(f"unknown path {path!r}, expected one of {WITNESS_PATHS}")
-    if variant not in WITNESS_VARIANTS:
-        raise InputError(
-            f"unknown variant {variant!r}, expected one of {WITNESS_VARIANTS}"
-        )
+    _check_variant(variant)
     if validate:
-        check = is_density_matrix(rho, ATOL_PHYSICS)
-        if not check:
-            raise ValidationError(f"not a density matrix: {check}")
+        require_density(rho)
 
     if path == "pauli_settings":
         re2 = 0.25 * sum(s * _expect(rho, op) for op, s in _RE_OPS)  # = 2 Re rho07
         im2 = 0.25 * sum(s * _expect(rho, op) for op, s in _IM_OPS)  # = 2 Im rho07
-        pops = [
-            (_expect(rho, p), _expect(rho, q)) for p, q in _POP_PAIRS_OPS
-        ]
+        pops = [_expect(rho, op) for op in _POPULATION_OPS]
     else:
         re2 = 2.0 * float(rho[0, 7].real)
         im2 = 2.0 * float(rho[0, 7].imag)
-        diag = rho.diagonal().real
-        pops = [(float(diag[i]), float(diag[j])) for i, j in _POP_PAIRS_IDX]
+        pops = rho.diagonal().real.tolist()
 
     offdiag = math.hypot(re2, im2)  # = 2 |rho07|
-    if variant == "as_printed":
-        pops[2] = (pops[2][0], pops[2][0])
-    terms = tuple(2.0 * _sqrt_pop_product(a, b) for a, b in pops)
+    # populations may dip an epsilon below zero on valid densities
+    terms = tuple(
+        2.0 * math.sqrt(max(pops[i], 0.0) * max(pops[j], 0.0))
+        for i, j in _POP_PAIRS[variant]
+    )
     value = offdiag - sum(terms)
     return WitnessReport(
         value=value,
@@ -164,6 +171,26 @@ def ghz_witness(
         path=path,
         variant=variant,
     )
+
+
+def witness_from_amplitudes(
+    weights, psi, variant: str = "symmetric"
+) -> np.ndarray:
+    """Witness values of the mixtures sum_k w_k |psi_k><psi_k|, batched.
+
+    `psi` holds amplitudes of shape (..., K, 8) and `weights` the K term
+    weights; the result has shape (...).  Populations sum_k w_k
+    |psi_kj|^2 and rho07 = sum_k w_k psi_k0 conj(psi_k7) come straight
+    from the amplitudes, so no 8x8 matrix is formed and the value keeps
+    the conditioning described in the module docstring.
+    """
+    _check_variant(variant)
+    psi = np.asarray(psi, dtype=np.complex128)
+    w = np.asarray(weights, dtype=float)
+    pops = np.einsum("k,...kj->...j", w, psi.real**2 + psi.imag**2)
+    rho07 = np.einsum("k,...k->...", w, psi[..., 0] * psi[..., 7].conj())
+    terms = sum(np.sqrt(pops[..., i] * pops[..., j]) for i, j in _POP_PAIRS[variant])
+    return 2.0 * np.abs(rho07) - 2.0 * terms
 
 
 def gme_lower_bound(rho: np.ndarray, validate: bool = True) -> float:

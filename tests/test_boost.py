@@ -25,7 +25,9 @@ from spinboost import (
     composite_spin_ensemble,
     ghz_state,
     permutation_momentum,
+    permutation_spin_amplitudes,
     permutation_spin_ensemble,
+    spin_rotations,
     w_state,
 )
 from spinboost.linalg import partial_trace, projector
@@ -120,9 +122,6 @@ def test_permutation_ensemble_structure():
     for k in range(len(ens)):
         u = ens.unitaries[k]
         np.testing.assert_allclose(u @ u.conj().T, np.eye(8), atol=1e-13)
-        np.testing.assert_allclose(
-            ens.bases[k], projector(ens.base_vectors[k]), atol=1e-14
-        )
         np.testing.assert_allclose(ens.base_vectors[k], spin, atol=1e-14)
     np.testing.assert_allclose(
         ens.mix(), boosted_spin_density_fast(coeffs, spin, sc), atol=1e-13
@@ -177,15 +176,63 @@ def test_spin_ensemble_validation():
     eye = np.eye(8, dtype=np.complex128)[None]
     vec = np.zeros((1, 8), dtype=np.complex128)
     vec[0, 0] = 1.0
-    base = np.einsum("ki,kj->kij", vec, vec.conj())
-    SpinEnsemble(np.array([1.0]), eye, base, vec)
+    SpinEnsemble(np.array([1.0]), eye, vec)
     with pytest.raises(ValidationError):
-        SpinEnsemble(np.array([0.5]), eye, base, vec)  # weights sum != 1
+        SpinEnsemble(np.array([0.5]), eye, vec)  # weights sum != 1
     with pytest.raises(ValidationError):
         SpinEnsemble(np.array([-1.0, 2.0]), np.repeat(eye, 2, 0),
-                     np.repeat(base, 2, 0), np.repeat(vec, 2, 0))
+                     np.repeat(vec, 2, 0))
     with pytest.raises(ShapeError):
-        SpinEnsemble(np.array([1.0]), eye[:, :4, :4], base, vec)
+        SpinEnsemble(np.array([1.0]), eye[:, :4, :4], vec)
+
+
+def test_mix_is_weighted_sum_of_rotated_projectors():
+    rng = np.random.default_rng(9)
+    state = compose(haar_vec(27, rng), haar_vec(8, rng))
+    ens = composite_spin_ensemble(state, BoostScenario.from_angle(1.2))
+    expected = sum(
+        w * projector(u @ v)
+        for w, u, v in zip(ens.weights, ens.unitaries, ens.base_vectors)
+    )
+    np.testing.assert_allclose(ens.mix(), expected, atol=1e-14)
+
+
+def test_einsum_boost_matches_unitary_matrix():
+    rng = np.random.default_rng(10)
+    worst = 0.0
+    for delta in (0.0, 0.3, math.pi / 2, *rng.uniform(0, math.pi / 2, 7)):
+        sc = BoostScenario.from_angle(delta)
+        v = haar_vec(216, rng)
+        worst = max(
+            worst,
+            np.abs(boost_pure(CompositeState(v), sc).vector
+                   - build_boost_unitary(sc).matrix @ v).max(),
+        )
+    assert worst < 1e-13
+
+
+def test_permutation_amplitudes_batch_matches_single_points():
+    # a sweep of G angles equals G single-angle calls, and the mixture of
+    # the amplitudes is the certificate's mixture
+    rng = np.random.default_rng(11)
+    coeffs = random_coeffs(rng)
+    coeffs[2] = 0.0
+    coeffs /= np.linalg.norm(coeffs)
+    spin = haar_vec(8, rng)
+    deltas = np.linspace(0.0, math.pi / 2, 5)
+    axes = BoostScenario.from_angle(0.0).axes
+    w, psi = permutation_spin_amplitudes(coeffs, spin, spin_rotations(axes, deltas))
+    assert psi.shape == (5, 5, 8) and w.shape == (5,)
+    for g, delta in enumerate(deltas):
+        sc = BoostScenario.from_angle(delta)
+        w1, psi1 = permutation_spin_amplitudes(coeffs, spin, sc.rotations())
+        np.testing.assert_array_equal(w1, w)
+        np.testing.assert_allclose(psi1, psi[g], atol=1e-15)
+        np.testing.assert_allclose(
+            boosted_spin_density_fast(coeffs, spin, sc),
+            permutation_spin_ensemble(coeffs, spin, sc).mix(),
+            atol=1e-14,
+        )
 
 
 def test_reduced_spin_purity_drops_for_entangling_boost():

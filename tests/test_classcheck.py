@@ -8,6 +8,7 @@ import pytest
 from spinboost import (
     BoostScenario,
     ClassCertificate,
+    SpinEnsemble,
     check_condition1,
     compose,
     composite_spin_ensemble,
@@ -27,7 +28,7 @@ from spinboost.classcheck import (
     _haar_unitary_qr,
 )
 from spinboost.constants import COMPOSITE_DIMS
-from spinboost.linalg import partial_trace, purity_unchecked
+from spinboost.linalg import partial_trace, projector, purity_unchecked
 from spinboost.states import particle_partition
 
 
@@ -190,3 +191,21 @@ def test_certificate_detects_foreign_base_state():
     rep = verify_certificate(wrong, rho)
     assert not rep.passed
     assert max(rep.max_spectrum_deviation, rep.max_tangle_deviation) > 1e-3
+
+
+def test_forged_certificate_fails():
+    # The forgery claims rho = |other><other| with base_vectors = base and
+    # U = I.  A certificate that carried its own projectors next to the
+    # base vectors could rebuild rho from the projectors and pass, which
+    # would certify other as LU-equivalent to base.  rho is rebuilt from
+    # the base vectors alone, so the claim must fail reconstruction.
+    rng = np.random.default_rng(30)
+    base, other = haar_state(8, rng), haar_state(8, rng)
+    eye = np.eye(8, dtype=np.complex128)[None]
+    with pytest.raises(TypeError):
+        SpinEnsemble(np.array([1.0]), eye, bases=projector(other)[None],
+                     base_vectors=base[None])
+    forged = ClassCertificate(base, SpinEnsemble(np.array([1.0]), eye, base[None]))
+    rep = verify_certificate(forged, projector(other))
+    assert not rep.passed
+    assert rep.reconstruction_error > 0.1

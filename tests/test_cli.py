@@ -124,10 +124,54 @@ def test_scan_custom_momentum(capsys):
     assert len(out.splitlines()) == 4
 
 
+def test_scan_fig2_cell_matches_mpmath(capsys):
+    # The fig2 cell alpha = 0.8 pi, delta = 0.4 pi (antisymmetric momentum),
+    # evaluated from the definitions at 30 digits.  Its populations 1, 2
+    # and 4 vanish, so roundoff in them would show as ~1e-9 here.
+    mp = pytest.importorskip("mpmath")
+    alpha = float(np.linspace(0.0, math.pi, 61)[48])
+    delta = float(np.linspace(0.0, math.pi / 2, 61)[48])
+    code, out, _ = run(
+        ["scan", "fig2", "--alpha", repr(alpha), "--grid", "61"], capsys
+    )
+    assert code == 0
+    printed = float(out.splitlines()[1 + 48].split(",")[2])
+
+    with mp.workdps(30):
+        c, s = mp.cos(mp.mpf(delta) / 2), mp.sin(mp.mpf(delta) / 2)
+        rot = []
+        for p in range(3):  # axis z x d_p, d_p at azimuth 120 p degrees
+            az = 2 * mp.pi * p / 3
+            nx, ny = -mp.sin(az), mp.cos(az)
+            rot.append(mp.matrix([[c, -1j * s * (nx - 1j * ny)],
+                                  [-1j * s * (nx + 1j * ny), c]]))
+        phi = {(0, 0, 0): mp.sin(mp.mpf(alpha)), (1, 1, 1): mp.cos(mp.mpf(alpha))}
+        perms = ((0, 1, 2), (0, 2, 1), (1, 2, 0), (1, 0, 2), (2, 0, 1), (2, 1, 0))
+        pops = [mp.mpf(0)] * 8
+        rho07 = mp.mpc(0)
+        for perm in perms:  # each term has weight 1/6
+            psi = []
+            for j in range(8):
+                bits = ((j >> 2) & 1, (j >> 1) & 1, j & 1)
+                psi.append(sum(
+                    amp * rot[perm[0]][bits[0], i[0]] * rot[perm[1]][bits[1], i[1]]
+                    * rot[perm[2]][bits[2], i[2]]
+                    for i, amp in phi.items()
+                ))
+            pops = [p + abs(a) ** 2 / 6 for p, a in zip(pops, psi)]
+            rho07 += psi[0] * mp.conj(psi[7]) / 6
+        exact = 2 * abs(rho07) - 2 * sum(
+            mp.sqrt(pops[i] * pops[j]) for i, j in ((1, 6), (2, 5), (4, 3))
+        )
+        assert abs(exact - mp.mpf("0.293892626146237")) < 1e-14
+    assert abs(printed - float(exact)) < 1e-10
+
+
 def test_scan_rejects_bad_input(capsys):
     assert run(["scan", "fig2", "--grid", "1"], capsys)[0] == 2
     assert run(["scan", "fig2", "--threads", "0"], capsys)[0] == 2
     assert run(["scan", "fig2", "--momentum", "1,2"], capsys)[0] == 2
+    assert run(["scan", "fig2", "--momentum", "1,1,0,0,0,0"], capsys)[0] == 2
     assert run(["scan", "fig2", "--momentum", "a,b,c,d,e,f"], capsys)[0] == 2
 
 
@@ -152,6 +196,31 @@ def test_witness_command_composite_file(tmp_path, capsys):
     assert code == 0
     assert "(variant as-printed)" in out.splitlines()[0]
     assert "paths_max_deviation" in out
+
+
+def test_witness_command_validates_once(tmp_path, monkeypatch, capsys):
+    # one density check (one eigensolve) covers all four witness evaluations
+    from spinboost import linalg
+
+    calls = []
+    eigen = linalg.hermitian_eigen
+    monkeypatch.setattr(
+        linalg, "hermitian_eigen", lambda h: calls.append(1) or eigen(h)
+    )
+    path = tmp_path / "comp.json"
+    write_state(compose(antisymmetric_momentum(), ghz_state()), path)
+    assert run(["witness", str(path)], capsys)[0] == 0
+    assert len(calls) == 1
+
+
+def test_witness_command_rejects_non_density(tmp_path, monkeypatch, capsys):
+    # state files always reduce to valid densities; force a defective one
+    path = tmp_path / "ghz.json"
+    write_state(ghz_state(), path)
+    monkeypatch.setattr(cli, "_spin_density_of", lambda state: 2 * projector(state))
+    code, _, err = run(["witness", str(path)], capsys)
+    assert code == 2
+    assert "not a density matrix" in err
 
 
 def test_witness_command_missing_file(tmp_path, capsys):

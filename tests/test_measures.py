@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from spinboost import (
+    BoostScenario,
     CompositeState,
     InputError,
     PartitionSpec,
@@ -19,9 +20,14 @@ from spinboost import (
     ghz_witness,
     gme_lower_bound,
     m_concurrence_pure,
+    antisymmetric_coeffs,
+    boosted_spin_density_fast,
+    permutation_spin_amplitudes,
     singletons_partition,
+    spin_rotations,
     three_tangle,
     w_state,
+    witness_from_amplitudes,
 )
 from spinboost.classcheck import haar_state, random_local_unitary
 from spinboost.linalg import projector
@@ -236,3 +242,29 @@ def test_sqrt_radicand_noise_policy():
     assert _sqrt_radicand(-1e-13) == 0.0  # numerical noise clamps to zero
     with pytest.raises(NumericError):
         _sqrt_radicand(-1e-6)
+
+
+def test_witness_from_amplitudes_matches_density_route():
+    # the batched fig2 path (rotations for a sweep of deltas, ensemble
+    # amplitudes, witness from amplitudes) against one boosted 8x8
+    # density per point and the matrix-element witness
+    rng = np.random.default_rng(41)
+    zero_weight = np.array([0.6, 0.0, 0.0, -0.8j, 0.0, 0.0])
+    coeff_sets = (antisymmetric_coeffs(), zero_weight, np.eye(6)[0])
+    deltas = np.concatenate(([0.0, math.pi / 2], rng.uniform(0, math.pi / 2, 6)))
+    rotations = spin_rotations(BoostScenario.from_angle(0.0).axes, deltas)
+    worst = 0.0
+    for coeffs in coeff_sets:
+        for alpha in rng.uniform(0.0, math.pi, 4):
+            spin = ghz_alpha(alpha)
+            weights, psi = permutation_spin_amplitudes(coeffs, spin, rotations)
+            for variant in ("symmetric", "as_printed"):
+                batched = witness_from_amplitudes(weights, psi, variant)
+                assert batched.shape == deltas.shape
+                for delta, value in zip(deltas, batched):
+                    rho = boosted_spin_density_fast(
+                        coeffs, spin, BoostScenario.from_angle(delta)
+                    )
+                    ref = ghz_witness(rho, variant=variant).value
+                    worst = max(worst, abs(value - ref))
+    assert worst < 1e-12
