@@ -37,12 +37,14 @@ from .constants import (
     SPIN_DIM,
 )
 from .errors import ShapeError, ValidationError
-from .kinematics import BoostScenario, local_unitary
+from .kinematics import BoostScenario, local_unitaries
 from .linalg import kron
 from .states import CompositeState, MixedState, _as_state_vector
 
 _NEGLIGIBLE_WEIGHT = 1e-30
 _PERMUTATIONS = np.array(PERMUTATIONS)
+# Label assignment (m1, m2, m3) of momentum basis ket k = 9 m1 + 3 m2 + m3.
+_MOMENTUM_BASIS_LABELS = np.indices((3, 3, 3)).reshape(3, MOMENTUM_DIM).T
 
 
 @dataclass(frozen=True)
@@ -91,10 +93,13 @@ class SpinEnsemble:
     def __len__(self) -> int:
         return int(self.weights.size)
 
+    def amplitudes(self) -> np.ndarray:
+        """The rotated term states psi_k = U_k phi_k, shape (K, 8)."""
+        return np.einsum("kij,kj->ki", self.unitaries, self.base_vectors)
+
     def mix(self) -> np.ndarray:
         """The 8x8 density matrix sum_k w_k U_k |phi_k><phi_k| U_k^H."""
-        psi = np.einsum("kij,kj->ki", self.unitaries, self.base_vectors)
-        return _mixture(self.weights, psi)
+        return _mixture(self.weights, self.amplitudes())
 
 
 def _mixture(weights: np.ndarray, psi: np.ndarray) -> np.ndarray:
@@ -177,7 +182,7 @@ def permutation_spin_ensemble(
     phi = _as_state_vector(spin, SPIN_DIM, "spin state")
     return SpinEnsemble(
         weights=w,
-        unitaries=np.array([local_unitary(p, scenario) for p in perms]),
+        unitaries=local_unitaries(perms, scenario),
         base_vectors=np.broadcast_to(phi, (w.size, SPIN_DIM)).copy(),
     )
 
@@ -187,10 +192,6 @@ def boosted_spin_density_fast(coeffs, spin, scenario: BoostScenario) -> np.ndarr
     ensemble's amplitudes (a sweep of one boost angle)."""
     w, psi = permutation_spin_amplitudes(coeffs, spin, scenario.rotations())
     return _mixture(w, psi)
-
-
-def _momentum_basis_labels(k: int) -> tuple[int, int, int]:
-    return (k // 9, (k // 3) % 3, k % 3)
 
 
 def composite_spin_ensemble(
@@ -203,19 +204,12 @@ def composite_spin_ensemble(
     if not isinstance(state, CompositeState):
         state = CompositeState(np.asarray(state))
     m = state.momentum_spin_matrix()  # (27, 8), rows are momentum kets
-    weights, unitaries, vecs = [], [], []
-    for k in range(MOMENTUM_DIM):
-        w = float(np.vdot(m[k], m[k]).real)
-        if w <= _NEGLIGIBLE_WEIGHT:
-            continue
-        phi = m[k] / np.sqrt(w)
-        weights.append(w)
-        unitaries.append(local_unitary(_momentum_basis_labels(k), scenario))
-        vecs.append(phi)
+    w = np.einsum("ki,ki->k", m.conj(), m).real
+    keep = w > _NEGLIGIBLE_WEIGHT
     return SpinEnsemble(
-        weights=np.array(weights),
-        unitaries=np.array(unitaries),
-        base_vectors=np.array(vecs),
+        weights=w[keep],
+        unitaries=local_unitaries(_MOMENTUM_BASIS_LABELS[keep], scenario),
+        base_vectors=m[keep] / np.sqrt(w[keep])[:, None],
     )
 
 

@@ -8,7 +8,8 @@ certificates: the reduced spin state a boost produces decomposes into
 weighted terms U_k |phi><phi| U_k^H with *local* U_k, so every term
 stays in the local-unitary class of the unboosted spin state; the
 certificate is verified by reconstructing the density matrix and
-comparing LU invariants term against base.
+comparing LU invariants term against base, after checking that every
+term really is a local unitary applied to the base state.
 
 All sampling is driven by numpy's seeded Generator, so every check is
 reproducible from its seed.
@@ -23,11 +24,11 @@ from typing import Sequence
 import numpy as np
 
 from .boost import SpinEnsemble
-from .constants import ATOL_PHYSICS, ID2, PAULI_X, PAULI_Y, PAULI_Z, SPIN_DIM
+from .constants import ATOL_ALGEBRA, ATOL_PHYSICS, SPIN_DIM
 from .errors import InputError, ShapeError
-from .linalg import hermitian_eigen, kron, partial_trace, projector
+from .linalg import kron, kron_batched, projector
 from .measures import m_concurrence_pure, three_tangle
-from .states import PartitionSpec, bipartition
+from .states import PartitionSpec, _as_state_vector, bipartition
 
 SPIN_BIPARTITIONS = (
     bipartition((0,), 3),
@@ -59,14 +60,21 @@ def _haar_su2_angle(rng: np.random.Generator) -> float:
 
 
 def _haar_unitary_2x2(rng: np.random.Generator) -> np.ndarray:
-    # Uniform axis on the sphere, Haar-weighted angle, uniform global phase.
-    z = rng.uniform(-1.0, 1.0)
+    # Uniform axis n on the sphere, Haar-weighted angle, uniform global
+    # phase: exp(i phase) (cos(theta/2) I - i sin(theta/2) n.sigma),
+    # written out entry by entry.
+    nz = rng.uniform(-1.0, 1.0)
     az = rng.uniform(0.0, 2.0 * math.pi)
-    r = math.sqrt(max(1.0 - z * z, 0.0))
-    axis = np.array([r * math.cos(az), r * math.sin(az), z])
+    r = math.sqrt(max(1.0 - nz * nz, 0.0))
+    nx, ny = r * math.cos(az), r * math.sin(az)
     theta = _haar_su2_angle(rng)
-    ns = axis[0] * PAULI_X + axis[1] * PAULI_Y + axis[2] * PAULI_Z
-    su2 = math.cos(theta / 2.0) * ID2 - 1j * math.sin(theta / 2.0) * ns
+    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
+    su2 = np.array(
+        [
+            [complex(c, -s * nz), complex(-s * ny, -s * nx)],
+            [complex(s * ny, -s * nx), complex(c, s * nz)],
+        ]
+    )
     return np.exp(1j * rng.uniform(0.0, 2.0 * math.pi)) * su2
 
 
@@ -203,40 +211,40 @@ def check_condition1(
     seed `seed + t`, reported on failure) and compares every invariant
     against the unrotated state: the three-tangle (three-qubit states
     only) and the m-concurrence for every partition (default: all
-    partitions of the factors).
+    partitions of the factors).  All trials' product unitaries are
+    formed as one (trials, N, N) stack, and the state and its rotated
+    copies are evaluated as one batch per invariant.
     """
     vec = np.asarray(state, dtype=np.complex128).ravel()
     dims = tuple(int(d) for d in dims)
     if int(np.prod(dims)) != vec.size:
         raise ShapeError(f"state size {vec.size} does not match dims {dims}")
     specs = list(partitions) if partitions is not None else _all_partitions(len(dims))
-    with_tangle = dims == (2, 2, 2)
-    base_tangle = three_tangle(vec) if with_tangle else None
-    base_conc = [m_concurrence_pure(vec, spec, dims) for spec in specs]
+    samples = [random_local_unitary(dims, seed + t) for t in range(trials)]
+    states = vec[None]
+    if samples:
+        factors = [np.stack(fs) for fs in zip(*(s.factors for s in samples))]
+        states = np.concatenate([states, kron_batched(factors) @ vec])
 
+    def deviations(values: np.ndarray) -> np.ndarray:
+        return np.abs(values[1:] - values[0])
+
+    conc = np.array(
+        [deviations(m_concurrence_pure(states, spec, dims)) for spec in specs]
+    ).reshape(len(specs), trials)
+    bad = np.any(conc > atol, axis=0)
     max_tangle = 0.0
-    max_conc = 0.0
-    failing = []
-    for t in range(trials):
-        sample = random_local_unitary(dims, seed + t)
-        rotated = sample.apply(vec)
-        bad = False
-        if with_tangle:
-            dev = abs(three_tangle(rotated) - base_tangle)
-            max_tangle = max(max_tangle, dev)
-            bad = bad or dev > atol
-        for spec, ref in zip(specs, base_conc):
-            dev = abs(m_concurrence_pure(rotated, spec, dims) - ref)
-            max_conc = max(max_conc, dev)
-            bad = bad or dev > atol
-        if bad:
-            failing.append(seed + t)
+    if dims == (2, 2, 2):
+        tangle = deviations(three_tangle(states))
+        bad |= tangle > atol
+        max_tangle = float(np.max(tangle, initial=0.0))
+    failing = tuple(seed + int(t) for t in np.flatnonzero(bad))
     return InvarianceReport(
         passed=not failing,
         trials=trials,
         max_tangle_deviation=max_tangle,
-        max_concurrence_deviation=max_conc,
-        failing_seeds=tuple(failing),
+        max_concurrence_deviation=float(np.max(conc, initial=0.0)),
+        failing_seeds=failing,
     )
 
 
@@ -257,19 +265,61 @@ class CertificateReport:
     reconstruction_error: float
     max_spectrum_deviation: float
     max_tangle_deviation: float
+    max_unitarity_error: float
+    max_locality_defect: float
+    max_base_deviation: float
     failing_terms: tuple[int, ...] = ()
 
     def __bool__(self) -> bool:
         return self.passed
 
 
-def _single_qubit_spectra(rho: np.ndarray) -> np.ndarray:
-    spectra = []
-    for qubit in range(3):
-        red = partial_trace(rho, (2, 2, 2), (qubit,))
-        w, _ = hermitian_eigen(red)
-        spectra.append(w)
-    return np.concatenate(spectra)
+def single_qubit_spectra(psi) -> np.ndarray:
+    """Spectra of the three single-qubit reductions of pure spin states.
+
+    `psi` holds amplitudes of shape (..., 8); the result has shape
+    (..., 3, 2), eigenvalues descending.  Each 2x2 reduction [[a, b],
+    [conj b, d]] comes straight from the amplitudes, and its eigenvalues
+    are (a + d)/2 +- sqrt(((a - d)/2)^2 + |b|^2): no density matrix,
+    partial trace or eigensolver.
+    """
+    psi = np.asarray(psi, dtype=np.complex128)
+    batch = psi.shape[:-1]
+    t = psi.reshape(batch + (2, 2, 2))
+    # rows (qubit q up, qubit q down) against the other two qubits
+    rows = np.stack(
+        [
+            np.moveaxis(t, len(batch) + q, -3).reshape(batch + (2, 4))
+            for q in range(3)
+        ],
+        axis=-3,
+    )
+    up, down = rows[..., 0, :], rows[..., 1, :]
+    a = np.sum(up.real**2 + up.imag**2, axis=-1)
+    d = np.sum(down.real**2 + down.imag**2, axis=-1)
+    b = np.abs(np.sum(up * down.conj(), axis=-1))
+    r = np.hypot((a - d) / 2.0, b)
+    mean = (a + d) / 2.0
+    return np.stack([mean + r, mean - r], axis=-1)
+
+
+def _locality_defects(unitaries: np.ndarray) -> np.ndarray:
+    # Operator-Schmidt test of 8x8 matrices across each qubit cut: realign
+    # U into R (4, 16), rows the cut qubit's (out, in) pair, columns the
+    # other two qubits'.  U is a product across the cut iff R has rank 1,
+    # iff ||R R^H||_F^2 = (Tr R R^H)^2.  Returns the worst cut's
+    # (Tr R R^H)^2 - ||R R^H||_F^2 per matrix, relative to the value 64
+    # a unitary has; three product cuts make U a product of three 2x2s.
+    t = unitaries.reshape(-1, 2, 2, 2, 2, 2, 2)  # (k, out0..2, in0..2)
+    cuts = []
+    for q in range(3):
+        others = [i for i in range(3) if i != q]
+        axes = [0, 1 + q, 4 + q] + [1 + i for i in others] + [4 + i for i in others]
+        r = t.transpose(axes).reshape(-1, 4, 16)
+        g = r @ r.conj().transpose(0, 2, 1)
+        tr = np.trace(g, axis1=1, axis2=2).real
+        cuts.append(tr**2 - np.sum(g.real**2 + g.imag**2, axis=(1, 2)))
+    return np.max(cuts, axis=0) / SPIN_DIM**2
 
 
 def verify_certificate(
@@ -282,37 +332,47 @@ def verify_certificate(
     to decompose.
 
     (a) the weighted terms must reconstruct `rho` within
-    `reconstruction_atol` (Frobenius); (b) every term's rotated pure
-    state must be LU-equivalent to the base state: identical
-    single-qubit reduction spectra and three-tangle within
-    `invariant_atol`.
+    `reconstruction_atol` (Frobenius); (b) every term must be a local
+    unitary applied to the base state: U_k unitary and a product of three
+    single-qubit factors, and base_vectors[k] equal to base_state up to a
+    global phase, all within ATOL_ALGEBRA; (c) every term's rotated pure
+    state must share the base state's LU invariants: single-qubit
+    reduction spectra and three-tangle within `invariant_atol`.  (b) is
+    what proves LU equivalence; (c) follows from it and is checked and
+    reported as well.
     """
     ens = cert.ensemble
-    base = np.asarray(cert.base_state, dtype=np.complex128).ravel()
+    base = _as_state_vector(cert.base_state, SPIN_DIM, "base state")
     recon = ens.mix()
     rec_err = float(np.linalg.norm(recon - np.asarray(rho, dtype=np.complex128)))
 
-    base_spectra = _single_qubit_spectra(projector(base))
-    base_tangle = three_tangle(base)
-    max_spec = 0.0
-    max_tangle = 0.0
-    failing = []
-    for k in range(len(ens)):
-        term_vec = ens.unitaries[k] @ ens.base_vectors[k]
-        term_rho = projector(term_vec)
-        spec_dev = float(
-            np.abs(_single_qubit_spectra(term_rho) - base_spectra).max()
-        )
-        tangle_dev = abs(three_tangle(term_vec) - base_tangle)
-        max_spec = max(max_spec, spec_dev)
-        max_tangle = max(max_tangle, tangle_dev)
-        if spec_dev > invariant_atol or tangle_dev > invariant_atol:
-            failing.append(k)
-    passed = rec_err <= reconstruction_atol and not failing
+    u = ens.unitaries
+    eye = np.eye(SPIN_DIM)
+    unitarity = np.linalg.norm(u @ u.conj().transpose(0, 2, 1) - eye, axis=(1, 2))
+    locality = _locality_defects(u)
+    overlap = ens.base_vectors @ base.conj()
+    phase = np.exp(1j * np.angle(overlap))
+    base_dev = np.linalg.norm(ens.base_vectors - phase[:, None] * base, axis=1)
+
+    psi = ens.amplitudes()
+    spec_dev = np.abs(single_qubit_spectra(psi) - single_qubit_spectra(base))
+    spec_dev = spec_dev.max(axis=(1, 2))
+    tangle_dev = np.abs(three_tangle(psi) - three_tangle(base))
+    bad = (
+        (spec_dev > invariant_atol)
+        | (tangle_dev > invariant_atol)
+        | (unitarity > ATOL_ALGEBRA)
+        | (locality > ATOL_ALGEBRA)
+        | (base_dev > ATOL_ALGEBRA)
+    )
+    failing = tuple(int(k) for k in np.flatnonzero(bad))
     return CertificateReport(
-        passed=passed,
+        passed=rec_err <= reconstruction_atol and not failing,
         reconstruction_error=rec_err,
-        max_spectrum_deviation=max_spec,
-        max_tangle_deviation=max_tangle,
-        failing_terms=tuple(failing),
+        max_spectrum_deviation=float(spec_dev.max()),
+        max_tangle_deviation=float(tangle_dev.max()),
+        max_unitarity_error=float(unitarity.max()),
+        max_locality_defect=float(locality.max()),
+        max_base_deviation=float(base_dev.max()),
+        failing_terms=failing,
     )

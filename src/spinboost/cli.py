@@ -179,11 +179,13 @@ def _scan_fig3(cfg: ScanConfig) -> list[str]:
     state = compose(momentum, spin)
     deltas, rotations = _sweep_rotations(cfg.grid)
     catalog = "; ".join(f"{name}={spec}" for name, spec in FIG3_CATALOG)
+    boosted = boosted_amplitudes(state, rotations)
+    values = [m_concurrence_pure(boosted, spec) for _, spec in FIG3_CATALOG]
     lines = [f"# partitions: {catalog}", "delta,partition,m_concurrence"]
-    for delta, boosted in zip(deltas, boosted_amplitudes(state, rotations)):
+    for i, delta in enumerate(deltas):
         lines.extend(
-            f"{_fmt(delta)},{name},{_fmt(m_concurrence_pure(boosted, spec))}"
-            for name, spec in FIG3_CATALOG
+            f"{_fmt(delta)},{name},{_fmt(column[i])}"
+            for (name, _), column in zip(FIG3_CATALOG, values)
         )
     return lines
 

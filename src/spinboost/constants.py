@@ -21,8 +21,6 @@ ATOL_PHYSICS = 1e-9    # physics-level checks (normalization, positivity, LU)
 ATOL_PATHS = 1e-10     # agreement between independent evaluation routes
 RADICAND_NOISE = 1e-12  # negative radicands below this are clamped to zero
 HERMITIAN_ATOL = 1e-10  # allowed Hermiticity defect for eigensolver inputs
-JACOBI_OFF_TOL = 1e-14  # off-diagonal Frobenius target, relative to input scale
-MAX_JACOBI_SWEEPS = 100
 
 # --- factor layouts ----------------------------------------------------------
 COMPOSITE_DIMS = (3, 2, 3, 2, 3, 2)

@@ -2,27 +2,20 @@
 
 Factor shapes are plain tuples of ints (e.g. (3,2,3,2,3,2)); states and
 operators are flat numpy arrays indexed big-endian in the factor order.
-The Hermitian eigensolver is a hand-rolled cyclic Jacobi iteration (see
-kernels.py) — numpy.linalg is deliberately not used for spectra so that
-tests can hold it up as an independent oracle.
+Partial traces are single einsum contractions and Hermitian spectra come
+from LAPACK (numpy.linalg.eigh); the tests check both against
+independent identities rather than against numpy itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from typing import Sequence
 
 import numpy as np
 
-from .constants import (
-    ATOL_PHYSICS,
-    HERMITIAN_ATOL,
-    JACOBI_OFF_TOL,
-    MAX_JACOBI_SWEEPS,
-)
+from .constants import ATOL_PHYSICS, HERMITIAN_ATOL
 from .errors import NumericError, ShapeError, ValidationError
-from .kernels import jacobi_sweeps, ptrace_kernel
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
@@ -47,23 +40,30 @@ def kron(ops: Sequence[np.ndarray]) -> np.ndarray:
     Satisfies the mixed-product identity kron([a,b]) @ kron([c,d]) ==
     kron([a@c, b@d]) and is associative by construction.
     """
-    if len(ops) == 0:
-        raise ShapeError("kron needs at least one operator")
     mats = [np.asarray(op, dtype=np.complex128) for op in ops]
     for m in mats:
         if m.ndim != 2:
             raise ShapeError("kron operands must be matrices")
-    return reduce(np.kron, mats)
+    return kron_batched(mats)
 
 
-def _axis_offsets(dims: tuple[int, ...], subset: tuple[int, ...]) -> np.ndarray:
-    # Flat-index offsets contributed by the given factors; the offsets of a
-    # subset and of its complement add up to the full flat index.
-    strides = np.ones(len(dims), dtype=np.int64)
-    for i in range(len(dims) - 2, -1, -1):
-        strides[i] = strides[i + 1] * dims[i + 1]
-    parts = [strides[f] * np.arange(dims[f], dtype=np.int64) for f in subset]
-    return reduce(np.add.outer, parts, np.zeros((), dtype=np.int64)).ravel()
+def kron_batched(ops: Sequence[np.ndarray]) -> np.ndarray:
+    """Tensor products of stacks of matrices, left factor slowest.
+
+    ops[i] has shape (..., m_i, n_i) with broadcastable leading axes; the
+    result has shape (..., prod m_i, prod n_i).  Each product is formed
+    left to right by broadcasting, the same multiplications np.kron
+    makes, so every item equals kron of its factors bit for bit.
+    """
+    if len(ops) == 0:
+        raise ShapeError("kron needs at least one operator")
+    out = np.asarray(ops[0], dtype=np.complex128)
+    for op in ops[1:]:
+        op = np.asarray(op, dtype=np.complex128)
+        prod = out[..., :, None, :, None] * op[..., None, :, None, :]
+        m, mi, n, ni = prod.shape[-4:]
+        out = prod.reshape(prod.shape[:-4] + (m * mi, n * ni))
+    return out
 
 
 def _check_factored(mat: np.ndarray, dims: Sequence[int]) -> tuple[int, ...]:
@@ -93,46 +93,40 @@ def partial_trace(
 
     Preserves the trace and maps density matrices to density matrices.
     """
-    rho = np.ascontiguousarray(rho, dtype=np.complex128)
+    rho = np.asarray(rho, dtype=np.complex128)
     dims = _check_factored(rho, dims)
     keep = sorted({int(k) for k in keep})
     if any(k < 0 or k >= len(dims) for k in keep):
         raise ShapeError(f"keep indices {keep} out of range for {len(dims)} factors")
-    traced = tuple(i for i in range(len(dims)) if i not in keep)
-    keep_off = _axis_offsets(dims, tuple(keep))
-    tr_off = _axis_offsets(dims, traced)
-    out = np.empty((keep_off.size, keep_off.size), dtype=np.complex128)
-    ptrace_kernel(rho, keep_off, tr_off, out)
-    return out
+    # Row factor i is index i; a kept factor's column gets its own index
+    # n + i, a traced one reuses i, so einsum sums over it.
+    n = len(dims)
+    cols = [n + i if i in keep else i for i in range(n)]
+    out = np.einsum(
+        rho.reshape(dims + dims), list(range(n)) + cols, keep + [n + k for k in keep]
+    )
+    dk = int(np.prod([dims[k] for k in keep]))
+    return out.reshape(dk, dk)
 
 
-def hermitian_eigen(
-    h: np.ndarray, *, max_sweeps: int = MAX_JACOBI_SWEEPS
-) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix by cyclic Jacobi rotations.
+def hermitian_eigen(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition of a Hermitian matrix (LAPACK via numpy.linalg.eigh).
 
     Returns (w, v) with eigenvalues w sorted descending and eigenvector
-    columns v aligned so that h = v @ diag(w) @ v^H.  The iteration stops
-    once the off-diagonal Frobenius norm falls below 1e-14 relative to
-    the input scale; failure to get there within `max_sweeps` raises
-    NumericError.
+    columns v aligned so that h = v @ diag(w) @ v^H.  Raises
+    ValidationError if h is not Hermitian within tolerance and
+    NumericError if LAPACK fails to converge.
     """
     h = np.asarray(h, dtype=np.complex128)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ShapeError(f"expected a square matrix, got shape {h.shape}")
-    scale = max(1.0, frob(h))
-    if frob(h - dagger(h)) > HERMITIAN_ATOL * scale:
+    if frob(h - dagger(h)) > HERMITIAN_ATOL * max(1.0, frob(h)):
         raise ValidationError("matrix is not Hermitian within tolerance")
-    a = np.ascontiguousarray((h + dagger(h)) / 2.0)
-    v = np.eye(h.shape[0], dtype=np.complex128)
-    sweeps = jacobi_sweeps(a, v, max_sweeps, JACOBI_OFF_TOL * scale)
-    if sweeps < 0:
-        raise NumericError(
-            f"Jacobi iteration did not converge in {max_sweeps} sweeps"
-        )
-    w = np.diagonal(a).real.copy()
-    order = np.argsort(-w, kind="stable")
-    return w[order], np.ascontiguousarray(v[:, order])
+    try:
+        w, v = np.linalg.eigh((h + dagger(h)) / 2.0)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"eigendecomposition failed: {exc}") from exc
+    return w[::-1].copy(), np.ascontiguousarray(v[:, ::-1])
 
 
 @dataclass(frozen=True)

@@ -209,84 +209,100 @@ class PartitionMeasure:
     value: float
 
 
-def _subset_purity(tensor: np.ndarray, keep: tuple[int, ...]) -> float:
-    # Purity of the reduction of a pure state onto `keep`: reshape the
-    # amplitude tensor into (kept, rest) and take ||gram||_F^2 of the
-    # smaller gram matrix.
-    n = tensor.ndim
+def _subset_purities(tensor: np.ndarray, keep: tuple[int, ...]) -> np.ndarray:
+    # Purity of the reduction of each pure state in the batch onto `keep`:
+    # tensor has shape (B, *dims); reshape each amplitude tensor into
+    # (kept, rest) and take ||gram||_F^2 of the smaller gram matrix.
+    n = tensor.ndim - 1
     rest = [i for i in range(n) if i not in keep]
-    mat = tensor.transpose(list(keep) + rest)
-    dk = int(np.prod(mat.shape[: len(keep)])) if keep else 1
-    mat = mat.reshape(dk, -1)
-    if mat.shape[0] <= mat.shape[1]:
-        gram = mat @ mat.conj().T
-    else:
-        gram = mat.conj().T @ mat
-    return float(np.vdot(gram, gram).real)
+    mat = tensor.transpose([0] + [1 + i for i in list(keep) + rest])
+    dk = int(np.prod(mat.shape[1 : 1 + len(keep)]))
+    mat = mat.reshape(mat.shape[0], dk, -1)
+    mat_h = mat.conj().transpose(0, 2, 1)
+    gram = mat @ mat_h if mat.shape[1] <= mat.shape[2] else mat_h @ mat
+    flat = gram.reshape(gram.shape[0], 1, -1)
+    # a stacked (1, n) @ (n, 1) product runs numpy's dot, the same
+    # arithmetic as np.vdot, so a batch reproduces one-state results bit
+    # for bit (an einsum reduction would reorder the sum)
+    return (flat.conj() @ flat.transpose(0, 2, 1))[:, 0, 0].real
 
 
-def _sqrt_radicand(x: float) -> float:
-    if x < -RADICAND_NOISE:
-        raise NumericError(f"negative radicand {x} beyond noise threshold")
-    return math.sqrt(max(x, 0.0))
+def _sqrt_radicand(x):
+    if np.any(x < -RADICAND_NOISE):
+        raise NumericError(f"negative radicand {np.min(x)} beyond noise threshold")
+    return np.sqrt(np.maximum(x, 0.0))
+
+
+def _batch_of_states(state, dims: Sequence[int] | None):
+    # Amplitudes as an array (..., N) plus the factor dims, inferred from
+    # N when not given; every row must be normalized.
+    vec = np.asarray(
+        state.vector if isinstance(state, CompositeState) else state,
+        dtype=np.complex128,
+    )
+    if vec.ndim == 0:
+        raise ShapeError("a state needs at least one amplitude axis")
+    if dims is None:
+        if vec.shape[-1] == COMPOSITE_DIM:
+            dims = COMPOSITE_DIMS
+        elif vec.shape[-1] == SPIN_DIM:
+            dims = SPIN_DIMS
+        else:
+            raise ShapeError(
+                f"cannot infer factor dims for a state of size {vec.shape[-1]}"
+            )
+    dims = tuple(int(d) for d in dims)
+    if int(np.prod(dims)) != vec.shape[-1]:
+        raise ShapeError(f"state size {vec.shape[-1]} does not match dims {dims}")
+    norms = np.linalg.norm(vec, axis=-1)
+    if np.any(np.abs(norms - 1.0) > ATOL_PHYSICS):
+        worst = norms.flat[np.argmax(np.abs(norms - 1.0))]
+        raise ValidationError(f"state is not normalized: |psi| = {worst}")
+    return vec, dims
+
+
+def _unbatch(values: np.ndarray, batch_shape: tuple[int, ...]):
+    # A single state (empty batch shape) gets a float back.
+    return float(values[0]) if not batch_shape else values.reshape(batch_shape)
 
 
 def m_concurrence_pure(
     state,
     partition: PartitionSpec,
     dims: Sequence[int] | None = None,
-) -> float:
-    """Generalized concurrence of a pure state across an m-part partition.
+):
+    """Generalized concurrence of pure states across an m-part partition.
 
     C = 2^(1-m/2) sqrt((2^m - 2) - sum_g Tr rho_g^2), the sum running
     over the 2^m - 2 reductions onto proper nonempty unions of parts.
     Vanishes iff the state is a product across some split of the
     partition; invariant under per-factor unitaries.
+
+    `state` is a CompositeState or amplitudes of shape (..., N), a batch
+    of states; every row must be normalized.  Returns a float for a
+    single state and an array of shape (...) for a batch.
     """
-    if isinstance(state, CompositeState):
-        vec = state.vector
-        dims = COMPOSITE_DIMS
-    else:
-        vec = np.asarray(state, dtype=np.complex128).ravel()
-        if dims is None:
-            if vec.size == COMPOSITE_DIM:
-                dims = COMPOSITE_DIMS
-            elif vec.size == SPIN_DIM:
-                dims = SPIN_DIMS
-            else:
-                raise ShapeError(
-                    f"cannot infer factor dims for a state of size {vec.size}"
-                )
-    dims = tuple(int(d) for d in dims)
-    if int(np.prod(dims)) != vec.size:
-        raise ShapeError(f"state size {vec.size} does not match dims {dims}")
+    vec, dims = _batch_of_states(state, dims)
     if partition.num_factors != len(dims):
         raise ShapeError(
             f"partition covers {partition.num_factors} factors, state has {len(dims)}"
         )
-    norm = np.linalg.norm(vec)
-    if abs(norm - 1.0) > ATOL_PHYSICS:
-        raise ValidationError(f"state is not normalized: |psi| = {norm}")
-    tensor = vec.reshape(dims)
+    tensor = vec.reshape((-1,) + dims)
     m = partition.num_parts
     total = 2**m - 2
-    acc = sum(_subset_purity(tensor, keep) for keep in partition.proper_subsets())
-    return 2.0 ** (1.0 - m / 2.0) * _sqrt_radicand(total - acc)
+    acc = sum(_subset_purities(tensor, keep) for keep in partition.proper_subsets())
+    value = 2.0 ** (1.0 - m / 2.0) * _sqrt_radicand(total - acc)
+    return _unbatch(value, vec.shape[:-1])
 
 
-def three_tangle(state) -> float:
-    """Residual three-qubit tangle of a pure spin state (degree-4
+def three_tangle(state):
+    """Residual three-qubit tangle of pure spin states (degree-4
     polynomial invariant); 1 on GHZ, 0 on W and on any product state,
-    unchanged by local unitaries."""
-    vec = np.asarray(
-        state.vector if isinstance(state, CompositeState) else state,
-        dtype=np.complex128,
-    ).ravel()
-    if vec.size != SPIN_DIM:
-        raise ShapeError(f"three_tangle needs an 8-amplitude state, got {vec.size}")
-    if abs(np.linalg.norm(vec) - 1.0) > ATOL_PHYSICS:
-        raise ValidationError("state is not normalized")
-    a = vec.reshape(2, 2, 2)
+    unchanged by local unitaries.  Takes amplitudes of shape (..., 8) and
+    returns a float for a single state, an array of shape (...) for a
+    batch."""
+    vec, _ = _batch_of_states(state, SPIN_DIMS)
+    a = np.moveaxis(vec.reshape((-1, 2, 2, 2)), 0, -1)
     d1 = (
         a[0, 0, 0] ** 2 * a[1, 1, 1] ** 2
         + a[0, 0, 1] ** 2 * a[1, 1, 0] ** 2
@@ -305,4 +321,4 @@ def three_tangle(state) -> float:
         a[0, 0, 0] * a[1, 1, 0] * a[1, 0, 1] * a[0, 1, 1]
         + a[1, 1, 1] * a[0, 0, 1] * a[0, 1, 0] * a[1, 0, 0]
     )
-    return float(4.0 * abs(d1 - 2.0 * d2 + 4.0 * d3))
+    return _unbatch(4.0 * np.abs(d1 - 2.0 * d2 + 4.0 * d3), vec.shape[:-1])

@@ -24,11 +24,14 @@ from spinboost.boost import boost_pure
 from spinboost.classcheck import (
     SPIN_BIPARTITIONS,
     _all_partitions,
+    _haar_su2_angle,
     _haar_unitary_2x2,
     _haar_unitary_qr,
+    single_qubit_spectra,
 )
-from spinboost.constants import COMPOSITE_DIMS
-from spinboost.linalg import partial_trace, projector, purity_unchecked
+from spinboost.constants import COMPOSITE_DIMS, ID2, PAULI_X, PAULI_Y, PAULI_Z
+from spinboost.linalg import hermitian_eigen, partial_trace, projector, purity_unchecked
+from spinboost.measures import m_concurrence_pure, three_tangle
 from spinboost.states import particle_partition
 
 
@@ -54,6 +57,29 @@ def test_haar_unitary_2x2_moments():
     # first moment vanishes
     m1 = np.mean([u[0, 0] for u in us])
     assert abs(m1) < 0.05
+
+
+def _haar_unitary_2x2_pauli_sum(rng):
+    # The axis-angle draw written as a sum of Pauli matrices: the
+    # reference for the entry-by-entry construction.
+    z = rng.uniform(-1.0, 1.0)
+    az = rng.uniform(0.0, 2.0 * math.pi)
+    r = math.sqrt(max(1.0 - z * z, 0.0))
+    axis = np.array([r * math.cos(az), r * math.sin(az), z])
+    theta = _haar_su2_angle(rng)
+    ns = axis[0] * PAULI_X + axis[1] * PAULI_Y + axis[2] * PAULI_Z
+    su2 = math.cos(theta / 2.0) * ID2 - 1j * math.sin(theta / 2.0) * ns
+    return np.exp(1j * rng.uniform(0.0, 2.0 * math.pi)) * su2
+
+
+def test_haar_unitary_2x2_matches_pauli_sum_draw_for_draw():
+    for seed in range(200):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(3):
+            np.testing.assert_array_equal(
+                _haar_unitary_2x2(rng), _haar_unitary_2x2_pauli_sum(ref_rng)
+            )
+        assert rng.uniform() == ref_rng.uniform()  # same draws consumed
 
 
 def test_haar_unitary_qr_moments():
@@ -142,6 +168,47 @@ def test_condition1_reports_failures_at_impossible_tolerance():
     assert all(2 <= s < 2 + 6 for s in rep.failing_seeds)
 
 
+def _condition1_per_trial(vec, dims, trials, seed, specs, atol):
+    # One kron matrix and one evaluation of every invariant per trial.
+    base_conc = [m_concurrence_pure(vec, spec, dims) for spec in specs]
+    base_tangle = three_tangle(vec) if dims == (2, 2, 2) else None
+    failing, max_conc, max_tangle = [], 0.0, 0.0
+    for t in range(trials):
+        rotated = random_local_unitary(dims, seed + t).apply(vec)
+        devs = [
+            abs(m_concurrence_pure(rotated, spec, dims) - ref)
+            for spec, ref in zip(specs, base_conc)
+        ]
+        max_conc = max([max_conc] + devs)
+        if base_tangle is not None:
+            dev = abs(three_tangle(rotated) - base_tangle)
+            max_tangle = max(max_tangle, dev)
+            devs.append(dev)
+        if max(devs) > atol:
+            failing.append(seed + t)
+    return tuple(failing), max_conc, max_tangle
+
+
+@pytest.mark.parametrize("atol", [1e-18, 1e-9])
+def test_condition1_matches_per_trial_loop(atol):
+    rng = np.random.default_rng(31)
+    cases = [
+        (ghz_state(), (2, 2, 2), _all_partitions(3)),
+        (haar_state(8, rng), (2, 2, 2), _all_partitions(3)),
+        (compose(haar_state(27, rng), haar_state(8, rng)).vector, COMPOSITE_DIMS,
+         [particle_partition()]),
+    ]
+    for vec, dims, specs in cases:
+        rep = check_condition1(vec, dims, trials=6, seed=40, partitions=specs,
+                               atol=atol)
+        failing, max_conc, max_tangle = _condition1_per_trial(
+            vec, dims, 6, 40, specs, atol
+        )
+        assert rep.failing_seeds == failing
+        assert rep.max_concurrence_deviation == max_conc
+        assert rep.max_tangle_deviation == max_tangle
+
+
 def test_condition1_composite_factors():
     rng = np.random.default_rng(26)
     state = compose(haar_state(27, rng), haar_state(8, rng))
@@ -168,6 +235,9 @@ def test_certificate_verifies_boosted_reduction():
     assert rep.reconstruction_error < 1e-12
     assert rep.max_spectrum_deviation < 1e-12
     assert rep.max_tangle_deviation < 1e-12
+    assert rep.max_unitarity_error < 1e-13
+    assert rep.max_locality_defect < 1e-13
+    assert rep.max_base_deviation < 1e-13
 
 
 def test_certificate_detects_wrong_density():
@@ -209,3 +279,71 @@ def test_forged_certificate_fails():
     rep = verify_certificate(forged, projector(other))
     assert not rep.passed
     assert rep.reconstruction_error > 0.1
+
+
+def test_single_qubit_spectra_match_eigensolver():
+    rng = np.random.default_rng(32)
+    plus = np.array([1.0, 1.0]) / math.sqrt(2.0)
+    bell = np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0)
+    states = [haar_state(8, rng) for _ in range(20)] + [
+        ghz_state(),
+        w_state(),
+        np.eye(8)[0],  # |000>: every reduction pure
+        np.kron(np.kron(haar_state(2, rng), haar_state(2, rng)), haar_state(2, rng)),
+        np.kron(bell, plus),  # qubits 1, 2 maximally mixed: r = 0
+        np.kron(plus, bell),
+    ]
+    got = single_qubit_spectra(np.array(states))
+    assert got.shape == (len(states), 3, 2)
+    for psi, spectra in zip(states, got):
+        for q in range(3):
+            w, _ = hermitian_eigen(partial_trace(projector(psi), (2, 2, 2), (q,)))
+            np.testing.assert_allclose(spectra[q], w, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(single_qubit_spectra(ghz_state()), 0.5, atol=1e-15)
+
+
+def _single_term_certificate(base, unitary, base_vector):
+    ens = SpinEnsemble(np.array([1.0]), unitary[None], base_vector[None])
+    return ClassCertificate(base, ens), ens.mix()
+
+
+def test_certificate_rejects_nonlocal_unitary():
+    # CNOT (x) I leaves |000> unchanged, so reconstruction and every
+    # invariant match; only the locality check can catch it.
+    cnot = np.eye(4)[[0, 1, 3, 2]]
+    base = np.eye(8, dtype=np.complex128)[0]
+    cert, rho = _single_term_certificate(base, np.kron(cnot, np.eye(2)), base)
+    rep = verify_certificate(cert, rho)
+    assert not rep.passed
+    assert rep.failing_terms == (0,)
+    assert rep.max_locality_defect > 0.1
+    assert max(rep.max_spectrum_deviation, rep.max_tangle_deviation) < 1e-15
+
+
+def test_certificate_rejects_nonunitary_factor():
+    # diag(1, 1/2) on qubit 1 is local and fixes |000>, but is not unitary
+    base = np.eye(8, dtype=np.complex128)[0]
+    u = np.kron(np.diag([1.0, 0.5]), np.eye(4))
+    cert, rho = _single_term_certificate(base, u, base)
+    rep = verify_certificate(cert, rho)
+    assert not rep.passed
+    assert rep.max_unitarity_error > 0.1
+    assert rep.max_locality_defect < 1e-15
+
+
+def test_certificate_rejects_lu_equivalent_base_vector():
+    # base_vectors[0] = (X (x) I (x) I) base shares every LU invariant with
+    # base but is a different state, so the certificate proves nothing.
+    rng = np.random.default_rng(33)
+    base = haar_state(8, rng)
+    flipped = np.kron(np.kron(PAULI_X, ID2), ID2) @ base
+    cert, rho = _single_term_certificate(base, np.eye(8, dtype=np.complex128), flipped)
+    rep = verify_certificate(cert, rho)
+    assert not rep.passed
+    assert rep.max_base_deviation > 0.1
+    assert max(rep.max_spectrum_deviation, rep.max_tangle_deviation) < 1e-12
+    # ... while a global phase on the base vector is fine
+    cert, rho = _single_term_certificate(
+        base, np.eye(8, dtype=np.complex128), np.exp(0.3j) * base
+    )
+    assert verify_certificate(cert, rho).passed

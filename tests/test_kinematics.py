@@ -17,7 +17,7 @@ from spinboost import (
     spin_rotation,
     wigner_angle,
 )
-from spinboost.kinematics import default_directions, local_unitary
+from spinboost.kinematics import default_directions, local_unitaries, local_unitary
 
 # Independently computed: atan(8/15) for observer and particle speeds 0.8.
 DELTA_08 = 0.4899573262537283
@@ -189,3 +189,10 @@ def test_local_unitary_factorization():
         np.kron(sc.rotation(2), sc.rotation(0)), sc.rotation(1)
     )
     np.testing.assert_allclose(u_perm, expected, atol=1e-14)
+    # the batch over all 27 assignments equals kron of the rotations
+    labels = np.indices((3, 3, 3)).reshape(3, 27).T
+    batch = local_unitaries(labels, sc)
+    assert batch.shape == (27, 8, 8)
+    rot = sc.rotations()
+    for (a, b, c), u in zip(labels, batch):
+        np.testing.assert_array_equal(u, np.kron(np.kron(rot[a], rot[b]), rot[c]))

@@ -29,7 +29,9 @@ from spinboost import (
     w_state,
     witness_from_amplitudes,
 )
-from spinboost.classcheck import haar_state, random_local_unitary
+from spinboost.classcheck import _all_partitions, haar_state, random_local_unitary
+from spinboost.cli import FIG3_CATALOG
+from spinboost.constants import COMPOSITE_DIMS
 from spinboost.linalg import projector
 from spinboost.measures import _sqrt_radicand
 from spinboost.errors import NumericError
@@ -235,6 +237,46 @@ def test_three_tangle_local_unitary_invariant_and_bounded():
         assert -1e-12 <= tau <= 1.0 + 1e-12
         lu = random_local_unitary((2, 2, 2), trial)
         assert abs(three_tangle(lu.apply(v)) - tau) < 1e-10
+
+
+def test_batched_measures_match_per_row_loop():
+    rng = np.random.default_rng(17)
+    cases = [
+        ((2, 2, 2), _all_partitions(3)),
+        (COMPOSITE_DIMS, [spec for _, spec in FIG3_CATALOG]),
+    ]
+    for dims, specs in cases:
+        n = int(np.prod(dims))
+        for batch_shape in ((1,), (7,), (2, 3)):
+            rows = np.array(
+                [haar_state(n, rng) for _ in range(int(np.prod(batch_shape)))]
+            )
+            batch = rows.reshape(batch_shape + (n,))
+            for spec in specs:
+                got = m_concurrence_pure(batch, spec, dims)
+                assert got.shape == batch_shape
+                want = [m_concurrence_pure(row, spec, dims) for row in rows]
+                assert all(isinstance(x, float) for x in want)
+                np.testing.assert_allclose(got.ravel(), want, rtol=0, atol=1e-13)
+            if dims == (2, 2, 2):
+                got = three_tangle(batch)
+                assert got.shape == batch_shape
+                want = [three_tangle(row) for row in rows]
+                np.testing.assert_allclose(got.ravel(), want, rtol=0, atol=1e-13)
+
+
+def test_batched_measures_reject_one_unnormalized_row():
+    rng = np.random.default_rng(18)
+    batch = np.array([haar_state(8, rng) for _ in range(5)])
+    batch[3] *= 1.01
+    with pytest.raises(ValidationError):
+        m_concurrence_pure(batch, singletons_partition(3))
+    with pytest.raises(ValidationError):
+        three_tangle(batch)
+    composite = np.array([haar_state(216, rng) for _ in range(3)])
+    composite[0] *= 0.99
+    with pytest.raises(ValidationError):
+        m_concurrence_pure(composite, FIG3_CATALOG[0][1])
 
 
 def test_sqrt_radicand_noise_policy():
