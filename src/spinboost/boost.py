@@ -3,20 +3,19 @@
 The boost acts on each particle as sum_p |p><p| (x) U(p, delta): the
 momentum label is kept (the observer relabels all momenta coherently,
 so amplitudes ride along with their labels) while the spin is rotated
-about that label's axis.  Three equivalent routes are provided:
+about that label's axis.  Two equivalent routes are provided:
 
 * boosted_amplitudes / boost_pure — the per-particle rotations applied
   to the 216-amplitude tensor, batched over boost angles;
   build_boost_unitary assembles the full 216x216 unitary as the
   brute-force reference it is tested against;
-* permutation_spin_amplitudes / permutation_spin_ensemble — the
-  six-term mixture the reduced spin state collapses to when the momentum
-  part lives on the six label-assignment kets and the spin factorizes,
-  batched over any number of boost angles;
-* composite_spin_ensemble / boost_mixed — the general route, expanding
-  any state over the 27 momentum basis kets.
+* boosted_spin_terms / composite_spin_ensemble / boost_mixed — the
+  mixture the reduced spin state collapses to: expand the state over the
+  27 momentum basis kets, each carrying its own spin row and the local
+  rotation of its label assignment.  A permutation momentum state is the
+  special case whose nonzero kets are the six label assignments.
 
-Every route also yields a SpinEnsemble: the explicit list of
+The mixture route also yields a SpinEnsemble: the explicit list of
 (weight, local rotation, base vector) terms whose mixture is the
 reduced spin state.  Because each term applies a *local* unitary to a
 pure spin state, the ensemble certifies that boosting cannot move a
@@ -29,20 +28,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import (
-    ATOL_PHYSICS,
-    COMPOSITE_DIM,
-    MOMENTUM_DIM,
-    PERMUTATIONS,
-    SPIN_DIM,
-)
+from .constants import ATOL_PHYSICS, COMPOSITE_DIM, MOMENTUM_DIM, SPIN_DIM
 from .errors import ShapeError, ValidationError
 from .kinematics import BoostScenario, local_unitaries
 from .linalg import kron
-from .states import CompositeState, MixedState, _as_state_vector
+from .states import CompositeState, MixedState, compose, permutation_momentum
 
 _NEGLIGIBLE_WEIGHT = 1e-30
-_PERMUTATIONS = np.array(PERMUTATIONS)
 # Label assignment (m1, m2, m3) of momentum basis ket k = 9 m1 + 3 m2 + m3.
 _MOMENTUM_BASIS_LABELS = np.indices((3, 3, 3)).reshape(3, MOMENTUM_DIM).T
 
@@ -52,7 +44,6 @@ class BoostUnitary:
     """The full boost operator on the 216-dim composite space."""
 
     matrix: np.ndarray
-    scenario: BoostScenario
 
     def __call__(self, state: CompositeState) -> CompositeState:
         return CompositeState(self.matrix @ state.vector)
@@ -82,9 +73,9 @@ class SpinEnsemble:
             raise ShapeError("base_vectors shape inconsistent with weights")
         if k == 0:
             raise ShapeError("empty ensemble")
-        if np.any(w <= 0.0):
+        if not np.all(w > 0.0):
             raise ValidationError("ensemble weights must be positive")
-        if abs(w.sum() - 1.0) > ATOL_PHYSICS:
+        if not abs(w.sum() - 1.0) <= ATOL_PHYSICS:
             raise ValidationError(f"ensemble weights sum to {w.sum()}, not 1")
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "unitaries", u)
@@ -99,12 +90,12 @@ class SpinEnsemble:
 
     def mix(self) -> np.ndarray:
         """The 8x8 density matrix sum_k w_k U_k |phi_k><phi_k| U_k^H."""
-        return _mixture(self.weights, self.amplitudes())
+        return _mixture(np.sqrt(self.weights)[:, None] * self.amplitudes())
 
 
-def _mixture(weights: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    # sum_k w_k |psi_k><psi_k| for amplitudes psi of shape (K, 8)
-    return np.einsum("k,ki,kj->ij", weights, psi, psi.conj())
+def _mixture(chi: np.ndarray) -> np.ndarray:
+    # sum_k |chi_k><chi_k| for unnormalized terms chi of shape (..., K, 8)
+    return np.einsum("...ki,...kj->...ij", chi, chi.conj())
 
 
 def build_boost_unitary(scenario: BoostScenario) -> BoostUnitary:
@@ -114,7 +105,7 @@ def build_boost_unitary(scenario: BoostScenario) -> BoostUnitary:
     block = np.zeros((6, 6), dtype=np.complex128)
     for p in range(3):
         block[2 * p : 2 * p + 2, 2 * p : 2 * p + 2] = scenario.rotation(p)
-    return BoostUnitary(matrix=kron([block, block, block]), scenario=scenario)
+    return BoostUnitary(matrix=kron([block, block, block]))
 
 
 def boosted_amplitudes(state: CompositeState, rotations: np.ndarray) -> np.ndarray:
@@ -138,78 +129,49 @@ def boost_pure(state: CompositeState, scenario: BoostScenario) -> CompositeState
     return CompositeState(boosted_amplitudes(state, scenario.rotations()))
 
 
-def _permutation_terms(coeffs) -> tuple[np.ndarray, np.ndarray]:
-    # Weights |c_i|^2 and label assignments (K, 3) of the nonnegligible
-    # permutation coefficients.
-    c = np.asarray(coeffs, dtype=np.complex128).ravel()
-    if c.size != 6:
-        raise ShapeError(f"expected 6 permutation coefficients, got {c.size}")
-    if abs(np.linalg.norm(c) - 1.0) > ATOL_PHYSICS:
-        raise ValidationError("permutation coefficients are not normalized")
-    w = np.abs(c) ** 2
-    keep = w > _NEGLIGIBLE_WEIGHT
-    return w[keep], _PERMUTATIONS[keep]
-
-
-def permutation_spin_amplitudes(
-    coeffs, spin, rotations: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Weights and boosted spin amplitudes of the permutation ensemble.
-
-    For sum_i c_i |Pi_i(A,B,C)> (x) |phi>, the boosted reduced spin state
-    is sum_k w_k |psi_k><psi_k| with w_k = |c_k|^2 and psi_k = (u_a (x)
-    u_b (x) u_c) phi, (a, b, c) the k-th label assignment.  `rotations`
-    holds per-label 2x2 rotations with any leading batch shape, (..., 3,
-    2, 2), e.g. spin_rotations(axes, deltas) for a sweep.  Returns
-    weights (K,) and amplitudes (..., K, 8); zero weights are dropped.
-    """
-    w, perms = _permutation_terms(coeffs)
-    phi = _as_state_vector(spin, SPIN_DIM, "spin state").reshape(2, 2, 2)
-    r = np.asarray(rotations, dtype=np.complex128)[..., perms, :, :]
-    psi = np.einsum(
-        "...ai,...bj,...ck,ijk->...abc", r[..., 0, :, :], r[..., 1, :, :],
-        r[..., 2, :, :], phi,
-    )
-    return w, psi.reshape(psi.shape[:-3] + (SPIN_DIM,))
-
-
-def permutation_spin_ensemble(
-    coeffs, spin, scenario: BoostScenario
-) -> SpinEnsemble:
-    """The permutation ensemble as a certificate: term k applies the local
-    unitary of the k-th label assignment to the unboosted spin state."""
-    w, perms = _permutation_terms(coeffs)
-    phi = _as_state_vector(spin, SPIN_DIM, "spin state")
-    return SpinEnsemble(
-        weights=w,
-        unitaries=local_unitaries(perms, scenario),
-        base_vectors=np.broadcast_to(phi, (w.size, SPIN_DIM)).copy(),
-    )
-
-
-def boosted_spin_density_fast(coeffs, spin, scenario: BoostScenario) -> np.ndarray:
-    """Reduced 8x8 spin density after the boost, from the permutation
-    ensemble's amplitudes (a sweep of one boost angle)."""
-    w, psi = permutation_spin_amplitudes(coeffs, spin, scenario.rotations())
-    return _mixture(w, psi)
-
-
-def composite_spin_ensemble(
-    state: CompositeState, scenario: BoostScenario
-) -> SpinEnsemble:
-    """General route: expand a pure composite state over the 27 momentum
-    basis kets.  Each ket |m1 m2 m3> with amplitude weight a_k^2 carries
-    its own spin component phi_k and local rotation U(m1) (x) U(m2) (x)
-    U(m3); the reduced boosted spin state is the resulting mixture."""
+def _momentum_kets(state) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # Label assignments (K, 3), spin rows m_k (K, 8) and weights |m_k|^2
+    # of the momentum basis kets that carry amplitude.
     if not isinstance(state, CompositeState):
         state = CompositeState(np.asarray(state))
     m = state.momentum_spin_matrix()  # (27, 8), rows are momentum kets
     w = np.einsum("ki,ki->k", m.conj(), m).real
     keep = w > _NEGLIGIBLE_WEIGHT
+    return _MOMENTUM_BASIS_LABELS[keep], m[keep], w[keep]
+
+
+def boosted_spin_terms(state: CompositeState, rotations: np.ndarray) -> np.ndarray:
+    """Unnormalized boosted spin terms chi_k = U(L_k) m_k, shape (..., K, 8).
+
+    m_k is the spin row of the k-th momentum ket carrying amplitude and
+    U(L_k) the product of the Wigner rotations of its label assignment
+    L_k.  `rotations` holds per-label rotations of shape (..., 3, 2, 2),
+    e.g. spin_rotations(axes, deltas) for a sweep.  The reduced boosted
+    spin density is sum_k |chi_k><chi_k|; its populations are
+    sum_k |chi_kj|^2, nonnegative by construction.
+    """
+    labels, rows, _ = _momentum_kets(state)
+    return (local_unitaries(labels, rotations) @ rows[..., None])[..., 0]
+
+
+def boosted_spin_density_fast(coeffs, spin, scenario: BoostScenario) -> np.ndarray:
+    """Reduced 8x8 spin density after the boost of the permutation momentum
+    state sum_i c_i |Pi_i(A,B,C)> (x) |spin>, from its boosted spin terms."""
+    state = compose(permutation_momentum(coeffs), spin)
+    return _mixture(boosted_spin_terms(state, scenario.rotations()))
+
+
+def composite_spin_ensemble(
+    state: CompositeState, scenario: BoostScenario
+) -> SpinEnsemble:
+    """The mixture route as a certificate: term k has weight |m_k|^2, base
+    vector m_k / |m_k| and the local rotation U(m1) (x) U(m2) (x) U(m3) of
+    its momentum ket |m1 m2 m3>."""
+    labels, rows, w = _momentum_kets(state)
     return SpinEnsemble(
-        weights=w[keep],
-        unitaries=local_unitaries(_MOMENTUM_BASIS_LABELS[keep], scenario),
-        base_vectors=m[keep] / np.sqrt(w[keep])[:, None],
+        weights=w,
+        unitaries=local_unitaries(labels, scenario.rotations()),
+        base_vectors=rows / np.sqrt(w)[:, None],
     )
 
 

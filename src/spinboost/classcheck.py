@@ -92,7 +92,6 @@ class LocalUnitarySample:
     """One independently Haar-drawn unitary per tensor factor."""
 
     factors: tuple[np.ndarray, ...]
-    seed: object = None
 
     def matrix(self) -> np.ndarray:
         return kron(list(self.factors))
@@ -117,7 +116,7 @@ def random_local_unitary(dims: Sequence[int], seed) -> LocalUnitarySample:
             factors.append(_haar_unitary_2x2(rng))
         else:
             factors.append(_haar_unitary_qr(d, rng))
-    return LocalUnitarySample(factors=tuple(factors), seed=seed)
+    return LocalUnitarySample(factors=tuple(factors))
 
 
 def _embed_product(x: np.ndarray, y: np.ndarray, part: tuple[int, ...]) -> np.ndarray:
@@ -224,7 +223,10 @@ def check_condition1(
     states = vec[None]
     if samples:
         factors = [np.stack(fs) for fs in zip(*(s.factors for s in samples))]
-        states = np.concatenate([states, kron_batched(factors) @ vec])
+        # contiguous, so each product runs the same BLAS matvec as
+        # kron(factors) @ vec would
+        stack = np.ascontiguousarray(kron_batched(factors))
+        states = np.concatenate([states, stack @ vec])
 
     def deviations(values: np.ndarray) -> np.ndarray:
         return np.abs(values[1:] - values[0])
@@ -232,11 +234,11 @@ def check_condition1(
     conc = np.array(
         [deviations(m_concurrence_pure(states, spec, dims)) for spec in specs]
     ).reshape(len(specs), trials)
-    bad = np.any(conc > atol, axis=0)
+    bad = ~np.all(conc <= atol, axis=0)  # NaN counts as a failure
     max_tangle = 0.0
     if dims == (2, 2, 2):
         tangle = deviations(three_tangle(states))
-        bad |= tangle > atol
+        bad |= ~(tangle <= atol)
         max_tangle = float(np.max(tangle, initial=0.0))
     failing = tuple(seed + int(t) for t in np.flatnonzero(bad))
     return InvarianceReport(
@@ -358,14 +360,14 @@ def verify_certificate(
     spec_dev = np.abs(single_qubit_spectra(psi) - single_qubit_spectra(base))
     spec_dev = spec_dev.max(axis=(1, 2))
     tangle_dev = np.abs(three_tangle(psi) - three_tangle(base))
-    bad = (
-        (spec_dev > invariant_atol)
-        | (tangle_dev > invariant_atol)
-        | (unitarity > ATOL_ALGEBRA)
-        | (locality > ATOL_ALGEBRA)
-        | (base_dev > ATOL_ALGEBRA)
-    )
-    failing = tuple(int(k) for k in np.flatnonzero(bad))
+    good = (
+        (spec_dev <= invariant_atol)
+        & (tangle_dev <= invariant_atol)
+        & (unitarity <= ATOL_ALGEBRA)
+        & (locality <= ATOL_ALGEBRA)
+        & (base_dev <= ATOL_ALGEBRA)
+    )  # NaN anywhere fails the term
+    failing = tuple(int(k) for k in np.flatnonzero(~good))
     return CertificateReport(
         passed=rec_err <= reconstruction_atol and not failing,
         reconstruction_error=rec_err,

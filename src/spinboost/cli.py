@@ -18,7 +18,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,8 +25,8 @@ from .boost import (
     boost_mixed,
     boost_pure,
     boosted_amplitudes,
+    boosted_spin_terms,
     composite_spin_ensemble,
-    permutation_spin_amplitudes,
 )
 from .classcheck import (
     SPIN_BIPARTITIONS,
@@ -82,19 +81,6 @@ def _fmt(x: float) -> str:
     return format(float(x), ".12g")
 
 
-@dataclass(frozen=True)
-class ScanConfig:
-    """Resolved sweep parameters shared by the scan subcommands."""
-
-    kind: str
-    grid: int
-    alpha: float | None
-    spin: str
-    momentum: str
-    variant: str
-    out: str | None
-
-
 def _variant_key(name: str) -> str:
     return name.replace("-", "_")
 
@@ -145,25 +131,23 @@ def _sweep_rotations(grid: int) -> tuple[np.ndarray, np.ndarray]:
     return deltas, spin_rotations(default_geometry().rotation_axes(), deltas)
 
 
-def _scan_fig2(cfg: ScanConfig) -> list[str]:
-    # One alpha row at a time: each row's ensemble amplitudes are a
+def _scan_fig2(args, grid: int) -> list[str]:
+    # One alpha row at a time: each row's boosted spin terms are a
     # (grid, K, 8) array and the witness comes from them directly.
-    coeffs = _momentum_coeffs(cfg.momentum)
+    momentum = permutation_momentum(_momentum_coeffs(args.momentum))
     alphas = (
-        [cfg.alpha]
-        if cfg.alpha is not None
-        else np.linspace(0.0, math.pi, cfg.grid)
+        [args.alpha] if args.alpha is not None else np.linspace(0.0, math.pi, grid)
     )
-    deltas, rotations = _sweep_rotations(cfg.grid)
-    variant = _variant_key(cfg.variant)
+    deltas, rotations = _sweep_rotations(grid)
+    variant = _variant_key(args.variant)
     lines = ["alpha,delta,witness,gme_bound"]
     for alpha in alphas:
-        weights, psi = permutation_spin_amplitudes(coeffs, ghz_alpha(alpha), rotations)
-        values = witness_from_amplitudes(weights, psi, variant)
+        chi = boosted_spin_terms(compose(momentum, ghz_alpha(alpha)), rotations)
+        values = witness_from_amplitudes(chi, variant)
         bounds = (
             values
             if variant == "symmetric"
-            else witness_from_amplitudes(weights, psi, "symmetric")
+            else witness_from_amplitudes(chi, "symmetric")
         )
         head = _fmt(alpha)
         lines.extend(
@@ -173,11 +157,10 @@ def _scan_fig2(cfg: ScanConfig) -> list[str]:
     return lines
 
 
-def _scan_fig3(cfg: ScanConfig) -> list[str]:
-    momentum = permutation_momentum(_momentum_coeffs(cfg.momentum))
-    spin = _spin_vector(cfg.spin, cfg.alpha)
-    state = compose(momentum, spin)
-    deltas, rotations = _sweep_rotations(cfg.grid)
+def _scan_fig3(args, grid: int) -> list[str]:
+    momentum = permutation_momentum(_momentum_coeffs(args.momentum))
+    state = compose(momentum, _spin_vector(args.spin, args.alpha))
+    deltas, rotations = _sweep_rotations(grid)
     catalog = "; ".join(f"{name}={spec}" for name, spec in FIG3_CATALOG)
     boosted = boosted_amplitudes(state, rotations)
     values = [m_concurrence_pure(boosted, spec) for _, spec in FIG3_CATALOG]
@@ -192,21 +175,13 @@ def _scan_fig3(cfg: ScanConfig) -> list[str]:
 
 def cmd_scan(args) -> int:
     default_grid = 61 if args.figure == "fig2" else 121
-    cfg = ScanConfig(
-        kind=args.figure,
-        grid=args.grid if args.grid is not None else default_grid,
-        alpha=args.alpha,
-        spin=args.spin,
-        momentum=args.momentum,
-        variant=args.variant,
-        out=args.out,
-    )
-    if cfg.grid < 2:
+    grid = args.grid if args.grid is not None else default_grid
+    if grid < 2:
         raise InputError("--grid must be at least 2")
     if args.threads < 1:  # accepted for compatibility; scans run in one thread
         raise InputError("--threads must be at least 1")
-    lines = _scan_fig2(cfg) if cfg.kind == "fig2" else _scan_fig3(cfg)
-    _write_lines(lines, cfg.out)
+    scan = _scan_fig2 if args.figure == "fig2" else _scan_fig3
+    _write_lines(scan(args, grid), args.out)
     return 0
 
 
@@ -351,7 +326,7 @@ def _check_soundness(trials: int, seed: int) -> tuple[bool, list[str]]:
         rho = sample_biseparable(spec, int(rng.integers(1, 5)), rng)
         value = ghz_witness(rho, validate=False).value
         worst = max(worst, value)
-        if value > ATOL_PHYSICS:
+        if not value <= ATOL_PHYSICS:
             ok = False
             lines.append(f"FAIL sample {i}: witness value {value}")
     lines.append(f"witness over {trials} biseparable samples: max value {worst:.3e}")
@@ -363,6 +338,8 @@ def cmd_check(args) -> int:
     trials = args.trials if args.trials is not None else defaults[args.suite]
     if trials < 1:
         raise InputError("--trials must be at least 1")
+    if args.seed < 0:
+        raise InputError("--seed must be nonnegative")
     runner = {
         "condition1": _check_condition1,
         "condition2": _check_condition2,

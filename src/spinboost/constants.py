@@ -18,7 +18,6 @@ import numpy as np
 # --- tolerances (single source of truth) ------------------------------------
 ATOL_ALGEBRA = 1e-12   # exact algebraic identities (unitarity, report sums)
 ATOL_PHYSICS = 1e-9    # physics-level checks (normalization, positivity, LU)
-ATOL_PATHS = 1e-10     # agreement between independent evaluation routes
 RADICAND_NOISE = 1e-12  # negative radicands below this are clamped to zero
 HERMITIAN_ATOL = 1e-10  # allowed Hermiticity defect for eigensolver inputs
 
@@ -26,7 +25,6 @@ HERMITIAN_ATOL = 1e-10  # allowed Hermiticity defect for eigensolver inputs
 COMPOSITE_DIMS = (3, 2, 3, 2, 3, 2)
 SPIN_DIMS = (2, 2, 2)
 SPIN_FACTORS = (1, 3, 5)      # positions of the spin factors in COMPOSITE_DIMS
-MOMENTUM_FACTORS = (0, 2, 4)
 COMPOSITE_DIM = 216
 SPIN_DIM = 8
 MOMENTUM_DIM = 27

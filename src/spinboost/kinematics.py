@@ -67,7 +67,7 @@ def spin_rotation(axis: np.ndarray, delta: float) -> np.ndarray:
     U = cos(delta/2) I - i sin(delta/2) (axis . sigma); det U = 1.
     """
     n = np.asarray(axis, dtype=float).reshape(3)
-    if abs(np.linalg.norm(n) - 1.0) > ATOL_PHYSICS:
+    if not abs(np.linalg.norm(n) - 1.0) <= ATOL_PHYSICS:
         raise InputError("rotation axis must be a unit vector")
     return spin_rotations(n, delta)
 
@@ -95,7 +95,7 @@ def spin_rotations(axes: np.ndarray, deltas) -> np.ndarray:
 def _unit_rows(arr: np.ndarray, what: str) -> np.ndarray:
     arr = np.asarray(arr, dtype=float)
     norms = np.linalg.norm(arr, axis=-1)
-    if np.any(norms < _AXIS_DEGENERATE):
+    if not np.all(norms >= _AXIS_DEGENERATE):
         raise InputError(f"{what} must be nonzero")
     return arr / norms[..., None]
 
@@ -149,8 +149,6 @@ class BoostScenario:
 
     delta: float
     axes: np.ndarray
-    observer_speed: float | None = None
-    geometry: MomentumGeometry | None = None
 
     def __post_init__(self):
         if not 0.0 <= self.delta <= math.pi / 2.0:
@@ -169,19 +167,14 @@ class BoostScenario:
         delta = wigner_angle(
             rapidity(observer_speed), rapidity(geometry.particle_speed)
         )
-        return cls(
-            delta=delta,
-            axes=geometry.rotation_axes(),
-            observer_speed=float(observer_speed),
-            geometry=geometry,
-        )
+        return cls(delta=delta, axes=geometry.rotation_axes())
 
     @classmethod
     def from_angle(
         cls, delta: float, geometry: MomentumGeometry | None = None
     ) -> "BoostScenario":
         geo = geometry if geometry is not None else default_geometry()
-        return cls(delta=float(delta), axes=geo.rotation_axes(), geometry=geo)
+        return cls(delta=float(delta), axes=geo.rotation_axes())
 
     def rotation(self, label: int | str) -> np.ndarray:
         """2x2 spin rotation for the particle carrying the given momentum label."""
@@ -205,16 +198,19 @@ def momentum_label_index(label: int | str) -> int:
     return idx
 
 
-def local_unitaries(assignments, scenario: BoostScenario) -> np.ndarray:
+def local_unitaries(assignments, rotations: np.ndarray) -> np.ndarray:
     """8x8 spin rotations for a batch of momentum-label assignments.
 
     Row k of `assignments` (K, 3) lists, per particle slot 1..3, the label
-    index (0, 1 or 2) that particle carries; unitary k is the tensor
-    product of the three single-particle Wigner rotations, shape (K, 8, 8),
-    all K formed at once from scenario.rotations().
+    index (0, 1 or 2) that particle carries; `rotations` holds per-label
+    rotations of shape (..., 3, 2, 2), e.g. scenario.rotations() or
+    spin_rotations(axes, deltas) for a sweep.  Unitary k is the tensor
+    product of the three single-particle Wigner rotations; the result has
+    shape (..., K, 8, 8), all formed at once.
     """
-    r = scenario.rotations()[np.asarray(assignments, dtype=np.intp)]
-    return kron_batched([r[:, 0], r[:, 1], r[:, 2]])
+    r = np.asarray(rotations, dtype=np.complex128)
+    r = r[..., np.asarray(assignments, dtype=np.intp), :, :]  # (..., K, 3, 2, 2)
+    return kron_batched([r[..., 0, :, :], r[..., 1, :, :], r[..., 2, :, :]])
 
 
 def local_unitary(assignment, scenario: BoostScenario) -> np.ndarray:
@@ -228,4 +224,4 @@ def local_unitary(assignment, scenario: BoostScenario) -> np.ndarray:
     labels = [momentum_label_index(a) for a in assignment]
     if len(labels) != 3:
         raise InputError(f"assignment must name three labels, got {assignment!r}")
-    return local_unitaries([labels], scenario)[0]
+    return local_unitaries([labels], scenario.rotations())[0]

@@ -53,17 +53,27 @@ def kron_batched(ops: Sequence[np.ndarray]) -> np.ndarray:
     ops[i] has shape (..., m_i, n_i) with broadcastable leading axes; the
     result has shape (..., prod m_i, prod n_i).  Each product is formed
     left to right by broadcasting, the same multiplications np.kron
-    makes, so every item equals kron of its factors bit for bit.
+    makes, so every item equals kron of its factors bit for bit.  The
+    matrix axes are moved in front of the batch axes while multiplying,
+    so each elementwise product runs along the whole batch rather than
+    over tiny matrix rows; a batched result is returned as a view whose
+    batch axes are innermost in memory (no transposing copy).
     """
     if len(ops) == 0:
         raise ShapeError("kron needs at least one operator")
-    out = np.asarray(ops[0], dtype=np.complex128)
-    for op in ops[1:]:
-        op = np.asarray(op, dtype=np.complex128)
-        prod = out[..., :, None, :, None] * op[..., None, :, None, :]
-        m, mi, n, ni = prod.shape[-4:]
-        out = prod.reshape(prod.shape[:-4] + (m * mi, n * ni))
-    return out
+    mats = [np.asarray(op, dtype=np.complex128) for op in ops]
+    nb = max(m.ndim for m in mats) - 2
+    out = None
+    for m in mats:
+        m = m.reshape((1,) * (nb + 2 - m.ndim) + m.shape)
+        m = np.ascontiguousarray(np.moveaxis(m, (-2, -1), (0, 1)))
+        if out is None:
+            out = m
+            continue
+        prod = out[:, None, :, None] * m[None, :, None, :]
+        r, ri, c, ci = prod.shape[:4]
+        out = prod.reshape((r * ri, c * ci) + prod.shape[4:])
+    return np.moveaxis(out, (0, 1), (-2, -1))
 
 
 def _check_factored(mat: np.ndarray, dims: Sequence[int]) -> tuple[int, ...]:

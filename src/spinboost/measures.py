@@ -28,7 +28,7 @@ error e in a population rho_jj moves the value by about sqrt(e rho_kk)
 for its partner k, not by e.  A population that is exactly zero but
 computed as an entry of U rho U^H carries roundoff of about 1e-17, which
 the square root lifts to about 1e-9 (roundoff eps becomes sqrt(eps)).
-Populations taken from amplitudes, sum_k w_k |psi_kj|^2, are
+Populations taken from amplitudes, sum_k |chi_kj|^2, are
 nonnegative by construction and keep an exact zero within eps^2, so the
 value stays within a few eps; witness_from_amplitudes evaluates the
 witness that way for whole sweeps.  ghz_witness on a density matrix
@@ -173,22 +173,19 @@ def ghz_witness(
     )
 
 
-def witness_from_amplitudes(
-    weights, psi, variant: str = "symmetric"
-) -> np.ndarray:
-    """Witness values of the mixtures sum_k w_k |psi_k><psi_k|, batched.
+def witness_from_amplitudes(psi, variant: str = "symmetric") -> np.ndarray:
+    """Witness values of the mixtures sum_k |chi_k><chi_k|, batched.
 
-    `psi` holds amplitudes of shape (..., K, 8) and `weights` the K term
-    weights; the result has shape (...).  Populations sum_k w_k
-    |psi_kj|^2 and rho07 = sum_k w_k psi_k0 conj(psi_k7) come straight
-    from the amplitudes, so no 8x8 matrix is formed and the value keeps
-    the conditioning described in the module docstring.
+    `psi` holds unnormalized terms chi of shape (..., K, 8), the weights
+    folded in (e.g. boost.boosted_spin_terms); the result has shape (...).
+    Populations sum_k |chi_kj|^2 and rho07 = sum_k chi_k0 conj(chi_k7)
+    come straight from the amplitudes, so no 8x8 matrix is formed and the
+    value keeps the conditioning described in the module docstring.
     """
     _check_variant(variant)
     psi = np.asarray(psi, dtype=np.complex128)
-    w = np.asarray(weights, dtype=float)
-    pops = np.einsum("k,...kj->...j", w, psi.real**2 + psi.imag**2)
-    rho07 = np.einsum("k,...k->...", w, psi[..., 0] * psi[..., 7].conj())
+    pops = np.sum(psi.real**2 + psi.imag**2, axis=-2)
+    rho07 = np.sum(psi[..., 0] * psi[..., 7].conj(), axis=-1)
     terms = sum(np.sqrt(pops[..., i] * pops[..., j]) for i, j in _POP_PAIRS[variant])
     return 2.0 * np.abs(rho07) - 2.0 * terms
 
@@ -199,14 +196,6 @@ def gme_lower_bound(rho: np.ndarray, validate: bool = True) -> float:
     variant only."""
     report = ghz_witness(rho, variant="symmetric", validate=validate)
     return max(0.0, report.value)
-
-
-@dataclass(frozen=True)
-class PartitionMeasure:
-    """An m-concurrence value tagged with the partition it refers to."""
-
-    partition: PartitionSpec
-    value: float
 
 
 def _subset_purities(tensor: np.ndarray, keep: tuple[int, ...]) -> np.ndarray:
@@ -255,7 +244,7 @@ def _batch_of_states(state, dims: Sequence[int] | None):
     if int(np.prod(dims)) != vec.shape[-1]:
         raise ShapeError(f"state size {vec.shape[-1]} does not match dims {dims}")
     norms = np.linalg.norm(vec, axis=-1)
-    if np.any(np.abs(norms - 1.0) > ATOL_PHYSICS):
+    if not np.all(np.abs(norms - 1.0) <= ATOL_PHYSICS):  # NaN fails too
         worst = norms.flat[np.argmax(np.abs(norms - 1.0))]
         raise ValidationError(f"state is not normalized: |psi| = {worst}")
     return vec, dims
@@ -274,7 +263,9 @@ def m_concurrence_pure(
     """Generalized concurrence of pure states across an m-part partition.
 
     C = 2^(1-m/2) sqrt((2^m - 2) - sum_g Tr rho_g^2), the sum running
-    over the 2^m - 2 reductions onto proper nonempty unions of parts.
+    over the 2^m - 2 reductions onto proper nonempty unions of parts.  A
+    pure state's reductions onto complementary unions share their purity,
+    so only the 2^(m-1) - 1 unions holding part 0 are evaluated, twice.
     Vanishes iff the state is a product across some split of the
     partition; invariant under per-factor unitaries.
 
@@ -290,7 +281,12 @@ def m_concurrence_pure(
     tensor = vec.reshape((-1,) + dims)
     m = partition.num_parts
     total = 2**m - 2
-    acc = sum(_subset_purities(tensor, keep) for keep in partition.proper_subsets())
+    first = partition.parts[0][0]
+    acc = 2.0 * sum(
+        _subset_purities(tensor, keep)
+        for keep in partition.proper_subsets()
+        if first in keep
+    )
     value = 2.0 ** (1.0 - m / 2.0) * _sqrt_radicand(total - acc)
     return _unbatch(value, vec.shape[:-1])
 

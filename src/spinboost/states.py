@@ -34,7 +34,7 @@ from .constants import (
     SPIN_DIMS,
     SPIN_FACTORS,
 )
-from .errors import ShapeError, StateFileError, ValidationError
+from .errors import InputError, ShapeError, StateFileError, ValidationError
 
 
 def _as_state_vector(vec, dim: int, what: str) -> np.ndarray:
@@ -42,13 +42,15 @@ def _as_state_vector(vec, dim: int, what: str) -> np.ndarray:
     if v.size != dim:
         raise ShapeError(f"{what} must have {dim} amplitudes, got {v.size}")
     norm = np.linalg.norm(v)
-    if abs(norm - 1.0) > ATOL_PHYSICS:
+    if not abs(norm - 1.0) <= ATOL_PHYSICS:  # NaN fails too
         raise ValidationError(f"{what} is not normalized: |psi| = {norm}")
     return v
 
 
 def ghz_alpha(alpha: float) -> np.ndarray:
     """cos(alpha)|ddd> + sin(alpha)|uuu>; alpha = pi/4 is the familiar GHZ."""
+    if not math.isfinite(alpha):
+        raise InputError(f"alpha must be finite, got {alpha}")
     v = np.zeros(SPIN_DIM, dtype=np.complex128)
     v[7] = math.cos(alpha)
     v[0] = math.sin(alpha)
@@ -82,7 +84,7 @@ def permutation_momentum(coeffs: Sequence[complex]) -> np.ndarray:
     c = np.asarray(coeffs, dtype=np.complex128).ravel()
     if c.size != 6:
         raise ShapeError(f"expected 6 permutation coefficients, got {c.size}")
-    if abs(np.linalg.norm(c) - 1.0) > ATOL_PHYSICS:
+    if not abs(np.linalg.norm(c) - 1.0) <= ATOL_PHYSICS:
         raise ValidationError("permutation coefficients are not normalized")
     v = np.zeros(MOMENTUM_DIM, dtype=np.complex128)
     for ci, perm in zip(c, PERMUTATIONS):
@@ -150,9 +152,9 @@ class MixedState:
         states = tuple(self.states)
         if w.size != len(states) or w.size == 0:
             raise ShapeError("weights and states must be equal-length and nonempty")
-        if np.any(w <= 0.0):
+        if not np.all(w > 0.0):
             raise ValidationError("mixture weights must be positive")
-        if abs(w.sum() - 1.0) > ATOL_PHYSICS:
+        if not abs(w.sum() - 1.0) <= ATOL_PHYSICS:
             raise ValidationError(f"mixture weights sum to {w.sum()}, not 1")
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "states", states)

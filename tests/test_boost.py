@@ -20,16 +20,17 @@ from spinboost import (
     boost_mixed,
     boost_pure,
     boosted_spin_density_fast,
+    boosted_spin_terms,
     build_boost_unitary,
     compose,
     composite_spin_ensemble,
     ghz_state,
+    local_unitary,
     permutation_momentum,
-    permutation_spin_amplitudes,
-    permutation_spin_ensemble,
     spin_rotations,
     w_state,
 )
+from spinboost.constants import PERMUTATIONS
 from spinboost.linalg import partial_trace, projector
 
 
@@ -109,20 +110,29 @@ def test_fast_path_matches_brute_force_on_permutation_momenta():
 
 
 def test_permutation_ensemble_structure():
+    # a permutation momentum state expands over its six label-assignment
+    # kets: term k has weight |c_k|^2, base vector spin times the phase
+    # of c_k, and the local unitary of its assignment
     rng = np.random.default_rng(3)
     coeffs = random_coeffs(rng)
+    coeffs[4] = 0.0
+    coeffs /= np.linalg.norm(coeffs)
     spin = haar_vec(8, rng)
     sc = BoostScenario.from_angle(0.6)
-    ens = permutation_spin_ensemble(coeffs, spin, sc)
-    assert len(ens) == np.count_nonzero(np.abs(coeffs) ** 2 > 1e-30)
+    ens = composite_spin_ensemble(compose(permutation_momentum(coeffs), spin), sc)
+    # the ensemble lists momentum kets 9 m1 + 3 m2 + m3 in ascending order
+    order = sorted(range(6), key=lambda i: 9 * PERMUTATIONS[i][0]
+                   + 3 * PERMUTATIONS[i][1] + PERMUTATIONS[i][2])
+    kept = [i for i in order if coeffs[i] != 0.0]
+    assert len(ens) == 5
     np.testing.assert_allclose(ens.weights.sum(), 1.0, atol=1e-13)
-    np.testing.assert_allclose(
-        sorted(ens.weights), sorted(np.abs(coeffs) ** 2), atol=1e-13
-    )
-    for k in range(len(ens)):
+    np.testing.assert_allclose(ens.weights, np.abs(coeffs[kept]) ** 2, atol=1e-13)
+    for k, i in enumerate(kept):
         u = ens.unitaries[k]
         np.testing.assert_allclose(u @ u.conj().T, np.eye(8), atol=1e-13)
-        np.testing.assert_allclose(ens.base_vectors[k], spin, atol=1e-14)
+        np.testing.assert_array_equal(u, local_unitary(PERMUTATIONS[i], sc))
+        phase = coeffs[i] / abs(coeffs[i])
+        np.testing.assert_allclose(ens.base_vectors[k], phase * spin, atol=1e-14)
     np.testing.assert_allclose(
         ens.mix(), boosted_spin_density_fast(coeffs, spin, sc), atol=1e-13
     )
@@ -184,6 +194,8 @@ def test_spin_ensemble_validation():
                      np.repeat(vec, 2, 0))
     with pytest.raises(ShapeError):
         SpinEnsemble(np.array([1.0]), eye[:, :4, :4], vec)
+    with pytest.raises(ValidationError):  # NaN is neither positive nor 1
+        SpinEnsemble(np.array([np.nan]), eye, vec)
 
 
 def test_mix_is_weighted_sum_of_rotated_projectors():
@@ -212,26 +224,28 @@ def test_einsum_boost_matches_unitary_matrix():
 
 
 def test_permutation_amplitudes_batch_matches_single_points():
-    # a sweep of G angles equals G single-angle calls, and the mixture of
-    # the amplitudes is the certificate's mixture
+    # boosted_spin_terms over a sweep of G angles equals G single-angle
+    # calls, and the mixture of the terms is the certificate's mixture
     rng = np.random.default_rng(11)
     coeffs = random_coeffs(rng)
     coeffs[2] = 0.0
     coeffs /= np.linalg.norm(coeffs)
     spin = haar_vec(8, rng)
+    state = compose(permutation_momentum(coeffs), spin)
     deltas = np.linspace(0.0, math.pi / 2, 5)
     axes = BoostScenario.from_angle(0.0).axes
-    w, psi = permutation_spin_amplitudes(coeffs, spin, spin_rotations(axes, deltas))
-    assert psi.shape == (5, 5, 8) and w.shape == (5,)
+    chi = boosted_spin_terms(state, spin_rotations(axes, deltas))
+    assert chi.shape == (5, 5, 8)
     for g, delta in enumerate(deltas):
         sc = BoostScenario.from_angle(delta)
-        w1, psi1 = permutation_spin_amplitudes(coeffs, spin, sc.rotations())
-        np.testing.assert_array_equal(w1, w)
-        np.testing.assert_allclose(psi1, psi[g], atol=1e-15)
+        chi1 = boosted_spin_terms(state, sc.rotations())
+        np.testing.assert_allclose(chi1, chi[g], atol=1e-15)
+        rho = np.einsum("ki,kj->ij", chi1, chi1.conj())
         np.testing.assert_allclose(
-            boosted_spin_density_fast(coeffs, spin, sc),
-            permutation_spin_ensemble(coeffs, spin, sc).mix(),
-            atol=1e-14,
+            rho, composite_spin_ensemble(state, sc).mix(), atol=1e-14
+        )
+        np.testing.assert_allclose(
+            rho, boosted_spin_density_fast(coeffs, spin, sc), atol=1e-15
         )
 
 

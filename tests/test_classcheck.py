@@ -9,6 +9,7 @@ from spinboost import (
     BoostScenario,
     ClassCertificate,
     SpinEnsemble,
+    ValidationError,
     check_condition1,
     compose,
     composite_spin_ensemble,
@@ -279,6 +280,25 @@ def test_forged_certificate_fails():
     rep = verify_certificate(forged, projector(other))
     assert not rep.passed
     assert rep.reconstruction_error > 0.1
+
+
+def test_nan_base_state_certificate_fails():
+    # NaN compares false against every tolerance, so a NaN base state
+    # must be caught by the normalization check, not pass verification
+    rng = np.random.default_rng(31)
+    spin = haar_state(8, rng)
+    state = compose(haar_state(27, rng), spin)
+    sc = BoostScenario.from_angle(0.8)
+    rho = boost_pure(state, sc).spin_density()
+    honest = composite_spin_ensemble(state, sc)
+    assert verify_certificate(ClassCertificate(spin, honest), rho).passed
+    with pytest.raises(ValidationError):
+        verify_certificate(ClassCertificate(np.full(8, np.nan), honest), rho)
+    nan_term = SpinEnsemble(
+        honest.weights, honest.unitaries, np.full_like(honest.base_vectors, np.nan)
+    )
+    with pytest.raises(ValidationError):  # rotated terms are not normalized
+        verify_certificate(ClassCertificate(spin, nan_term), rho)
 
 
 def test_single_qubit_spectra_match_eigensolver():

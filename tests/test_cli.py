@@ -173,6 +173,19 @@ def test_scan_rejects_bad_input(capsys):
     assert run(["scan", "fig2", "--momentum", "1,2"], capsys)[0] == 2
     assert run(["scan", "fig2", "--momentum", "1,1,0,0,0,0"], capsys)[0] == 2
     assert run(["scan", "fig2", "--momentum", "a,b,c,d,e,f"], capsys)[0] == 2
+    # a non-finite angle is bad input, not nan rows or a math-domain
+    # traceback; a NaN coefficient is not dropped as a negligible weight
+    for figure in ("fig2", "fig3"):
+        for alpha in ("nan", "inf", "-inf"):
+            code, out, err = run(
+                ["scan", figure, "--grid", "3", f"--alpha={alpha}"], capsys
+            )
+            assert (code, out) == (2, "") and "alpha must be finite" in err
+        code, out, err = run(
+            ["scan", figure, "--grid", "3", "--momentum", "nan,0,0,0,0,1"], capsys
+        )
+        assert (code, out) == (2, "")
+        assert "permutation coefficients are not normalized" in err
 
 
 def test_witness_command_spin_file(tmp_path, capsys):
@@ -323,3 +336,11 @@ def test_numeric_error_maps_to_exit_three(monkeypatch, capsys):
 
 def test_check_rejects_bad_trials(capsys):
     assert run(["check", "soundness", "--trials", "0"], capsys)[0] == 2
+
+
+@pytest.mark.parametrize("suite", ["condition1", "condition2", "soundness"])
+def test_check_rejects_negative_seed(suite, capsys):
+    # exit 1 means a property failed; a seed numpy cannot use is bad input
+    code, out, err = run(["check", suite, "--trials", "1", "--seed", "-5"], capsys)
+    assert code == 2 and out == ""
+    assert "--seed must be nonnegative" in err

@@ -15,6 +15,7 @@ from spinboost import (
     rapidity,
     rotation_axis,
     spin_rotation,
+    spin_rotations,
     wigner_angle,
 )
 from spinboost.kinematics import default_directions, local_unitaries, local_unitary
@@ -142,6 +143,11 @@ def test_geometry_normalizes_input():
     )
     assert abs(np.linalg.norm(geo.boost_axis) - 1.0) < 1e-14
     np.testing.assert_allclose(np.linalg.norm(geo.directions, axis=1), 1.0, atol=1e-14)
+    # NaN compares false against the degeneracy threshold; it must not pass
+    with pytest.raises(InputError):
+        MomentumGeometry(particle_speed=0.5, boost_axis=np.array([0.0, 0.0, np.nan]))
+    with pytest.raises(InputError):
+        spin_rotation(np.array([np.nan, 0.0, 0.0]), 0.3)
 
 
 def test_scenario_from_speeds_matches_angle():
@@ -191,8 +197,15 @@ def test_local_unitary_factorization():
     np.testing.assert_allclose(u_perm, expected, atol=1e-14)
     # the batch over all 27 assignments equals kron of the rotations
     labels = np.indices((3, 3, 3)).reshape(3, 27).T
-    batch = local_unitaries(labels, sc)
+    batch = local_unitaries(labels, sc.rotations())
     assert batch.shape == (27, 8, 8)
     rot = sc.rotations()
     for (a, b, c), u in zip(labels, batch):
         np.testing.assert_array_equal(u, np.kron(np.kron(rot[a], rot[b]), rot[c]))
+    # a sweep's (G, 3, 2, 2) rotations give one (G, K, 8, 8) batch
+    deltas = np.array([0.0, 0.4, 1.1])
+    sweep = local_unitaries(labels[:5], spin_rotations(sc.axes, deltas))
+    assert sweep.shape == (3, 5, 8, 8)
+    for g, delta in enumerate(deltas):
+        single = BoostScenario.from_angle(delta).rotations()
+        np.testing.assert_array_equal(sweep[g], local_unitaries(labels[:5], single))

@@ -22,7 +22,8 @@ from spinboost import (
     m_concurrence_pure,
     antisymmetric_coeffs,
     boosted_spin_density_fast,
-    permutation_spin_amplitudes,
+    boosted_spin_terms,
+    permutation_momentum,
     singletons_partition,
     spin_rotations,
     three_tangle,
@@ -32,7 +33,8 @@ from spinboost import (
 from spinboost.classcheck import _all_partitions, haar_state, random_local_unitary
 from spinboost.cli import FIG3_CATALOG
 from spinboost.constants import COMPOSITE_DIMS
-from spinboost.linalg import projector
+from spinboost.boost import boost_pure
+from spinboost.linalg import partial_trace, projector
 from spinboost.measures import _sqrt_radicand
 from spinboost.errors import NumericError
 
@@ -277,6 +279,42 @@ def test_batched_measures_reject_one_unnormalized_row():
     composite[0] *= 0.99
     with pytest.raises(ValidationError):
         m_concurrence_pure(composite, FIG3_CATALOG[0][1])
+    batch[3] = np.nan  # NaN compares false against any tolerance
+    with pytest.raises(ValidationError):
+        m_concurrence_pure(batch, singletons_partition(3))
+    with pytest.raises(ValidationError):
+        three_tangle(batch)
+
+
+def _full_sum_m_concurrence(vec, spec, dims):
+    # the defining formula: every one of the 2^m - 2 proper subsets, each
+    # purity from an explicit partial trace
+    rho = projector(vec)
+    acc = 0.0
+    for keep in spec.proper_subsets():
+        red = partial_trace(rho, dims, keep)
+        acc += np.vdot(red, red).real
+    m = spec.num_parts
+    return 2.0 ** (1.0 - m / 2.0) * math.sqrt(max(2**m - 2 - acc, 0.0))
+
+
+def test_m_concurrence_complement_pairs_match_full_sum():
+    # complementary reductions of a pure state share their purity, so
+    # summing one subset per complementary pair and doubling is exact
+    rng = np.random.default_rng(19)
+    boosted = boost_pure(
+        compose(antisymmetric_momentum(), ghz_state()), BoostScenario.from_angle(0.9)
+    )
+    composites = [haar_state(216, rng), haar_state(216, rng), boosted.vector]
+    for _, spec in FIG3_CATALOG:
+        for vec in composites:
+            ref = _full_sum_m_concurrence(vec, spec, COMPOSITE_DIMS)
+            assert abs(m_concurrence_pure(vec, spec) - ref) < 1e-13
+    spins = [haar_state(8, rng), ghz_state(), w_state(), np.eye(8)[0]]
+    for spec in _all_partitions(3):
+        for vec in spins:
+            ref = _full_sum_m_concurrence(vec, spec, (2, 2, 2))
+            assert abs(m_concurrence_pure(vec, spec) - ref) < 1e-13
 
 
 def test_sqrt_radicand_noise_policy():
@@ -299,9 +337,10 @@ def test_witness_from_amplitudes_matches_density_route():
     for coeffs in coeff_sets:
         for alpha in rng.uniform(0.0, math.pi, 4):
             spin = ghz_alpha(alpha)
-            weights, psi = permutation_spin_amplitudes(coeffs, spin, rotations)
+            state = compose(permutation_momentum(coeffs), spin)
+            chi = boosted_spin_terms(state, rotations)
             for variant in ("symmetric", "as_printed"):
-                batched = witness_from_amplitudes(weights, psi, variant)
+                batched = witness_from_amplitudes(chi, variant)
                 assert batched.shape == deltas.shape
                 for delta, value in zip(deltas, batched):
                     rho = boosted_spin_density_fast(

@@ -8,6 +8,7 @@ import pytest
 
 from spinboost import (
     CompositeState,
+    InputError,
     MixedState,
     PartitionSpec,
     ShapeError,
@@ -172,6 +173,24 @@ def test_mixed_state_validation_and_density():
         MixedState(weights=(-0.1, 1.1), states=(s1, s2))
     with pytest.raises(ShapeError):
         MixedState(weights=(1.0,), states=())
+    for weights in ((math.nan, 1.0), (0.5, math.nan)):
+        with pytest.raises(ValidationError):
+            MixedState(weights=weights, states=(s1, s2))
+
+
+def test_nan_amplitudes_fail_normalization():
+    # every normalization check must reject NaN, which compares false
+    # against any tolerance
+    with pytest.raises(ValidationError):
+        CompositeState(np.full(216, np.nan))
+    with pytest.raises(ValidationError):
+        compose(antisymmetric_momentum(), np.full(8, np.nan))
+    with pytest.raises(ValidationError):
+        permutation_momentum([math.nan, 0, 0, 0, 0, 1])
+    with pytest.raises(InputError):
+        ghz_alpha(math.nan)
+    with pytest.raises(InputError):
+        ghz_alpha(math.inf)
 
 
 def test_partition_spec_basics():
