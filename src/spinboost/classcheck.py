@@ -17,7 +17,6 @@ reproducible from its seed.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -37,54 +36,20 @@ SPIN_BIPARTITIONS = (
 )
 
 
-def _as_rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def haar_state(dim: int, rng) -> np.ndarray:
     """Haar-random pure state: normalized complex Gaussian vector."""
-    rng = _as_rng(rng)
+    rng = np.random.default_rng(rng)
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return v / np.linalg.norm(v)
 
 
-def _haar_su2_angle(rng: np.random.Generator) -> float:
-    # Rotation angle density sin^2(theta/2)/pi on [0, 2pi): rejection
-    # sample against the flat proposal (acceptance rate 1/2).
-    while True:
-        theta = rng.uniform(0.0, 2.0 * math.pi)
-        if rng.uniform() <= math.sin(theta / 2.0) ** 2:
-            return theta
-
-
-def _haar_unitary_2x2(rng: np.random.Generator) -> np.ndarray:
-    # Uniform axis n on the sphere, Haar-weighted angle, uniform global
-    # phase: exp(i phase) (cos(theta/2) I - i sin(theta/2) n.sigma),
-    # written out entry by entry.
-    nz = rng.uniform(-1.0, 1.0)
-    az = rng.uniform(0.0, 2.0 * math.pi)
-    r = math.sqrt(max(1.0 - nz * nz, 0.0))
-    nx, ny = r * math.cos(az), r * math.sin(az)
-    theta = _haar_su2_angle(rng)
-    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-    su2 = np.array(
-        [
-            [complex(c, -s * nz), complex(-s * ny, -s * nx)],
-            [complex(s * ny, -s * nx), complex(c, s * nz)],
-        ]
-    )
-    return np.exp(1j * rng.uniform(0.0, 2.0 * math.pi)) * su2
-
-
-def _haar_unitary_qr(dim: int, rng: np.random.Generator) -> np.ndarray:
-    # Orthonormalize a complex Gaussian matrix; fixing the R-diagonal
-    # phases makes the distribution exactly Haar.
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+def _haar_unitary_qr(g: np.ndarray) -> np.ndarray:
+    # Orthonormalize a stack of complex Gaussian matrices (..., d, d);
+    # fixing the phases of R's diagonal makes each Q exactly Haar on U(d)
+    # (Mezzadri, Notices AMS 54, 592 (2007)).
     q, r = np.linalg.qr(g)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
 
 
 @dataclass(frozen=True)
@@ -103,20 +68,19 @@ class LocalUnitarySample:
 def random_local_unitary(dims: Sequence[int], seed) -> LocalUnitarySample:
     """Draw a Haar-random unitary for each factor dimension in `dims`.
 
-    2x2 factors are drawn via random axis/angle/phase, larger ones by
-    orthonormalizing a random complex matrix; deterministic given seed.
+    All factors of one dimension are drawn as one complex Gaussian stack
+    and orthonormalized by one stacked QR; deterministic given seed.
     """
-    rng = _as_rng(seed)
-    factors = []
-    for d in dims:
-        d = int(d)
-        if d < 2:
-            raise InputError(f"factor dimension must be >= 2, got {d}")
-        if d == 2:
-            factors.append(_haar_unitary_2x2(rng))
-        else:
-            factors.append(_haar_unitary_qr(d, rng))
-    return LocalUnitarySample(factors=tuple(factors))
+    dims = tuple(int(d) for d in dims)
+    if any(d < 2 for d in dims):
+        raise InputError(f"factor dimensions must be >= 2, got {dims}")
+    rng = np.random.default_rng(seed)
+    stacks = {}
+    for d in dict.fromkeys(dims):  # distinct dimensions, first-seen order
+        shape = (dims.count(d), d, d)
+        g = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        stacks[d] = iter(_haar_unitary_qr(g))
+    return LocalUnitarySample(factors=tuple(next(stacks[d]) for d in dims))
 
 
 def _embed_product(x: np.ndarray, y: np.ndarray, part: tuple[int, ...]) -> np.ndarray:
@@ -144,7 +108,7 @@ def sample_biseparable(
     """
     if n_terms < 1:
         raise InputError("n_terms must be >= 1")
-    rng = _as_rng(seed)
+    rng = np.random.default_rng(seed)
     if bipartition_spec is not None and bipartition_spec.num_parts != 2:
         raise InputError("biseparable sampling needs a two-part partition")
     weights = rng.dirichlet(np.ones(n_terms))

@@ -36,7 +36,7 @@ from .classcheck import (
     sample_biseparable,
     verify_certificate,
 )
-from .constants import ATOL_PHYSICS, SPIN_DIMS
+from .constants import ATOL_PHYSICS, SPIN_DIM, SPIN_DIMS
 from .errors import InputError, NumericError, SpinboostError
 from .kinematics import (
     BoostScenario,
@@ -132,17 +132,24 @@ def _sweep_rotations(grid: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _scan_fig2(args, grid: int) -> list[str]:
-    # One alpha row at a time: each row's boosted spin terms are a
-    # (grid, K, 8) array and the witness comes from them directly.
+    # The boosted spin terms are linear in the spin state and
+    # ghz_alpha(alpha) = sin(alpha)|uuu> + cos(alpha)|ddd>, so the terms of
+    # |uuu> and |ddd> are built once per scan, (grid, K, 8) each; every
+    # alpha row combines them and takes the witness directly.
     momentum = permutation_momentum(_momentum_coeffs(args.momentum))
     alphas = (
         [args.alpha] if args.alpha is not None else np.linspace(0.0, math.pi, grid)
     )
     deltas, rotations = _sweep_rotations(grid)
+    up, down = (
+        boosted_spin_terms(compose(momentum, basis), rotations)
+        for basis in np.eye(SPIN_DIM)[[0, 7]]
+    )
     variant = _variant_key(args.variant)
     lines = ["alpha,delta,witness,gme_bound"]
     for alpha in alphas:
-        chi = boosted_spin_terms(compose(momentum, ghz_alpha(alpha)), rotations)
+        spin = ghz_alpha(alpha)
+        chi = spin[0] * up + spin[7] * down
         values = witness_from_amplitudes(chi, variant)
         bounds = (
             values

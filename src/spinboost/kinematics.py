@@ -40,8 +40,10 @@ def wigner_angle(eta: float, xi: float) -> float:
     """
     eta = float(eta)
     xi = float(xi)
-    if eta < 0.0 or xi < 0.0:
-        raise InputError(f"rapidities must be nonnegative, got ({eta}, {xi})")
+    if not (0.0 <= eta < math.inf and 0.0 <= xi < math.inf):  # NaN fails too
+        raise InputError(
+            f"rapidities must be finite and nonnegative, got ({eta}, {xi})"
+        )
     return math.atan2(math.sinh(eta) * math.sinh(xi), math.cosh(eta) + math.cosh(xi))
 
 

@@ -256,7 +256,8 @@ def _amps_from_json(raw, dim: int, where: str) -> np.ndarray:
         if (
             not isinstance(pair, list)
             or len(pair) != 2
-            or not all(isinstance(x, (int, float)) for x in pair)
+            # type(), not isinstance(): JSON true/false load as bool, an int
+            or not all(type(x) in (int, float) for x in pair)
         ):
             raise StateFileError(f"{where}: amps[{i}] is not a [re, im] pair")
         v[i] = complex(pair[0], pair[1])
@@ -310,7 +311,7 @@ def read_state(path) -> StateLike:
             if not isinstance(member, dict) or "weight" not in member:
                 raise StateFileError(f"{path}: ensemble[{k}] needs a weight")
             w = member["weight"]
-            if not isinstance(w, (int, float)) or not w > 0.0:
+            if type(w) not in (int, float) or not w > 0.0:  # bool excluded
                 raise StateFileError(f"{path}: ensemble[{k}].weight must be > 0")
             weights.append(float(w))
             amps = _amps_from_json(

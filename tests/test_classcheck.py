@@ -8,6 +8,7 @@ import pytest
 from spinboost import (
     BoostScenario,
     ClassCertificate,
+    InputError,
     SpinEnsemble,
     ValidationError,
     check_condition1,
@@ -25,12 +26,10 @@ from spinboost.boost import boost_pure
 from spinboost.classcheck import (
     SPIN_BIPARTITIONS,
     _all_partitions,
-    _haar_su2_angle,
-    _haar_unitary_2x2,
     _haar_unitary_qr,
     single_qubit_spectra,
 )
-from spinboost.constants import COMPOSITE_DIMS, ID2, PAULI_X, PAULI_Y, PAULI_Z
+from spinboost.constants import COMPOSITE_DIMS, ID2, PAULI_X
 from spinboost.linalg import hermitian_eigen, partial_trace, projector, purity_unchecked
 from spinboost.measures import m_concurrence_pure, three_tangle
 from spinboost.states import particle_partition
@@ -47,50 +46,24 @@ def test_haar_state_normalized_and_uniform_mean():
     np.testing.assert_allclose(mean_pops, 0.25, atol=0.03)
 
 
-def test_haar_unitary_2x2_moments():
-    rng = np.random.default_rng(21)
-    us = [_haar_unitary_2x2(rng) for _ in range(3000)]
-    for u in us[:50]:
-        np.testing.assert_allclose(u @ u.conj().T, np.eye(2), atol=1e-13)
-    # second moment of any fixed entry is 1/2 under the invariant measure
-    m = np.mean([abs(u[0, 0]) ** 2 for u in us])
-    assert abs(m - 0.5) < 0.02
-    # first moment vanishes
-    m1 = np.mean([u[0, 0] for u in us])
-    assert abs(m1) < 0.05
-
-
-def _haar_unitary_2x2_pauli_sum(rng):
-    # The axis-angle draw written as a sum of Pauli matrices: the
-    # reference for the entry-by-entry construction.
-    z = rng.uniform(-1.0, 1.0)
-    az = rng.uniform(0.0, 2.0 * math.pi)
-    r = math.sqrt(max(1.0 - z * z, 0.0))
-    axis = np.array([r * math.cos(az), r * math.sin(az), z])
-    theta = _haar_su2_angle(rng)
-    ns = axis[0] * PAULI_X + axis[1] * PAULI_Y + axis[2] * PAULI_Z
-    su2 = math.cos(theta / 2.0) * ID2 - 1j * math.sin(theta / 2.0) * ns
-    return np.exp(1j * rng.uniform(0.0, 2.0 * math.pi)) * su2
-
-
-def test_haar_unitary_2x2_matches_pauli_sum_draw_for_draw():
-    for seed in range(200):
-        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        for _ in range(3):
-            np.testing.assert_array_equal(
-                _haar_unitary_2x2(rng), _haar_unitary_2x2_pauli_sum(ref_rng)
-            )
-        assert rng.uniform() == ref_rng.uniform()  # same draws consumed
-
-
-def test_haar_unitary_qr_moments():
+@pytest.mark.parametrize("dim", [2, 3])
+def test_haar_unitary_qr_moments(dim):
     rng = np.random.default_rng(22)
-    dim = 3
-    us = [_haar_unitary_qr(dim, rng) for _ in range(2000)]
-    for u in us[:50]:
-        np.testing.assert_allclose(u @ u.conj().T, np.eye(dim), atol=1e-12)
-    m = np.mean([abs(u[1, 2]) ** 2 for u in us])
-    assert abs(m - 1.0 / dim) < 0.02
+    n = 4000
+    shape = (n, dim, dim)
+    us = _haar_unitary_qr(rng.normal(size=shape) + 1j * rng.normal(size=shape))
+    gram = us[:50] @ us[:50].conj().transpose(0, 2, 1)
+    np.testing.assert_allclose(gram, np.broadcast_to(np.eye(dim), gram.shape),
+                               atol=1e-12)
+    # first moment of any fixed entry vanishes, second is 1/dim
+    assert abs(np.mean(us[:, 1, dim - 1])) < 0.05
+    assert abs(np.mean(np.abs(us[:, 1, dim - 1]) ** 2) - 1.0 / dim) < 0.02
+    # fourth moment E|u_ij|^4 = 2/(d(d+1)) for every entry, within 4
+    # standard errors; randomly phased permutation matrices match the
+    # first two moments but fail this one
+    fourth = np.abs(us) ** 4
+    se = fourth.std(axis=0) / math.sqrt(n)
+    assert np.all(np.abs(fourth.mean(axis=0) - 2.0 / (dim * (dim + 1))) < 4.0 * se)
 
 
 def test_random_local_unitary_structure():
@@ -107,6 +80,8 @@ def test_random_local_unitary_structure():
 
     again = random_local_unitary((3, 2, 2), seed=99)
     np.testing.assert_allclose(again.matrix(), m, atol=0)  # deterministic
+    with pytest.raises(InputError):
+        random_local_unitary((2, 1), seed=99)
 
 
 def test_spin_bipartitions_catalog():

@@ -7,10 +7,15 @@ import numpy as np
 import pytest
 
 from spinboost import (
+    BoostScenario,
     NumericError,
+    antisymmetric_coeffs,
     antisymmetric_momentum,
+    boosted_spin_density_fast,
     compose,
+    ghz_alpha,
     ghz_state,
+    ghz_witness,
     read_state,
     w_state,
     write_state,
@@ -122,6 +127,41 @@ def test_scan_custom_momentum(capsys):
     )
     assert code == 0
     assert len(out.splitlines()) == 4
+
+
+@pytest.mark.parametrize("variant", ["symmetric", "as-printed"])
+def test_scan_fig2_matches_per_point_witness(variant, capsys):
+    # Every cell of a whole fig2 CSV against the per-point route: the
+    # fast density of one (alpha, delta) pair and the matrix witness.
+    alphas = np.linspace(0.0, math.pi, 7)
+    deltas = np.linspace(0.0, math.pi / 2.0, 7)
+    custom = np.array([0.5, 0.5j, -0.5, 0.3 + 0.4j, 0.0, 0.0])
+    momenta = {
+        "antisymmetric": antisymmetric_coeffs(),
+        "product": np.eye(6)[0],
+        "0.5,0.5j,-0.5,0.3+0.4j,0,0": custom,
+    }
+    for spec, coeffs in momenta.items():
+        code, out, _ = run(
+            ["scan", "fig2", "--grid", "7", "--momentum", spec,
+             "--variant", variant],
+            capsys,
+        )
+        assert code == 0
+        rows = [
+            [float(tok) for tok in row.split(",")] for row in out.splitlines()[1:]
+        ]
+        assert len(rows) == 7 * 7
+        cells = [(a, d) for a in alphas for d in deltas]
+        for (alpha, delta), (a, d, wit, bound) in zip(cells, rows):
+            assert abs(a - alpha) < 1e-11 and abs(d - delta) < 1e-11
+            rho = boosted_spin_density_fast(
+                coeffs, ghz_alpha(alpha), BoostScenario.from_angle(delta)
+            )
+            expected = ghz_witness(rho, variant=variant.replace("-", "_")).value
+            symmetric = ghz_witness(rho, variant="symmetric").value
+            assert abs(wit - expected) < 1e-12
+            assert abs(bound - max(0.0, symmetric)) < 1e-12
 
 
 def test_scan_fig2_cell_matches_mpmath(capsys):

@@ -34,6 +34,11 @@ def test_rapidity_rejects_nonphysical_speeds():
     for bad in (1.0, -1.0, 1.5, float("nan")):
         with pytest.raises(InputError):
             rapidity(bad)
+    # wigner_angle rejects negative and non-finite rapidities
+    for bad in (-0.1, float("nan"), float("inf"), float("-inf")):
+        for pair in ((bad, 1.0), (1.0, bad)):
+            with pytest.raises(InputError):
+                wigner_angle(*pair)
 
 
 @given(st.floats(min_value=0.0, max_value=0.999))

@@ -289,6 +289,13 @@ def test_state_file_diagnostics(tmp_path):
     with pytest.raises(StateFileError, match=r"amps\[3\]"):
         read_state(path)
 
+    # JSON booleans are not numbers, although bool subclasses int
+    amps = [[0.0, 0.0]] * 8
+    amps[0] = [True, False]
+    path.write_text(json.dumps({"dims": [2, 2, 2], "amps": amps}))
+    with pytest.raises(StateFileError, match=r"amps\[0\]"):
+        read_state(path)
+
     # not normalized
     path.write_text(json.dumps({"dims": [2, 2, 2], "amps": [[1.0, 0.0]] * 8}))
     with pytest.raises(StateFileError, match="norm"):
@@ -305,4 +312,9 @@ def test_state_file_rejects_bad_ensemble(tmp_path):
         read_state(path)
     path.write_text(json.dumps({"ensemble": [{"amps": []}]}))
     with pytest.raises(StateFileError, match="weight"):
+        read_state(path)
+    amps = [[0.0, 0.0]] * 216
+    amps[0] = [1.0, 0.0]
+    path.write_text(json.dumps({"ensemble": [{"weight": True, "amps": amps}]}))
+    with pytest.raises(StateFileError, match="weight must be > 0"):
         read_state(path)
