@@ -5,15 +5,16 @@ momentum label is kept (the observer relabels all momenta coherently,
 so amplitudes ride along with their labels) while the spin is rotated
 about that label's axis.  Two equivalent routes are provided:
 
-* boosted_amplitudes / boost_pure — the per-particle rotations applied
-  to the 216-amplitude tensor, batched over boost angles;
-  build_boost_unitary assembles the full 216x216 unitary as the
-  brute-force reference it is tested against;
-* boosted_spin_terms / composite_spin_ensemble / boost_mixed — the
-  mixture the reduced spin state collapses to: expand the state over the
-  27 momentum basis kets, each carrying its own spin row and the local
-  rotation of its label assignment.  A permutation momentum state is the
-  special case whose nonzero kets are the six label assignments.
+* boosted_amplitudes / boost_pure / boost_mixed — the per-particle
+  rotations applied to the 216-amplitude tensor, batched over boost
+  angles and mixture members; build_boost_unitary assembles the full
+  216x216 unitary as the brute-force reference it is tested against;
+* boosted_spin_terms / composite_spin_ensemble — the mixture the reduced
+  spin state collapses to: expand the state over the 27 momentum basis
+  kets, each carrying its own spin row and the local rotation of its
+  label assignment.  A permutation momentum state is the special case
+  whose nonzero kets are the six label assignments; a MixedState
+  contributes the kets of every member.
 
 The mixture route also yields a SpinEnsemble: the explicit list of
 (weight, local rotation, base vector) terms whose mixture is the
@@ -28,11 +29,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import ATOL_PHYSICS, COMPOSITE_DIM, MOMENTUM_DIM, SPIN_DIM
-from .errors import ShapeError, ValidationError
+from .constants import COMPOSITE_DIM, COMPOSITE_DIMS, MOMENTUM_DIM, SPIN_DIM
+from .errors import ShapeError
 from .kinematics import BoostScenario, local_unitaries
 from .linalg import kron
-from .states import CompositeState, MixedState, compose, permutation_momentum
+from .states import (
+    CompositeState,
+    MixedState,
+    _mixture_weights,
+    _momentum_spin_rows,
+    _state_rows,
+    compose,
+    permutation_momentum,
+)
 
 _NEGLIGIBLE_WEIGHT = 1e-30
 # Label assignment (m1, m2, m3) of momentum basis ket k = 9 m1 + 3 m2 + m3.
@@ -63,20 +72,12 @@ class SpinEnsemble:
     base_vectors: np.ndarray
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float).ravel()
+        w = _mixture_weights(self.weights, "ensemble")
         u = np.asarray(self.unitaries, dtype=np.complex128)
         vecs = np.asarray(self.base_vectors, dtype=np.complex128)
         k = w.size
-        if u.shape != (k, SPIN_DIM, SPIN_DIM):
+        if u.shape != (k, SPIN_DIM, SPIN_DIM) or vecs.shape != (k, SPIN_DIM):
             raise ShapeError("ensemble arrays have inconsistent shapes")
-        if vecs.shape != (k, SPIN_DIM):
-            raise ShapeError("base_vectors shape inconsistent with weights")
-        if k == 0:
-            raise ShapeError("empty ensemble")
-        if not np.all(w > 0.0):
-            raise ValidationError("ensemble weights must be positive")
-        if not abs(w.sum() - 1.0) <= ATOL_PHYSICS:
-            raise ValidationError(f"ensemble weights sum to {w.sum()}, not 1")
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "unitaries", u)
         object.__setattr__(self, "base_vectors", vecs)
@@ -108,19 +109,24 @@ def build_boost_unitary(scenario: BoostScenario) -> BoostUnitary:
     return BoostUnitary(matrix=kron([block, block, block]))
 
 
-def boosted_amplitudes(state: CompositeState, rotations: np.ndarray) -> np.ndarray:
-    """Boosted amplitudes of a pure state for a batch of boosts.
+def boosted_amplitudes(state, rotations: np.ndarray) -> np.ndarray:
+    """Boosted amplitudes of pure states for a batch of boosts.
 
     Every particle's spin is rotated by the rotation of the momentum label
-    it carries: one einsum over the (3, 2, 3, 2, 3, 2) amplitude tensor,
-    no 216x216 matrix.  `rotations` holds per-label rotations of shape
-    (..., 3, 2, 2), e.g. spin_rotations(axes, deltas) for a sweep; the
-    result has shape (..., 216).
+    it carries: one einsum over the (..., 3, 2, 3, 2, 3, 2) amplitude
+    tensor, no 216x216 matrix.  `state` is a CompositeState or amplitudes
+    of shape (..., 216), e.g. the members of a MixedState; `rotations`
+    holds per-label rotations of shape (..., 3, 2, 2), e.g.
+    spin_rotations(axes, deltas) for a sweep.  The batch axes of both
+    broadcast; the result has shape (..., 216).
     """
-    if not isinstance(state, CompositeState):
-        state = CompositeState(np.asarray(state))
+    if isinstance(state, CompositeState):
+        vec = state.vector
+    else:
+        vec = _state_rows(state, COMPOSITE_DIM, "composite state")
+    t = vec.reshape(vec.shape[:-1] + COMPOSITE_DIMS)
     r = np.asarray(rotations, dtype=np.complex128)
-    out = np.einsum("...axi,...byj,...czk,aibjck->...axbycz", r, r, r, state.tensor())
+    out = np.einsum("...axi,...byj,...czk,...aibjck->...axbycz", r, r, r, t)
     return out.reshape(out.shape[:-6] + (COMPOSITE_DIM,))
 
 
@@ -129,22 +135,36 @@ def boost_pure(state: CompositeState, scenario: BoostScenario) -> CompositeState
     return CompositeState(boosted_amplitudes(state, scenario.rotations()))
 
 
+def boost_mixed(mixed: MixedState, scenario: BoostScenario) -> MixedState:
+    """Apply the boost to every member of a mixture in one boosted_amplitudes
+    call; the weights are unchanged."""
+    return MixedState(
+        mixed.weights, boosted_amplitudes(mixed.vectors, scenario.rotations())
+    )
+
+
 def _momentum_kets(state) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # Label assignments (K, 3), spin rows m_k (K, 8) and weights |m_k|^2
-    # of the momentum basis kets that carry amplitude.
-    if not isinstance(state, CompositeState):
-        state = CompositeState(np.asarray(state))
-    m = state.momentum_spin_matrix()  # (27, 8), rows are momentum kets
+    # of the momentum basis kets that carry amplitude.  Member i of a
+    # mixture contributes its 27 rows scaled by sqrt(q_i), so its terms
+    # weigh q_i |m_k^i|^2; a pure state is a mixture of one.
+    if not isinstance(state, MixedState):
+        vec = state.vector if isinstance(state, CompositeState) else state
+        state = MixedState(np.ones(1), np.reshape(vec, (1, -1)))
+    m = np.sqrt(state.weights)[:, None, None] * _momentum_spin_rows(state.vectors)
+    m = m.reshape(-1, SPIN_DIM)  # (M * 27, 8), rows are momentum kets
     w = np.einsum("ki,ki->k", m.conj(), m).real
     keep = w > _NEGLIGIBLE_WEIGHT
-    return _MOMENTUM_BASIS_LABELS[keep], m[keep], w[keep]
+    labels = np.tile(_MOMENTUM_BASIS_LABELS, (len(state.weights), 1))
+    return labels[keep], m[keep], w[keep]
 
 
-def boosted_spin_terms(state: CompositeState, rotations: np.ndarray) -> np.ndarray:
+def boosted_spin_terms(state, rotations: np.ndarray) -> np.ndarray:
     """Unnormalized boosted spin terms chi_k = U(L_k) m_k, shape (..., K, 8).
 
-    m_k is the spin row of the k-th momentum ket carrying amplitude and
-    U(L_k) the product of the Wigner rotations of its label assignment
+    m_k is the spin row of the k-th momentum ket carrying amplitude (of
+    a CompositeState, or of every member of a MixedState) and U(L_k) the
+    product of the Wigner rotations of its label assignment
     L_k.  `rotations` holds per-label rotations of shape (..., 3, 2, 2),
     e.g. spin_rotations(axes, deltas) for a sweep.  The reduced boosted
     spin density is sum_k |chi_k><chi_k|; its populations are
@@ -162,41 +182,15 @@ def boosted_spin_density_fast(coeffs, spin, scenario: BoostScenario) -> np.ndarr
 
 
 def composite_spin_ensemble(
-    state: CompositeState, scenario: BoostScenario
+    state: CompositeState | MixedState, scenario: BoostScenario
 ) -> SpinEnsemble:
     """The mixture route as a certificate: term k has weight |m_k|^2, base
     vector m_k / |m_k| and the local rotation U(m1) (x) U(m2) (x) U(m3) of
-    its momentum ket |m1 m2 m3>."""
+    its momentum ket |m1 m2 m3>.  For a mixture with weights q_i the terms
+    of member i weigh q_i |m_k^i|^2."""
     labels, rows, w = _momentum_kets(state)
     return SpinEnsemble(
         weights=w,
         unitaries=local_unitaries(labels, scenario.rotations()),
         base_vectors=rows / np.sqrt(w)[:, None],
     )
-
-
-def boost_mixed(
-    mixed: MixedState, scenario: BoostScenario
-) -> tuple[MixedState, np.ndarray, SpinEnsemble]:
-    """Boost a mixture member by member.
-
-    Returns the boosted mixture, its reduced 8x8 spin density, and the
-    combined SpinEnsemble certificate whose terms carry weights
-    q_i * |a_k^i|^2 over members i and momentum kets k.
-    """
-    if isinstance(mixed, CompositeState):
-        mixed = MixedState(np.array([1.0]), (mixed,))
-    boosted_states = tuple(boost_pure(st, scenario) for st in mixed.states)
-    weights, unitaries, vecs = [], [], []
-    for q, st in zip(mixed.weights, mixed.states):
-        member = composite_spin_ensemble(st, scenario)
-        weights.extend(q * member.weights)
-        unitaries.extend(member.unitaries)
-        vecs.extend(member.base_vectors)
-    cert = SpinEnsemble(
-        weights=np.array(weights),
-        unitaries=np.array(unitaries),
-        base_vectors=np.array(vecs),
-    )
-    boosted = MixedState(mixed.weights, boosted_states)
-    return boosted, cert.mix(), cert

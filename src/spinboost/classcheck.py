@@ -178,19 +178,19 @@ def check_condition1(
     formed as one (trials, N, N) stack, and the state and its rotated
     copies are evaluated as one batch per invariant.
     """
+    if trials < 1:  # no trial would pass vacuously
+        raise InputError(f"trials must be at least 1, got {trials}")
     vec = np.asarray(state, dtype=np.complex128).ravel()
     dims = tuple(int(d) for d in dims)
     if int(np.prod(dims)) != vec.size:
         raise ShapeError(f"state size {vec.size} does not match dims {dims}")
     specs = list(partitions) if partitions is not None else _all_partitions(len(dims))
     samples = [random_local_unitary(dims, seed + t) for t in range(trials)]
-    states = vec[None]
-    if samples:
-        factors = [np.stack(fs) for fs in zip(*(s.factors for s in samples))]
-        # contiguous, so each product runs the same BLAS matvec as
-        # kron(factors) @ vec would
-        stack = np.ascontiguousarray(kron_batched(factors))
-        states = np.concatenate([states, stack @ vec])
+    factors = [np.stack(fs) for fs in zip(*(s.factors for s in samples))]
+    # contiguous, so each product runs the same BLAS matvec as
+    # kron(factors) @ vec would
+    stack = np.ascontiguousarray(kron_batched(factors))
+    states = np.concatenate([vec[None], stack @ vec])
 
     def deviations(values: np.ndarray) -> np.ndarray:
         return np.abs(values[1:] - values[0])

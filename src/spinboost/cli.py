@@ -50,6 +50,7 @@ from .measures import ghz_witness, m_concurrence_pure, witness_from_amplitudes
 from .states import (
     CompositeState,
     MixedState,
+    _amps_to_json,
     antisymmetric_coeffs,
     bipartition,
     compose,
@@ -185,8 +186,6 @@ def cmd_scan(args) -> int:
     grid = args.grid if args.grid is not None else default_grid
     if grid < 2:
         raise InputError("--grid must be at least 2")
-    if args.threads < 1:  # accepted for compatibility; scans run in one thread
-        raise InputError("--threads must be at least 1")
     scan = _scan_fig2 if args.figure == "fig2" else _scan_fig3
     _write_lines(scan(args, grid), args.out)
     return 0
@@ -249,22 +248,16 @@ def cmd_boost(args) -> int:
     scenario = _scenario_from_args(args)
     if isinstance(state, CompositeState):
         boosted = boost_pure(state, scenario)
-        rho = boosted.spin_density()
-        write_state(boosted, args.out)
     elif isinstance(state, MixedState):
-        boosted, rho, _cert = boost_mixed(state, scenario)
-        write_state(boosted, args.out)
+        boosted = boost_mixed(state, scenario)
     else:
         raise InputError(
             "boost needs a composite or mixed state file (momentum info required)"
         )
+    write_state(boosted, args.out)
+    rho = boosted.spin_density()
     if args.spin_out:
-        doc = {
-            "dims": list(SPIN_DIMS),
-            "matrix": [
-                [[float(x.real), float(x.imag)] for x in row] for row in rho
-            ],
-        }
+        doc = {"dims": list(SPIN_DIMS), "matrix": _amps_to_json(rho)}
         with open(args.spin_out, "w") as fh:
             json.dump(doc, fh)
             fh.write("\n")
@@ -382,8 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="antisymmetric | product | 6 comma-separated coefficients")
     p.add_argument("--variant", choices=("symmetric", "as-printed"),
                    default="symmetric")
-    p.add_argument("--threads", type=int, default=1,
-                   help="accepted and ignored (must be at least 1)")
     p.add_argument("--out", default=None, help="output CSV path (default stdout)")
     p.set_defaults(func=cmd_scan)
 

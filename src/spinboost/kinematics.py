@@ -37,6 +37,9 @@ def wigner_angle(eta: float, xi: float) -> float:
     tan(angle) = sinh(eta) sinh(xi) / (cosh(eta) + cosh(xi)); the result
     lies in [0, pi/2), vanishes when either rapidity does, is symmetric
     in its arguments and approaches pi/2 in the ultrarelativistic limit.
+    It is evaluated as tanh(eta) tanh(xi) / (sech(eta) + sech(xi)) with
+    sech(x) = 2 e^-x / (1 + e^-2x), which cannot overflow; as eta grows
+    the angle tends to atan(sinh(xi)).
     """
     eta = float(eta)
     xi = float(xi)
@@ -44,7 +47,9 @@ def wigner_angle(eta: float, xi: float) -> float:
         raise InputError(
             f"rapidities must be finite and nonnegative, got ({eta}, {xi})"
         )
-    return math.atan2(math.sinh(eta) * math.sinh(xi), math.cosh(eta) + math.cosh(xi))
+    e, x = math.exp(-eta), math.exp(-xi)
+    sech_sum = 2.0 * e / (1.0 + e * e) + 2.0 * x / (1.0 + x * x)
+    return math.atan2(math.tanh(eta) * math.tanh(xi), sech_sum)
 
 
 def rotation_axis(boost_axis: np.ndarray, momentum_dir: np.ndarray) -> np.ndarray:
@@ -52,8 +57,8 @@ def rotation_axis(boost_axis: np.ndarray, momentum_dir: np.ndarray) -> np.ndarra
     b = np.asarray(boost_axis, dtype=float).reshape(3)
     p = np.asarray(momentum_dir, dtype=float).reshape(3)
     nb, npp = np.linalg.norm(b), np.linalg.norm(p)
-    if nb < _AXIS_DEGENERATE or npp < _AXIS_DEGENERATE:
-        raise InputError("boost axis and momentum direction must be nonzero")
+    if not all(_AXIS_DEGENERATE <= n < math.inf for n in (nb, npp)):  # NaN fails
+        raise InputError("boost axis and momentum direction must be nonzero and finite")
     axis = np.cross(b / nb, p / npp)
     norm = np.linalg.norm(axis)
     if norm < _AXIS_DEGENERATE:
@@ -71,6 +76,8 @@ def spin_rotation(axis: np.ndarray, delta: float) -> np.ndarray:
     n = np.asarray(axis, dtype=float).reshape(3)
     if not abs(np.linalg.norm(n) - 1.0) <= ATOL_PHYSICS:
         raise InputError("rotation axis must be a unit vector")
+    if not math.isfinite(delta):
+        raise InputError(f"rotation angle must be finite, got {delta}")
     return spin_rotations(n, delta)
 
 

@@ -44,7 +44,6 @@ from typing import Sequence
 import numpy as np
 
 from .constants import (
-    ATOL_PHYSICS,
     COMPOSITE_DIM,
     COMPOSITE_DIMS,
     PAULI_X,
@@ -55,9 +54,9 @@ from .constants import (
     SPIN_DIM,
     SPIN_DIMS,
 )
-from .errors import InputError, NumericError, ShapeError, ValidationError
+from .errors import InputError, NumericError, ShapeError
 from .linalg import kron, require_density
-from .states import CompositeState, PartitionSpec
+from .states import CompositeState, PartitionSpec, _state_rows
 
 WITNESS_PATHS = ("matrix_elements", "pauli_settings")
 WITNESS_VARIANTS = ("symmetric", "as_printed")
@@ -241,13 +240,7 @@ def _batch_of_states(state, dims: Sequence[int] | None):
                 f"cannot infer factor dims for a state of size {vec.shape[-1]}"
             )
     dims = tuple(int(d) for d in dims)
-    if int(np.prod(dims)) != vec.shape[-1]:
-        raise ShapeError(f"state size {vec.shape[-1]} does not match dims {dims}")
-    norms = np.linalg.norm(vec, axis=-1)
-    if not np.all(np.abs(norms - 1.0) <= ATOL_PHYSICS):  # NaN fails too
-        worst = norms.flat[np.argmax(np.abs(norms - 1.0))]
-        raise ValidationError(f"state is not normalized: |psi| = {worst}")
-    return vec, dims
+    return _state_rows(vec, int(np.prod(dims)), "state"), dims
 
 
 def _unbatch(values: np.ndarray, batch_shape: tuple[int, ...]):

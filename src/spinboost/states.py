@@ -37,14 +37,40 @@ from .constants import (
 from .errors import InputError, ShapeError, StateFileError, ValidationError
 
 
-def _as_state_vector(vec, dim: int, what: str) -> np.ndarray:
-    v = np.asarray(vec, dtype=np.complex128).ravel()
-    if v.size != dim:
-        raise ShapeError(f"{what} must have {dim} amplitudes, got {v.size}")
-    norm = np.linalg.norm(v)
-    if not abs(norm - 1.0) <= ATOL_PHYSICS:  # NaN fails too
-        raise ValidationError(f"{what} is not normalized: |psi| = {norm}")
+def _state_rows(vec, dim: int, what: str) -> np.ndarray:
+    """Amplitudes of shape (..., dim) as a complex array, every row normalized."""
+    v = np.asarray(vec, dtype=np.complex128)
+    if v.ndim == 0 or v.shape[-1] != dim:
+        raise ShapeError(f"{what} must have {dim} amplitudes, got shape {v.shape}")
+    norms = np.linalg.norm(v, axis=-1)
+    if not np.all(np.abs(norms - 1.0) <= ATOL_PHYSICS):  # NaN fails too
+        worst = norms.flat[np.argmax(np.abs(norms - 1.0))]
+        raise ValidationError(f"{what} is not normalized: |psi| = {worst}")
     return v
+
+
+def _as_state_vector(vec, dim: int, what: str) -> np.ndarray:
+    return _state_rows(np.ravel(vec), dim, what)
+
+
+def _mixture_weights(weights, what: str) -> np.ndarray:
+    """Mixture weights as a float array: nonempty, positive, summing to one."""
+    w = np.asarray(weights, dtype=float).ravel()
+    if w.size == 0:
+        raise ShapeError(f"{what} needs at least one weight")
+    if not np.all(w > 0.0):  # NaN fails too
+        raise ValidationError(f"{what} weights must be positive")
+    if not abs(w.sum() - 1.0) <= ATOL_PHYSICS:
+        raise ValidationError(f"{what} weights sum to {w.sum()}, not 1")
+    return w
+
+
+def _momentum_spin_rows(vec: np.ndarray) -> np.ndarray:
+    """Composite amplitudes (..., 216) regrouped as (..., 27, 8): rows are
+    momentum basis kets, columns spin basis states."""
+    batch = vec.shape[:-1]
+    t = np.einsum("...axbycz->...abcxyz", vec.reshape(batch + COMPOSITE_DIMS))
+    return t.reshape(batch + (MOMENTUM_DIM, SPIN_DIM))
 
 
 def ghz_alpha(alpha: float) -> np.ndarray:
@@ -125,9 +151,7 @@ class CompositeState:
 
     def momentum_spin_matrix(self) -> np.ndarray:
         """Amplitudes regrouped as a (27, 8) matrix: rows momentum, cols spin."""
-        return (
-            self.tensor().transpose(0, 2, 4, 1, 3, 5).reshape(MOMENTUM_DIM, SPIN_DIM)
-        )
+        return _momentum_spin_rows(self.vector)
 
     def spin_density(self) -> np.ndarray:
         """Reduced 8x8 spin density matrix (momenta traced out)."""
@@ -142,28 +166,25 @@ class CompositeState:
 
 @dataclass(frozen=True)
 class MixedState:
-    """Convex mixture of composite pure states."""
+    """Convex mixture of composite pure states: weights q_i of shape (M,)
+    and member amplitudes as one (M, 216) array, every row normalized."""
 
     weights: np.ndarray
-    states: tuple[CompositeState, ...]
+    vectors: np.ndarray
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float).ravel()
-        states = tuple(self.states)
-        if w.size != len(states) or w.size == 0:
-            raise ShapeError("weights and states must be equal-length and nonempty")
-        if not np.all(w > 0.0):
-            raise ValidationError("mixture weights must be positive")
-        if not abs(w.sum() - 1.0) <= ATOL_PHYSICS:
-            raise ValidationError(f"mixture weights sum to {w.sum()}, not 1")
+        w = _mixture_weights(self.weights, "mixture")
+        v = _state_rows(self.vectors, COMPOSITE_DIM, "mixture member")
+        if v.shape != (w.size, COMPOSITE_DIM):
+            raise ShapeError(f"{w.size} mixture weights but vectors of shape {v.shape}")
         object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "states", states)
+        object.__setattr__(self, "vectors", v)
 
     def spin_density(self) -> np.ndarray:
-        out = np.zeros((SPIN_DIM, SPIN_DIM), dtype=np.complex128)
-        for w, st in zip(self.weights, self.states):
-            out += w * st.spin_density()
-        return out
+        """Reduced 8x8 spin density sum_i q_i rho_i over the members."""
+        m = _momentum_spin_rows(self.vectors)  # (M, 27, 8)
+        rhos = np.swapaxes(m, -1, -2) @ m.conj()
+        return np.sum(self.weights[:, None, None] * rhos, axis=0)
 
 
 def compose(momentum: np.ndarray, spin: np.ndarray) -> CompositeState:
@@ -244,14 +265,14 @@ def spins_vs_momenta_partition() -> PartitionSpec:
 StateLike = Union[CompositeState, MixedState, np.ndarray]
 
 
-def _amps_to_json(vec: np.ndarray) -> list[list[float]]:
-    return [[float(a.real), float(a.imag)] for a in vec]
+def _amps_to_json(vec: np.ndarray) -> list:
+    # amplitudes (..., N) as nested [re, im] pairs, one array call
+    return np.stack([vec.real, vec.imag], axis=-1).tolist()
 
 
 def _amps_from_json(raw, dim: int, where: str) -> np.ndarray:
     if not isinstance(raw, list) or len(raw) != dim:
         raise StateFileError(f"{where}: expected {dim} amplitude pairs")
-    v = np.empty(dim, dtype=np.complex128)
     for i, pair in enumerate(raw):
         if (
             not isinstance(pair, list)
@@ -260,12 +281,9 @@ def _amps_from_json(raw, dim: int, where: str) -> np.ndarray:
             or not all(type(x) in (int, float) for x in pair)
         ):
             raise StateFileError(f"{where}: amps[{i}] is not a [re, im] pair")
-        v[i] = complex(pair[0], pair[1])
+    v = np.array(raw, dtype=float).view(np.complex128).ravel()
     if not np.all(np.isfinite(v.view(float))):
         raise StateFileError(f"{where}: non-finite amplitude")
-    norm = np.linalg.norm(v)
-    if abs(norm - 1.0) > ATOL_PHYSICS:
-        raise StateFileError(f"{where}: amplitudes have norm {norm}, expected 1")
     return v
 
 
@@ -274,12 +292,8 @@ def write_state(state: StateLike, path) -> None:
     if isinstance(state, CompositeState):
         doc = {"dims": list(COMPOSITE_DIMS), "amps": _amps_to_json(state.vector)}
     elif isinstance(state, MixedState):
-        doc = {
-            "ensemble": [
-                {"weight": float(w), "amps": _amps_to_json(st.vector)}
-                for w, st in zip(state.weights, state.states)
-            ]
-        }
+        members = zip(state.weights.tolist(), _amps_to_json(state.vectors))
+        doc = {"ensemble": [{"weight": w, "amps": amps} for w, amps in members]}
     else:
         v = _as_state_vector(state, SPIN_DIM, "spin state")
         doc = {"dims": list(SPIN_DIMS), "amps": _amps_to_json(v)}
@@ -301,34 +315,29 @@ def read_state(path) -> StateLike:
     if not isinstance(doc, dict):
         raise StateFileError(f"{path}: top level must be an object")
 
-    if "ensemble" in doc:
-        members = doc["ensemble"]
-        if not isinstance(members, list) or not members:
-            raise StateFileError(f"{path}: ensemble must be a nonempty list")
-        weights = []
-        states = []
-        for k, member in enumerate(members):
-            if not isinstance(member, dict) or "weight" not in member:
-                raise StateFileError(f"{path}: ensemble[{k}] needs a weight")
-            w = member["weight"]
-            if type(w) not in (int, float) or not w > 0.0:  # bool excluded
-                raise StateFileError(f"{path}: ensemble[{k}].weight must be > 0")
-            weights.append(float(w))
-            amps = _amps_from_json(
-                member.get("amps"), COMPOSITE_DIM, f"{path}: ensemble[{k}]"
-            )
-            states.append(CompositeState(amps))
-        if abs(sum(weights) - 1.0) > ATOL_PHYSICS:
-            raise StateFileError(
-                f"{path}: ensemble weights sum to {sum(weights)}, expected 1"
-            )
-        return MixedState(np.array(weights), tuple(states))
+    try:
+        if "ensemble" in doc:
+            members = doc["ensemble"]
+            if not isinstance(members, list) or not members:
+                raise StateFileError(f"{path}: ensemble must be a nonempty list")
+            weights, vectors = [], []
+            for k, member in enumerate(members):
+                at = f"{path}: ensemble[{k}]"
+                w = member.get("weight") if isinstance(member, dict) else None
+                if type(w) not in (int, float):  # missing, or a JSON true/false
+                    raise StateFileError(f"{at}.weight must be > 0, got {w!r}")
+                weights.append(w)
+                vectors.append(_amps_from_json(member.get("amps"), COMPOSITE_DIM, at))
+            return MixedState(np.array(weights, dtype=float), np.array(vectors))
 
-    dims = doc.get("dims")
-    if dims == list(COMPOSITE_DIMS):
-        return CompositeState(_amps_from_json(doc.get("amps"), COMPOSITE_DIM, path))
-    if dims == list(SPIN_DIMS):
-        return _amps_from_json(doc.get("amps"), SPIN_DIM, path)
+        dims = doc.get("dims")
+        if dims == list(COMPOSITE_DIMS):
+            return CompositeState(_amps_from_json(doc.get("amps"), COMPOSITE_DIM, path))
+        if dims == list(SPIN_DIMS):
+            amps = _amps_from_json(doc.get("amps"), SPIN_DIM, path)
+            return _as_state_vector(amps, SPIN_DIM, "spin state")
+    except ValidationError as exc:
+        raise StateFileError(f"{path}: {exc}") from exc
     raise StateFileError(
         f"{path}: dims must be {list(COMPOSITE_DIMS)} or {list(SPIN_DIMS)}, got {dims}"
     )

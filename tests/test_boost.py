@@ -171,8 +171,10 @@ def test_boost_mixed_linearity():
         compose(haar_vec(27, rng), haar_vec(8, rng)) for _ in range(3)
     )
     weights = (0.2, 0.3, 0.5)
-    mixed = MixedState(weights=weights, states=members)
-    boosted, rho, cert = boost_mixed(mixed, sc)
+    mixed = MixedState(weights=weights, vectors=[st.vector for st in members])
+    boosted = boost_mixed(mixed, sc)
+    rho = boosted.spin_density()
+    cert = composite_spin_ensemble(mixed, sc)
     expected = sum(
         q * boost_pure(st, sc).spin_density() for q, st in zip(weights, members)
     )

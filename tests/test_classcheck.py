@@ -135,6 +135,13 @@ def test_condition1_passes_for_known_states():
         assert rep.failing_seeds == ()
 
 
+def test_condition1_rejects_fewer_than_one_trial():
+    # zero trials would pass vacuously
+    for trials in (0, -3):
+        with pytest.raises(InputError):
+            check_condition1(ghz_state(), (2, 2, 2), trials=trials, seed=1)
+
+
 def test_condition1_reports_failures_at_impossible_tolerance():
     rng = np.random.default_rng(25)
     state = haar_state(8, rng)

@@ -8,19 +8,24 @@ import pytest
 
 from spinboost import (
     BoostScenario,
+    MixedState,
     NumericError,
     antisymmetric_coeffs,
     antisymmetric_momentum,
     boosted_spin_density_fast,
+    boosted_spin_terms,
     compose,
     ghz_alpha,
     ghz_state,
     ghz_witness,
+    permutation_momentum,
     read_state,
+    spin_rotations,
     w_state,
     write_state,
 )
 from spinboost import cli
+from spinboost.measures import witness_from_amplitudes
 from spinboost.linalg import projector
 
 
@@ -99,23 +104,11 @@ def test_scan_fig3_schema(tmp_path, capsys):
     assert all(v >= -1e-12 for v in values)
 
 
-def test_scan_deterministic_and_thread_invariant(tmp_path, capsys):
-    paths = [tmp_path / f"run{i}.csv" for i in range(3)]
+def test_scan_deterministic(tmp_path, capsys):
+    paths = [tmp_path / f"run{i}.csv" for i in range(2)]
     run(["scan", "fig2", "--grid", "9", "--out", str(paths[0])], capsys)
     run(["scan", "fig2", "--grid", "9", "--out", str(paths[1])], capsys)
-    run(
-        ["scan", "fig2", "--grid", "9", "--threads", "4", "--out", str(paths[2])],
-        capsys,
-    )
-    blobs = [p.read_bytes() for p in paths]
-    assert blobs[0] == blobs[1] == blobs[2]
-
-
-def test_scan_fig3_threads_match(tmp_path, capsys):
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    run(["scan", "fig3", "--grid", "6", "--out", str(a)], capsys)
-    run(["scan", "fig3", "--grid", "6", "--threads", "3", "--out", str(b)], capsys)
-    assert a.read_bytes() == b.read_bytes()
+    assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
 def test_scan_custom_momentum(capsys):
@@ -164,6 +157,94 @@ def test_scan_fig2_matches_per_point_witness(variant, capsys):
             assert abs(bound - max(0.0, symmetric)) < 1e-12
 
 
+def _fig2_closed_form(alpha, delta):
+    """The fig2 witness in closed form: (W_symmetric, W_as_printed).
+
+    Derivation.  In the default geometry the momenta lie in the x-y plane
+    at azimuths 0, 120 and 240 degrees and the boost is along z, so label
+    p rotates its spin about n_p = z x p_hat, an in-plane axis at azimuth
+    theta_p = 90, 210, 330 degrees.  With c = cos(delta/2), s = sin(delta/2),
+    U_p = c I - i s (n_p . sigma) has U[0,0] = U[1,1] = c,
+    U[1,0] = -i s e^(i theta_p) and U[0,1] = -i s e^(-i theta_p).
+
+    A permutation momentum state sum_k c_k |L_k> has orthogonal kets, so
+    the reduced spin state is sum_k |c_k|^2 U_(L_k) |psi><psi| U_(L_k)^H
+    with psi = sin(a)|000> + cos(a)|111> (index 0 is up).  Every amplitude
+    of U_L psi below depends on the three angles only through their sum,
+    630 degrees, i.e. e^(i sum theta) = -i, so it is the same for every
+    label assignment L, and the weights |c_k|^2 sum to one: the fig2 output
+    does not depend on the momentum coefficients.  The amplitudes are
+      000: sin(a) c^3 - cos(a) s^3;      111: sin(a) s^3 + cos(a) c^3;
+      one flipped spin:  |amp|^2 = s^2 c^2 sin^2(a + delta/2);
+      two flipped spins: |amp|^2 = s^2 c^2 cos^2(a + delta/2).
+    Hence, with s c = sin(delta)/2, c^3 s^3 = sin^3(delta)/8 and
+    c^6 - s^6 = cos(delta) (1 - sin^2(delta)/4):
+      rho07 = [sin 2a (cos^3 delta + 3 cos delta) - cos 2a sin^3 delta] / 8;
+      rho11 = rho22 = rho44 = sin^2(delta) sin^2(a + delta/2) / 4;
+      rho33 = rho55 = rho66 = sin^2(delta) cos^2(a + delta/2) / 4.
+    The symmetric witness 2|rho07| - 2 sum sqrt(rho_ii rho_jj) over the
+    pairs (1,6), (2,5), (4,3) is then
+      W_sym = 2|rho07| - 3/4 sin^2(delta) |sin(2a + delta)|,
+    and the as-printed pairing (1,6), (2,5), (4,4) gives
+      W_as_printed = 2|rho07| - 1/2 sin^2(delta) |sin(2a + delta)|
+                     - 1/2 sin^2(delta) sin^2(a + delta/2).
+    """
+    sd, cd = np.sin(delta), np.cos(delta)
+    rho07 = (np.sin(2 * alpha) * (cd**3 + 3 * cd) - np.cos(2 * alpha) * sd**3) / 8
+    paired = sd**2 * np.abs(np.sin(2 * alpha + delta))
+    symmetric = 2 * np.abs(rho07) - 0.75 * paired
+    as_printed = (
+        2 * np.abs(rho07) - 0.5 * paired - 0.5 * sd**2 * np.sin(alpha + delta / 2) ** 2
+    )
+    return symmetric, as_printed
+
+
+@pytest.mark.parametrize("variant", ["symmetric", "as-printed"])
+def test_scan_fig2_surface_matches_closed_form(variant, capsys):
+    # the whole default 61x61 surface, for momenta with 6, 1 and 6 complex
+    # terms, against the frozen formula of _fig2_closed_form
+    alphas = np.linspace(0.0, math.pi, 61)
+    deltas = np.linspace(0.0, math.pi / 2.0, 61)
+    a, d = np.meshgrid(alphas, deltas, indexing="ij")
+    symmetric, as_printed = _fig2_closed_form(a, d)
+    expected = symmetric if variant == "symmetric" else as_printed
+    rng = np.random.default_rng(61)
+    custom = rng.normal(size=6) + 1j * rng.normal(size=6)
+    custom /= np.linalg.norm(custom)
+    momenta = {
+        "antisymmetric": antisymmetric_coeffs(),
+        "product": np.eye(6)[0],
+        ",".join(repr(complex(c)) for c in custom): custom,
+    }
+    rotations = spin_rotations(BoostScenario.from_angle(0.0).axes, deltas)
+    for spec, coeffs in momenta.items():
+        code, out, _ = run(
+            ["scan", "fig2", "--momentum", spec, "--variant", variant], capsys
+        )
+        assert code == 0
+        rows = np.array(
+            [[float(tok) for tok in row.split(",")] for row in out.splitlines()[1:]]
+        ).reshape(61, 61, 4)
+        np.testing.assert_allclose(rows[..., 0], a, rtol=0, atol=1e-11)
+        np.testing.assert_allclose(rows[..., 1], d, rtol=0, atol=1e-11)
+        np.testing.assert_allclose(rows[..., 2], expected, rtol=0, atol=1e-11)
+        np.testing.assert_allclose(
+            rows[..., 3], np.maximum(0.0, symmetric), rtol=0, atol=1e-11
+        )
+        # unrounded, from one state per alpha row
+        momentum = permutation_momentum(coeffs)
+        values = np.array(
+            [
+                witness_from_amplitudes(
+                    boosted_spin_terms(compose(momentum, ghz_alpha(alpha)), rotations),
+                    variant.replace("-", "_"),
+                )
+                for alpha in alphas
+            ]
+        )
+        np.testing.assert_allclose(values, expected, rtol=0, atol=1e-14)
+
+
 def test_scan_fig2_cell_matches_mpmath(capsys):
     # The fig2 cell alpha = 0.8 pi, delta = 0.4 pi (antisymmetric momentum),
     # evaluated from the definitions at 30 digits.  Its populations 1, 2
@@ -209,7 +290,9 @@ def test_scan_fig2_cell_matches_mpmath(capsys):
 
 def test_scan_rejects_bad_input(capsys):
     assert run(["scan", "fig2", "--grid", "1"], capsys)[0] == 2
-    assert run(["scan", "fig2", "--threads", "0"], capsys)[0] == 2
+    with pytest.raises(SystemExit) as info:  # no such option
+        cli.main(["scan", "fig2", "--threads", "2"])
+    assert info.value.code == 2
     assert run(["scan", "fig2", "--momentum", "1,2"], capsys)[0] == 2
     assert run(["scan", "fig2", "--momentum", "1,1,0,0,0,0"], capsys)[0] == 2
     assert run(["scan", "fig2", "--momentum", "a,b,c,d,e,f"], capsys)[0] == 2
@@ -307,6 +390,27 @@ def test_boost_command_roundtrip(tmp_path, capsys):
 
     printed = float(out.splitlines()[-1].split()[1])
     assert abs(printed - ghz_witness(rho, validate=False).value) < 1e-10
+
+
+def test_boost_command_mixed_spin_out_matches_written_state(tmp_path, capsys):
+    # a mixture's --spin-out is the reduced density of the boosted mixture
+    # it writes, bit for bit, as for a pure state
+    rng = np.random.default_rng(12)
+    vectors = rng.normal(size=(3, 216)) + 1j * rng.normal(size=(3, 216))
+    vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
+    src = tmp_path / "mixed.json"
+    dst = tmp_path / "out.json"
+    spin_dst = tmp_path / "rho.json"
+    write_state(MixedState(rng.dirichlet(np.ones(3)), vectors), src)
+    code, _, _ = run(
+        ["boost", str(src), "--delta", "0.9", "--out", str(dst),
+         "--spin-out", str(spin_dst)],
+        capsys,
+    )
+    assert code == 0
+    doc = json.loads(spin_dst.read_text())
+    rho = np.array([[complex(re, im) for re, im in row] for row in doc["matrix"]])
+    np.testing.assert_array_equal(rho, read_state(dst).spin_density())
 
 
 def test_boost_command_needs_angle_or_speeds(tmp_path, capsys):

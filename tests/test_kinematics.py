@@ -60,6 +60,12 @@ def test_wigner_angle_limits():
     # ultra-relativistic limit approaches a right angle from below
     gap = math.pi / 2.0 - wigner_angle(20.0, 20.0)
     assert 0.0 < gap < 1e-6
+    # rapidities past ~710 overflow sinh/cosh but not the angle, which
+    # tends to atan(sinh(xi)) as eta grows
+    limit = math.atan(math.sinh(1.0))
+    for eta in (711.0, 1e6):
+        assert abs(wigner_angle(eta, 1.0) - limit) < 1e-15
+        assert abs(wigner_angle(1.0, eta) - limit) < 1e-15
 
 
 @given(
@@ -93,6 +99,12 @@ def test_rotation_axis_degenerate_raises():
         rotation_axis(z, z)
     with pytest.raises(InputError):
         rotation_axis(z, -2.0 * z)
+    # NaN compares false against the degeneracy threshold; it must not pass
+    for p in ([np.nan, 0.0, 0.0], [np.inf, 0.0, 0.0]):
+        with pytest.raises(InputError):
+            rotation_axis(z, p)
+        with pytest.raises(InputError):
+            rotation_axis(p, z)
 
 
 def test_spin_rotation_unitary_su2():
@@ -153,6 +165,9 @@ def test_geometry_normalizes_input():
         MomentumGeometry(particle_speed=0.5, boost_axis=np.array([0.0, 0.0, np.nan]))
     with pytest.raises(InputError):
         spin_rotation(np.array([np.nan, 0.0, 0.0]), 0.3)
+    for delta in (math.nan, math.inf):
+        with pytest.raises(InputError):
+            spin_rotation(np.array([1.0, 0.0, 0.0]), delta)
 
 
 def test_scenario_from_speeds_matches_angle():

@@ -163,19 +163,28 @@ def test_mixed_state_validation_and_density():
     rng = np.random.default_rng(5)
     s1 = CompositeState(haar_vec(216, rng))
     s2 = CompositeState(haar_vec(216, rng))
-    mix = MixedState(weights=(0.3, 0.7), states=(s1, s2))
+    vectors = (s1.vector, s2.vector)
+    mix = MixedState(weights=(0.3, 0.7), vectors=vectors)
     expected = 0.3 * s1.spin_density() + 0.7 * s2.spin_density()
     np.testing.assert_allclose(mix.spin_density(), expected, atol=1e-14)
 
     with pytest.raises(ValidationError):
-        MixedState(weights=(0.5, 0.6), states=(s1, s2))
+        MixedState(weights=(0.5, 0.6), vectors=vectors)
     with pytest.raises(ValidationError):
-        MixedState(weights=(-0.1, 1.1), states=(s1, s2))
+        MixedState(weights=(-0.1, 1.1), vectors=vectors)
     with pytest.raises(ShapeError):
-        MixedState(weights=(1.0,), states=())
+        MixedState(weights=(1.0,), vectors=())
     for weights in ((math.nan, 1.0), (0.5, math.nan)):
         with pytest.raises(ValidationError):
-            MixedState(weights=weights, states=(s1, s2))
+            MixedState(weights=weights, vectors=vectors)
+    # every member row is checked for normalization, NaN included
+    with pytest.raises(ValidationError):
+        MixedState([1.0], (np.ones(216),))  # norm sqrt(216)
+    for bad in (1.001 * s2.vector, np.where(np.arange(216) == 0, np.nan, s2.vector)):
+        with pytest.raises(ValidationError):
+            MixedState(weights=(0.3, 0.7), vectors=(s1.vector, bad))
+    with pytest.raises(ShapeError):
+        MixedState([1.0], np.ones(8) / math.sqrt(8))
 
 
 def test_nan_amplitudes_fail_normalization():
@@ -244,18 +253,14 @@ def test_state_file_roundtrip_mixed(tmp_path):
     rng = np.random.default_rng(7)
     mix = MixedState(
         weights=(0.25, 0.75),
-        states=(
-            CompositeState(haar_vec(216, rng)),
-            CompositeState(haar_vec(216, rng)),
-        ),
+        vectors=np.array([haar_vec(216, rng), haar_vec(216, rng)]),
     )
     path = tmp_path / "mixed.json"
     write_state(mix, path)
     back = read_state(path)
     assert isinstance(back, MixedState)
     np.testing.assert_allclose(back.weights, mix.weights, atol=0)
-    for a, b in zip(back.states, mix.states):
-        np.testing.assert_allclose(a.vector, b.vector, atol=0)
+    np.testing.assert_allclose(back.vectors, mix.vectors, atol=0)
 
 
 def test_state_file_roundtrip_spin(tmp_path):
@@ -318,3 +323,10 @@ def test_state_file_rejects_bad_ensemble(tmp_path):
     path.write_text(json.dumps({"ensemble": [{"weight": True, "amps": amps}]}))
     with pytest.raises(StateFileError, match="weight must be > 0"):
         read_state(path)
+    # weights and member norms are MixedState's checks, reported with the path
+    for weight, scale, message in ((0.9, 1.0, "sum to"), (1.0, 2.0, "normalized")):
+        member = {"weight": weight, "amps": [[scale * a, 0.0] for a, _ in amps]}
+        path.write_text(json.dumps({"ensemble": [member]}))
+        with pytest.raises(StateFileError, match=message) as info:
+            read_state(path)
+        assert str(path) in str(info.value)
