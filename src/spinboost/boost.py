@@ -5,10 +5,11 @@ momentum label is kept (the observer relabels all momenta coherently,
 so amplitudes ride along with their labels) while the spin is rotated
 about that label's axis.  Two equivalent routes are provided:
 
-* boosted_amplitudes / boost_pure / boost_mixed — the per-particle
-  rotations applied to the 216-amplitude tensor, batched over boost
-  angles and mixture members; build_boost_unitary assembles the full
-  216x216 unitary as the brute-force reference it is tested against;
+* boosted_amplitudes / boost_pure / boost_mixed — each particle's
+  block-diagonal 6x6 rotation applied to its axis of the 216-amplitude
+  tensor (linalg.apply_local), batched over boost angles and mixture
+  members; build_boost_unitary assembles the full 216x216 unitary from
+  the same blocks as the brute-force reference it is tested against;
 * boosted_spin_terms / composite_spin_ensemble — the mixture the reduced
   spin state collapses to: expand the state over the 27 momentum basis
   kets, each carrying its own spin row and the local rotation of its
@@ -16,11 +17,12 @@ about that label's axis.  Two equivalent routes are provided:
   whose nonzero kets are the six label assignments; a MixedState
   contributes the kets of every member.
 
-The mixture route also yields a SpinEnsemble: the explicit list of
-(weight, local rotation, base vector) terms whose mixture is the
-reduced spin state.  Because each term applies a *local* unitary to a
-pure spin state, the ensemble certifies that boosting cannot move a
-state between local-unitary entanglement classes.
+Both routes rotate amplitudes factor by factor; no 8x8 product of
+rotations is formed.  The mixture route also yields a SpinEnsemble: the
+explicit list of (weight, three 2x2 rotations, base vector) terms whose
+mixture is the reduced spin state.  Because each term applies a *local*
+unitary to a pure spin state, the ensemble certifies that boosting
+cannot move a state between local-unitary entanglement classes.
 """
 
 from __future__ import annotations
@@ -29,10 +31,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import COMPOSITE_DIM, COMPOSITE_DIMS, MOMENTUM_DIM, SPIN_DIM
+from .constants import COMPOSITE_DIM, MOMENTUM_DIM, SPIN_DIM, SPIN_DIMS
 from .errors import ShapeError
-from .kinematics import BoostScenario, local_unitaries
-from .linalg import kron
+from .kinematics import BoostScenario
+from .linalg import apply_local, kron
 from .states import (
     CompositeState,
     MixedState,
@@ -63,23 +65,24 @@ class SpinEnsemble:
     """Mixture certificate for a reduced spin state.
 
     Term k contributes weights[k] * |psi_k><psi_k| with psi_k = U_k phi_k,
-    where U_k = unitaries[k] is a product of three single-qubit rotations
-    and phi_k = base_vectors[k].
+    where U_k is the product of the three single-qubit rotations
+    rotations[k] (shape (3, 2, 2)) and phi_k = base_vectors[k].  U_k is
+    local by construction.
     """
 
     weights: np.ndarray
-    unitaries: np.ndarray
+    rotations: np.ndarray
     base_vectors: np.ndarray
 
     def __post_init__(self):
         w = _mixture_weights(self.weights, "ensemble")
-        u = np.asarray(self.unitaries, dtype=np.complex128)
+        r = np.asarray(self.rotations, dtype=np.complex128)
         vecs = np.asarray(self.base_vectors, dtype=np.complex128)
         k = w.size
-        if u.shape != (k, SPIN_DIM, SPIN_DIM) or vecs.shape != (k, SPIN_DIM):
+        if r.shape != (k, 3, 2, 2) or vecs.shape != (k, SPIN_DIM):
             raise ShapeError("ensemble arrays have inconsistent shapes")
         object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "unitaries", u)
+        object.__setattr__(self, "rotations", r)
         object.__setattr__(self, "base_vectors", vecs)
 
     def __len__(self) -> int:
@@ -87,7 +90,7 @@ class SpinEnsemble:
 
     def amplitudes(self) -> np.ndarray:
         """The rotated term states psi_k = U_k phi_k, shape (K, 8)."""
-        return np.einsum("kij,kj->ki", self.unitaries, self.base_vectors)
+        return _rotate_kets(self.rotations, self.base_vectors)
 
     def mix(self) -> np.ndarray:
         """The 8x8 density matrix sum_k w_k U_k |phi_k><phi_k| U_k^H."""
@@ -99,13 +102,27 @@ def _mixture(chi: np.ndarray) -> np.ndarray:
     return np.einsum("...ki,...kj->...ij", chi, chi.conj())
 
 
+def _rotate_kets(factors: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    # chi_k = (f_k0 (x) f_k1 (x) f_k2) rows_k for per-ket rotations
+    # factors (..., K, 3, 2, 2) and spin rows (K, 8); shape (..., K, 8)
+    return apply_local([factors[..., i, :, :] for i in range(3)], rows, SPIN_DIMS)
+
+
+def _momentum_blocks(rotations: np.ndarray) -> np.ndarray:
+    # Per-particle factor sum_p |p><p| (x) U_p: label rotations
+    # (..., 3, 2, 2) on the diagonal of a (..., 6, 6) block matrix
+    r = np.asarray(rotations, dtype=np.complex128)
+    blocks = np.zeros(r.shape[:-3] + (3, 2, 3, 2), dtype=np.complex128)
+    for p in range(3):
+        blocks[..., p, :, p, :] = r[..., p, :, :]
+    return blocks.reshape(r.shape[:-3] + (6, 6))
+
+
 def build_boost_unitary(scenario: BoostScenario) -> BoostUnitary:
     """Assemble the 216x216 boost: per particle, a block-diagonal 6x6
     momentum-controlled spin rotation, tensored over the three particles.
     The reference boost_pure is checked against."""
-    block = np.zeros((6, 6), dtype=np.complex128)
-    for p in range(3):
-        block[2 * p : 2 * p + 2, 2 * p : 2 * p + 2] = scenario.rotation(p)
+    block = _momentum_blocks(scenario.rotations())
     return BoostUnitary(matrix=kron([block, block, block]))
 
 
@@ -113,21 +130,19 @@ def boosted_amplitudes(state, rotations: np.ndarray) -> np.ndarray:
     """Boosted amplitudes of pure states for a batch of boosts.
 
     Every particle's spin is rotated by the rotation of the momentum label
-    it carries: one einsum over the (..., 3, 2, 3, 2, 3, 2) amplitude
-    tensor, no 216x216 matrix.  `state` is a CompositeState or amplitudes
-    of shape (..., 216), e.g. the members of a MixedState; `rotations`
-    holds per-label rotations of shape (..., 3, 2, 2), e.g.
-    spin_rotations(axes, deltas) for a sweep.  The batch axes of both
-    broadcast; the result has shape (..., 216).
+    it carries: its block-diagonal 6x6 factor acts on its axis of the
+    (..., 6, 6, 6) amplitude tensor, no 216x216 matrix.  `state` is a
+    CompositeState or amplitudes of shape (..., 216), e.g. the members of
+    a MixedState; `rotations` holds per-label rotations of shape
+    (..., 3, 2, 2), e.g. spin_rotations(axes, deltas) for a sweep.  The
+    batch axes of both broadcast; the result has shape (..., 216).
     """
     if isinstance(state, CompositeState):
         vec = state.vector
     else:
         vec = _state_rows(state, COMPOSITE_DIM, "composite state")
-    t = vec.reshape(vec.shape[:-1] + COMPOSITE_DIMS)
-    r = np.asarray(rotations, dtype=np.complex128)
-    out = np.einsum("...axi,...byj,...czk,...aibjck->...axbycz", r, r, r, t)
-    return out.reshape(out.shape[:-6] + (COMPOSITE_DIM,))
+    block = _momentum_blocks(rotations)
+    return apply_local([block, block, block], vec, (6, 6, 6))
 
 
 def boost_pure(state: CompositeState, scenario: BoostScenario) -> CompositeState:
@@ -171,7 +186,7 @@ def boosted_spin_terms(state, rotations: np.ndarray) -> np.ndarray:
     sum_k |chi_kj|^2, nonnegative by construction.
     """
     labels, rows, _ = _momentum_kets(state)
-    return (local_unitaries(labels, rotations) @ rows[..., None])[..., 0]
+    return _rotate_kets(np.asarray(rotations)[..., labels, :, :], rows)
 
 
 def boosted_spin_density_fast(coeffs, spin, scenario: BoostScenario) -> np.ndarray:
@@ -185,12 +200,12 @@ def composite_spin_ensemble(
     state: CompositeState | MixedState, scenario: BoostScenario
 ) -> SpinEnsemble:
     """The mixture route as a certificate: term k has weight |m_k|^2, base
-    vector m_k / |m_k| and the local rotation U(m1) (x) U(m2) (x) U(m3) of
-    its momentum ket |m1 m2 m3>.  For a mixture with weights q_i the terms
+    vector m_k / |m_k| and the rotations (U(m1), U(m2), U(m3)) of its
+    momentum ket |m1 m2 m3>.  For a mixture with weights q_i the terms
     of member i weigh q_i |m_k^i|^2."""
     labels, rows, w = _momentum_kets(state)
     return SpinEnsemble(
         weights=w,
-        unitaries=local_unitaries(labels, scenario.rotations()),
+        rotations=scenario.rotations()[labels],
         base_vectors=rows / np.sqrt(w)[:, None],
     )

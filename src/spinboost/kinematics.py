@@ -18,7 +18,7 @@ import numpy as np
 
 from .constants import ATOL_PHYSICS, MOMENTUM_LABELS
 from .errors import InputError, ShapeError
-from .linalg import kron_batched
+from .linalg import kron
 
 _AXIS_DEGENERATE = 1e-12
 
@@ -207,30 +207,14 @@ def momentum_label_index(label: int | str) -> int:
     return idx
 
 
-def local_unitaries(assignments, rotations: np.ndarray) -> np.ndarray:
-    """8x8 spin rotations for a batch of momentum-label assignments.
-
-    Row k of `assignments` (K, 3) lists, per particle slot 1..3, the label
-    index (0, 1 or 2) that particle carries; `rotations` holds per-label
-    rotations of shape (..., 3, 2, 2), e.g. scenario.rotations() or
-    spin_rotations(axes, deltas) for a sweep.  Unitary k is the tensor
-    product of the three single-particle Wigner rotations; the result has
-    shape (..., K, 8, 8), all formed at once.
-    """
-    r = np.asarray(rotations, dtype=np.complex128)
-    r = r[..., np.asarray(assignments, dtype=np.intp), :, :]  # (..., K, 3, 2, 2)
-    return kron_batched([r[..., 0, :, :], r[..., 1, :, :], r[..., 2, :, :]])
-
-
 def local_unitary(assignment, scenario: BoostScenario) -> np.ndarray:
     """8x8 spin rotation for particles carrying the given ordered momentum labels.
 
     `assignment` lists, per particle slot 1..3, which momentum label
     ('A'/'B'/'C' or 0/1/2) that particle carries; the result is the tensor
-    product of the three single-particle Wigner rotations (a batch of one
-    local_unitaries).
+    product of the three single-particle Wigner rotations.
     """
     labels = [momentum_label_index(a) for a in assignment]
     if len(labels) != 3:
         raise InputError(f"assignment must name three labels, got {assignment!r}")
-    return local_unitaries([labels], scenario.rotations())[0]
+    return kron(list(scenario.rotations()[labels]))

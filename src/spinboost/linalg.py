@@ -2,6 +2,8 @@
 
 Factor shapes are plain tuples of ints (e.g. (3,2,3,2,3,2)); states and
 operators are flat numpy arrays indexed big-endian in the factor order.
+apply_local rotates amplitudes factor by factor, kron(factors) @ amps
+without the product matrix, for batches of factors and amplitudes alike.
 Partial traces are single einsum contractions and Hermitian spectra come
 from LAPACK (numpy.linalg.eigh); the tests check both against
 independent identities rather than against numpy itself.
@@ -9,6 +11,7 @@ independent identities rather than against numpy itself.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -41,39 +44,38 @@ def kron(ops: Sequence[np.ndarray]) -> np.ndarray:
     kron([a@c, b@d]) and is associative by construction.
     """
     mats = [np.asarray(op, dtype=np.complex128) for op in ops]
-    for m in mats:
-        if m.ndim != 2:
-            raise ShapeError("kron operands must be matrices")
-    return kron_batched(mats)
+    if not mats or any(m.ndim != 2 for m in mats):
+        raise ShapeError("kron needs one or more matrices")
+    return functools.reduce(np.kron, mats)
 
 
-def kron_batched(ops: Sequence[np.ndarray]) -> np.ndarray:
-    """Tensor products of stacks of matrices, left factor slowest.
+def apply_local(
+    factors: Sequence[np.ndarray], amps: np.ndarray, dims: Sequence[int]
+) -> np.ndarray:
+    """kron(factors) @ amps without forming the product matrix.
 
-    ops[i] has shape (..., m_i, n_i) with broadcastable leading axes; the
-    result has shape (..., prod m_i, prod n_i).  Each product is formed
-    left to right by broadcasting, the same multiplications np.kron
-    makes, so every item equals kron of its factors bit for bit.  The
-    matrix axes are moved in front of the batch axes while multiplying,
-    so each elementwise product runs along the whole batch rather than
-    over tiny matrix rows; a batched result is returned as a view whose
-    batch axes are innermost in memory (no transposing copy).
+    Factor i, of shape (..., d_i, d_i), acts on tensor axis i of the
+    amplitudes, of shape (..., prod dims).  The batch axes of the factors
+    and the amplitudes broadcast; the result has shape (batch..., prod
+    dims).  Each factor is one stacked matmul, so a batch item equals its
+    batch-of-one call bit for bit.  Step i contracts the leading tensor
+    axis, which is axis i, and appends the result as the last axis, so
+    after every factor the axes are back in order and no step copies.
     """
-    if len(ops) == 0:
-        raise ShapeError("kron needs at least one operator")
-    mats = [np.asarray(op, dtype=np.complex128) for op in ops]
-    nb = max(m.ndim for m in mats) - 2
-    out = None
-    for m in mats:
-        m = m.reshape((1,) * (nb + 2 - m.ndim) + m.shape)
-        m = np.ascontiguousarray(np.moveaxis(m, (-2, -1), (0, 1)))
-        if out is None:
-            out = m
-            continue
-        prod = out[:, None, :, None] * m[None, :, None, :]
-        r, ri, c, ci = prod.shape[:4]
-        out = prod.reshape((r * ri, c * ci) + prod.shape[4:])
-    return np.moveaxis(out, (0, 1), (-2, -1))
+    dims = tuple(int(d) for d in dims)
+    fs = [np.asarray(f, dtype=np.complex128) for f in factors]
+    a = np.asarray(amps, dtype=np.complex128)
+    if len(fs) != len(dims) or any(f.shape[-2:] != (d, d) for f, d in zip(fs, dims)):
+        raise ShapeError(f"factors do not match factor dims {dims}")
+    if a.shape[-1:] != (int(np.prod(dims)),):
+        raise ShapeError(f"amplitude shape {a.shape} does not match factor dims {dims}")
+    batch = np.broadcast_shapes(a.shape[:-1], *(f.shape[:-2] for f in fs))
+    n = a.shape[-1]
+    t = np.broadcast_to(a, batch + (n,))
+    for f, d in zip(fs, dims):
+        t = t.reshape(batch + (d, n // d))
+        t = (np.swapaxes(t, -1, -2) @ np.swapaxes(f, -1, -2)).reshape(batch + (n,))
+    return t
 
 
 def _check_factored(mat: np.ndarray, dims: Sequence[int]) -> tuple[int, ...]:
@@ -130,7 +132,9 @@ def hermitian_eigen(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     h = np.asarray(h, dtype=np.complex128)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ShapeError(f"expected a square matrix, got shape {h.shape}")
-    if frob(h - dagger(h)) > HERMITIAN_ATOL * max(1.0, frob(h)):
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, which fails
+        asymmetry = frob(h - dagger(h))
+    if not asymmetry <= HERMITIAN_ATOL * max(1.0, frob(h)):
         raise ValidationError("matrix is not Hermitian within tolerance")
     try:
         w, v = np.linalg.eigh((h + dagger(h)) / 2.0)

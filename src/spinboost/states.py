@@ -336,7 +336,7 @@ def read_state(path) -> StateLike:
         if dims == list(SPIN_DIMS):
             amps = _amps_from_json(doc.get("amps"), SPIN_DIM, path)
             return _as_state_vector(amps, SPIN_DIM, "spin state")
-    except ValidationError as exc:
+    except (ValidationError, OverflowError) as exc:  # e.g. a JSON int of 10**400
         raise StateFileError(f"{path}: {exc}") from exc
     raise StateFileError(
         f"{path}: dims must be {list(COMPOSITE_DIMS)} or {list(SPIN_DIMS)}, got {dims}"

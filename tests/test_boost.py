@@ -19,6 +19,7 @@ from spinboost import (
     antisymmetric_coeffs,
     boost_mixed,
     boost_pure,
+    boosted_amplitudes,
     boosted_spin_density_fast,
     boosted_spin_terms,
     build_boost_unitary,
@@ -31,7 +32,7 @@ from spinboost import (
     w_state,
 )
 from spinboost.constants import PERMUTATIONS
-from spinboost.linalg import partial_trace, projector
+from spinboost.linalg import kron, partial_trace, projector
 
 
 def haar_vec(dim, rng):
@@ -128,7 +129,7 @@ def test_permutation_ensemble_structure():
     np.testing.assert_allclose(ens.weights.sum(), 1.0, atol=1e-13)
     np.testing.assert_allclose(ens.weights, np.abs(coeffs[kept]) ** 2, atol=1e-13)
     for k, i in enumerate(kept):
-        u = ens.unitaries[k]
+        u = kron(list(ens.rotations[k]))
         np.testing.assert_allclose(u @ u.conj().T, np.eye(8), atol=1e-13)
         np.testing.assert_array_equal(u, local_unitary(PERMUTATIONS[i], sc))
         phase = coeffs[i] / abs(coeffs[i])
@@ -185,7 +186,7 @@ def test_boost_mixed_linearity():
 
 
 def test_spin_ensemble_validation():
-    eye = np.eye(8, dtype=np.complex128)[None]
+    eye = np.broadcast_to(np.eye(2, dtype=np.complex128), (1, 3, 2, 2))
     vec = np.zeros((1, 8), dtype=np.complex128)
     vec[0, 0] = 1.0
     SpinEnsemble(np.array([1.0]), eye, vec)
@@ -194,8 +195,8 @@ def test_spin_ensemble_validation():
     with pytest.raises(ValidationError):
         SpinEnsemble(np.array([-1.0, 2.0]), np.repeat(eye, 2, 0),
                      np.repeat(vec, 2, 0))
-    with pytest.raises(ShapeError):
-        SpinEnsemble(np.array([1.0]), eye[:, :4, :4], vec)
+    with pytest.raises(ShapeError):  # an 8x8 unitary is not three factors
+        SpinEnsemble(np.array([1.0]), np.eye(8, dtype=np.complex128)[None], vec)
     with pytest.raises(ValidationError):  # NaN is neither positive nor 1
         SpinEnsemble(np.array([np.nan]), eye, vec)
 
@@ -205,8 +206,8 @@ def test_mix_is_weighted_sum_of_rotated_projectors():
     state = compose(haar_vec(27, rng), haar_vec(8, rng))
     ens = composite_spin_ensemble(state, BoostScenario.from_angle(1.2))
     expected = sum(
-        w * projector(u @ v)
-        for w, u, v in zip(ens.weights, ens.unitaries, ens.base_vectors)
+        w * projector(kron(list(r)) @ v)
+        for w, r, v in zip(ens.weights, ens.rotations, ens.base_vectors)
     )
     np.testing.assert_allclose(ens.mix(), expected, atol=1e-14)
 
@@ -223,6 +224,15 @@ def test_einsum_boost_matches_unitary_matrix():
                    - build_boost_unitary(sc).matrix @ v).max(),
         )
     assert worst < 1e-13
+    # one call over a (G, 3, 2, 2) sweep matches every angle's matrix
+    deltas = np.linspace(0.0, math.pi / 2, 6)
+    axes = BoostScenario.from_angle(0.0).axes
+    v = haar_vec(216, rng)
+    swept = boosted_amplitudes(v, spin_rotations(axes, deltas))
+    assert swept.shape == (6, 216)
+    for g, delta in enumerate(deltas):
+        expected = build_boost_unitary(BoostScenario.from_angle(delta)).matrix @ v
+        np.testing.assert_allclose(swept[g], expected, atol=1e-13)
 
 
 def test_permutation_amplitudes_batch_matches_single_points():

@@ -9,6 +9,7 @@ from spinboost import (
     BoostScenario,
     ClassCertificate,
     InputError,
+    ShapeError,
     SpinEnsemble,
     ValidationError,
     check_condition1,
@@ -26,6 +27,7 @@ from spinboost.boost import boost_pure
 from spinboost.classcheck import (
     SPIN_BIPARTITIONS,
     _all_partitions,
+    _haar_factors,
     _haar_unitary_qr,
     single_qubit_spectra,
 )
@@ -82,6 +84,30 @@ def test_random_local_unitary_structure():
     np.testing.assert_allclose(again.matrix(), m, atol=0)  # deterministic
     with pytest.raises(InputError):
         random_local_unitary((2, 1), seed=99)
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 2), COMPOSITE_DIMS])
+def test_haar_factors_match_per_seed_draws(dims):
+    # every seed's factors equal a draw from its own Generator, bit for
+    # bit: Gaussian stacks per distinct dimension in first-seen order,
+    # each orthonormalized by its own QR
+    seeds = [40 + t for t in range(7)]
+    batched = _haar_factors(dims, seeds)
+    assert [f.shape for f in batched] == [(7, d, d) for d in dims]
+    for t, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        stacks = {}
+        for d in dict.fromkeys(dims):
+            shape = (dims.count(d), d, d)
+            g = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            stacks[d] = iter(_haar_unitary_qr(g))
+        single = random_local_unitary(dims, seed).factors
+        for i, d in enumerate(dims):
+            expected = next(stacks[d])
+            np.testing.assert_array_equal(batched[i][t], expected)
+            np.testing.assert_array_equal(single[i], expected)
+    with pytest.raises(InputError):  # condition1 still rejects 1-dim factors
+        check_condition1(ghz_state(), (1, 8), trials=2, seed=1)
 
 
 def test_spin_bipartitions_catalog():
@@ -152,7 +178,7 @@ def test_condition1_reports_failures_at_impossible_tolerance():
 
 
 def _condition1_per_trial(vec, dims, trials, seed, specs, atol):
-    # One kron matrix and one evaluation of every invariant per trial.
+    # One sample applied and one evaluation of every invariant per trial.
     base_conc = [m_concurrence_pure(vec, spec, dims) for spec in specs]
     base_tangle = three_tangle(vec) if dims == (2, 2, 2) else None
     failing, max_conc, max_tangle = [], 0.0, 0.0
@@ -219,7 +245,6 @@ def test_certificate_verifies_boosted_reduction():
     assert rep.max_spectrum_deviation < 1e-12
     assert rep.max_tangle_deviation < 1e-12
     assert rep.max_unitarity_error < 1e-13
-    assert rep.max_locality_defect < 1e-13
     assert rep.max_base_deviation < 1e-13
 
 
@@ -254,7 +279,7 @@ def test_forged_certificate_fails():
     # the base vectors alone, so the claim must fail reconstruction.
     rng = np.random.default_rng(30)
     base, other = haar_state(8, rng), haar_state(8, rng)
-    eye = np.eye(8, dtype=np.complex128)[None]
+    eye = np.broadcast_to(ID2, (1, 3, 2, 2))
     with pytest.raises(TypeError):
         SpinEnsemble(np.array([1.0]), eye, bases=projector(other)[None],
                      base_vectors=base[None])
@@ -277,7 +302,7 @@ def test_nan_base_state_certificate_fails():
     with pytest.raises(ValidationError):
         verify_certificate(ClassCertificate(np.full(8, np.nan), honest), rho)
     nan_term = SpinEnsemble(
-        honest.weights, honest.unitaries, np.full_like(honest.base_vectors, np.nan)
+        honest.weights, honest.rotations, np.full_like(honest.base_vectors, np.nan)
     )
     with pytest.raises(ValidationError):  # rotated terms are not normalized
         verify_certificate(ClassCertificate(spin, nan_term), rho)
@@ -304,33 +329,29 @@ def test_single_qubit_spectra_match_eigensolver():
     np.testing.assert_allclose(single_qubit_spectra(ghz_state()), 0.5, atol=1e-15)
 
 
-def _single_term_certificate(base, unitary, base_vector):
-    ens = SpinEnsemble(np.array([1.0]), unitary[None], base_vector[None])
+def _single_term_certificate(base, factors, base_vector):
+    ens = SpinEnsemble(np.array([1.0]), np.array(factors)[None], base_vector[None])
     return ClassCertificate(base, ens), ens.mix()
 
 
 def test_certificate_rejects_nonlocal_unitary():
     # CNOT (x) I leaves |000> unchanged, so reconstruction and every
-    # invariant match; only the locality check can catch it.
+    # invariant would match; a term stores three 2x2 factors, so a
+    # nonlocal U_k cannot enter a certificate at all.
     cnot = np.eye(4)[[0, 1, 3, 2]]
     base = np.eye(8, dtype=np.complex128)[0]
-    cert, rho = _single_term_certificate(base, np.kron(cnot, np.eye(2)), base)
-    rep = verify_certificate(cert, rho)
-    assert not rep.passed
-    assert rep.failing_terms == (0,)
-    assert rep.max_locality_defect > 0.1
-    assert max(rep.max_spectrum_deviation, rep.max_tangle_deviation) < 1e-15
+    with pytest.raises(ShapeError):
+        _single_term_certificate(base, np.kron(cnot, np.eye(2)), base)
 
 
 def test_certificate_rejects_nonunitary_factor():
     # diag(1, 1/2) on qubit 1 is local and fixes |000>, but is not unitary
     base = np.eye(8, dtype=np.complex128)[0]
-    u = np.kron(np.diag([1.0, 0.5]), np.eye(4))
-    cert, rho = _single_term_certificate(base, u, base)
+    cert, rho = _single_term_certificate(base, [np.diag([1.0, 0.5]), ID2, ID2], base)
     rep = verify_certificate(cert, rho)
     assert not rep.passed
+    assert rep.failing_terms == (0,)
     assert rep.max_unitarity_error > 0.1
-    assert rep.max_locality_defect < 1e-15
 
 
 def test_certificate_rejects_lu_equivalent_base_vector():
@@ -339,13 +360,11 @@ def test_certificate_rejects_lu_equivalent_base_vector():
     rng = np.random.default_rng(33)
     base = haar_state(8, rng)
     flipped = np.kron(np.kron(PAULI_X, ID2), ID2) @ base
-    cert, rho = _single_term_certificate(base, np.eye(8, dtype=np.complex128), flipped)
+    cert, rho = _single_term_certificate(base, [ID2, ID2, ID2], flipped)
     rep = verify_certificate(cert, rho)
     assert not rep.passed
     assert rep.max_base_deviation > 0.1
     assert max(rep.max_spectrum_deviation, rep.max_tangle_deviation) < 1e-12
     # ... while a global phase on the base vector is fine
-    cert, rho = _single_term_certificate(
-        base, np.eye(8, dtype=np.complex128), np.exp(0.3j) * base
-    )
+    cert, rho = _single_term_certificate(base, [ID2, ID2, ID2], np.exp(0.3j) * base)
     assert verify_certificate(cert, rho).passed

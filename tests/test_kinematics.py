@@ -15,10 +15,9 @@ from spinboost import (
     rapidity,
     rotation_axis,
     spin_rotation,
-    spin_rotations,
     wigner_angle,
 )
-from spinboost.kinematics import default_directions, local_unitaries, local_unitary
+from spinboost.kinematics import default_directions, local_unitary
 
 # Independently computed: atan(8/15) for observer and particle speeds 0.8.
 DELTA_08 = 0.4899573262537283
@@ -215,17 +214,9 @@ def test_local_unitary_factorization():
         np.kron(sc.rotation(2), sc.rotation(0)), sc.rotation(1)
     )
     np.testing.assert_allclose(u_perm, expected, atol=1e-14)
-    # the batch over all 27 assignments equals kron of the rotations
-    labels = np.indices((3, 3, 3)).reshape(3, 27).T
-    batch = local_unitaries(labels, sc.rotations())
-    assert batch.shape == (27, 8, 8)
+    # every one of the 27 assignments equals np.kron of its rotations
     rot = sc.rotations()
-    for (a, b, c), u in zip(labels, batch):
-        np.testing.assert_array_equal(u, np.kron(np.kron(rot[a], rot[b]), rot[c]))
-    # a sweep's (G, 3, 2, 2) rotations give one (G, K, 8, 8) batch
-    deltas = np.array([0.0, 0.4, 1.1])
-    sweep = local_unitaries(labels[:5], spin_rotations(sc.axes, deltas))
-    assert sweep.shape == (3, 5, 8, 8)
-    for g, delta in enumerate(deltas):
-        single = BoostScenario.from_angle(delta).rotations()
-        np.testing.assert_array_equal(sweep[g], local_unitaries(labels[:5], single))
+    for a, b, c in np.indices((3, 3, 3)).reshape(3, 27).T:
+        np.testing.assert_array_equal(
+            local_unitary((a, b, c), sc), np.kron(np.kron(rot[a], rot[b]), rot[c])
+        )

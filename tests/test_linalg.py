@@ -20,8 +20,8 @@ from spinboost import (
 from spinboost.linalg import (
     dagger,
     frob,
+    apply_local,
     kron,
-    kron_batched,
     projector,
     purity_unchecked,
 )
@@ -71,18 +71,40 @@ def test_kron_matches_numpy():
     mats = [rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) for d in (2, 3, 2)]
     expected = np.kron(np.kron(mats[0], mats[1]), mats[2])
     np.testing.assert_allclose(kron(mats), expected, atol=1e-13)
-    # a stack of products equals kron item by item, bit for bit, also for
-    # rectangular factors
-    stacks = [rng.normal(size=(5, d, d + 1)) + 1j * rng.normal(size=(5, d, d + 1))
-              for d in (2, 3, 2)]
-    batched = kron_batched(stacks)
-    assert batched.shape == (5, 12, 36)
-    for t in range(5):
-        np.testing.assert_array_equal(batched[t], kron([s[t] for s in stacks]))
     with pytest.raises(ShapeError):
         kron([])
     with pytest.raises(ShapeError):
         kron([np.ones(2)])
+
+
+def _random_matrices(rng, shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+@pytest.mark.parametrize("dims", [(3, 2, 4), (2, 2, 2)])
+@pytest.mark.parametrize(
+    "factor_batch, amp_batch",
+    [((5,), ()), ((), (5,)), ((5, 1), (1, 4)), ((4,), (3, 4))],
+    ids=["factors", "amplitudes", "outer", "shared"],
+)
+def test_apply_local_matches_kron(dims, factor_batch, amp_batch):
+    # factor i acts on tensor axis i; batch axes of factors and amplitudes
+    # broadcast, and each batch item equals its batch-of-one call exactly
+    rng = np.random.default_rng(sum(dims) + len(factor_batch) + 3 * len(amp_batch))
+    factors = [_random_matrices(rng, factor_batch + (d, d)) for d in dims]
+    amps = _random_matrices(rng, amp_batch + (int(np.prod(dims)),))
+    out = apply_local(factors, amps, dims)
+    batch = np.broadcast_shapes(factor_batch, amp_batch)
+    assert out.shape == batch + amps.shape[-1:]
+    for idx in np.ndindex(*batch):
+        fs = [np.broadcast_to(f, batch + f.shape[-2:])[idx] for f in factors]
+        a = np.broadcast_to(amps, batch + amps.shape[-1:])[idx]
+        np.testing.assert_allclose(out[idx], kron(fs) @ a, atol=1e-13)
+        np.testing.assert_array_equal(out[idx], apply_local(fs, a, dims))
+    with pytest.raises(ShapeError):
+        apply_local(factors[:2], amps, dims)
+    with pytest.raises(ShapeError):
+        apply_local(factors, amps[..., :-1], dims)
 
 
 @pytest.mark.parametrize("keep", [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)])
@@ -178,9 +200,14 @@ def test_hermitian_eigen_degenerate_and_diagonal():
 def test_hermitian_eigen_rejects_bad_input():
     with pytest.raises(ShapeError):
         hermitian_eigen(np.ones((2, 3)))
-    m = np.array([[0.0, 1.0], [0.0, 0.0]])
-    with pytest.raises(ValidationError):
-        hermitian_eigen(m)
+    bad = [
+        np.array([[0.0, 1.0], [0.0, 0.0]]),
+        np.full((4, 4), np.nan),  # NaN must fail the guard, not reach LAPACK
+        np.diag([np.inf, 1.0, 1.0, 1.0]),
+    ]
+    for m in bad:  # the suite turns warnings into errors, so none may be raised
+        with pytest.raises(ValidationError):
+            hermitian_eigen(m)
 
 
 def test_hermitian_eigen_nonconvergence_raises(monkeypatch):

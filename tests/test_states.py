@@ -306,6 +306,14 @@ def test_state_file_diagnostics(tmp_path):
     with pytest.raises(StateFileError, match="norm"):
         read_state(path)
 
+    # a JSON integer beyond float range
+    amps = [[0.0, 0.0]] * 8
+    amps[0] = [10**400, 0]
+    path.write_text(json.dumps({"dims": [2, 2, 2], "amps": amps}))
+    with pytest.raises(StateFileError, match="too large") as info:
+        read_state(path)
+    assert str(path) in str(info.value)
+
     with pytest.raises(StateFileError, match="cannot read"):
         read_state(tmp_path / "missing.json")
 
@@ -323,6 +331,10 @@ def test_state_file_rejects_bad_ensemble(tmp_path):
     path.write_text(json.dumps({"ensemble": [{"weight": True, "amps": amps}]}))
     with pytest.raises(StateFileError, match="weight must be > 0"):
         read_state(path)
+    path.write_text(json.dumps({"ensemble": [{"weight": 10**400, "amps": amps}]}))
+    with pytest.raises(StateFileError, match="too large") as info:
+        read_state(path)
+    assert str(path) in str(info.value)
     # weights and member norms are MixedState's checks, reported with the path
     for weight, scale, message in ((0.9, 1.0, "sum to"), (1.0, 2.0, "normalized")):
         member = {"weight": weight, "amps": [[scale * a, 0.0] for a, _ in amps]}
