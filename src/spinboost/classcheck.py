@@ -1,47 +1,56 @@
 """Executable checks that boosting preserves entanglement structure.
 
-Two properties are checked.  First, LU invariance: the three-tangle and
-every m-concurrence are unchanged when each factor is rotated by an
-independent random unitary — and a boost of a separable-momentum state
-acts exactly like such a rotation on the spins.  Second, ensemble
-certificates: the reduced spin state a boost produces decomposes into
-weighted terms U_k |phi><phi| U_k^H with *local* U_k, so every term
-stays in the local-unitary class of the unboosted spin state.  A
-certificate stores each U_k as its three 2x2 factors, so it is local by
-construction; it is verified by checking that every factor is unitary
-and every base vector is the base state, reconstructing the density
-matrix, and comparing LU invariants term against base.
-
-All sampling is driven by numpy's seeded Generator, so every check is
-reproducible from its seed.
+Three suites return (passed, report lines).  condition1_suite, LU
+invariance: the three-tangle and every m-concurrence are unchanged when
+each factor is rotated by an independent random unitary — and a boost of
+a separable-momentum state acts exactly like such a rotation on the
+spins.  condition2_suite, ensemble certificates: the reduced spin state
+a boost produces decomposes into weighted terms U_k |phi><phi| U_k^H with
+*local* U_k (stored as three 2x2 factors), so every term stays in the
+local-unitary class of the unboosted spin state; verification checks
+that every factor is unitary and every base vector is the base state,
+reconstructs the density matrix, and compares LU invariants term against
+base.  soundness_suite: the GHZ witness is nonpositive on random
+biseparable mixtures.  All sampling is driven by numpy's seeded
+Generator, so every check is reproducible from its seed.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .boost import SpinEnsemble
-from .constants import ATOL_ALGEBRA, ATOL_PHYSICS, SPIN_DIM
+from .boost import SpinEnsemble, boosted_amplitudes, composite_spin_ensemble
+from .constants import ATOL_ALGEBRA, ATOL_PHYSICS, SPIN_DIM, SPIN_DIMS
 from .errors import InputError, ShapeError
-from .linalg import apply_local, kron, projector
-from .measures import m_concurrence_pure, three_tangle
-from .states import PartitionSpec, _as_state_vector, bipartition
-
-SPIN_BIPARTITIONS = (
-    bipartition((0,), 3),
-    bipartition((1,), 3),
-    bipartition((2,), 3),
+from .kinematics import BoostScenario, default_geometry, spin_rotations
+from .linalg import apply_local, kron
+from .measures import m_concurrence_pure, three_tangle, witness_from_amplitudes
+from .states import (
+    PartitionSpec,
+    _as_state_vector,
+    _momentum_spin_rows,
+    bipartition,
+    compose,
+    ghz_state,
+    w_state,
 )
 
+SPIN_BIPARTITIONS = tuple(bipartition((i,), 3) for i in range(3))
 
-def haar_state(dim: int, rng) -> np.ndarray:
-    """Haar-random pure state: normalized complex Gaussian vector."""
+
+def haar_state(dim: int, rng, batch: tuple[int, ...] = ()) -> np.ndarray:
+    """Haar-random pure states, shape batch + (dim,): normalized Gaussians."""
     rng = np.random.default_rng(rng)
-    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return v / np.linalg.norm(v)
+    shape = tuple(batch) + (dim,)
+    v = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    # |v|^2 by the dot products np.linalg.norm takes for a single vector
+    re, im = v.real[..., None, :], v.imag[..., None, :]
+    sq = re @ np.swapaxes(re, -1, -2) + im @ np.swapaxes(im, -1, -2)
+    return v / np.sqrt(sq[..., 0])
 
 
 def _haar_unitary_qr(g: np.ndarray) -> np.ndarray:
@@ -98,16 +107,20 @@ def random_local_unitary(dims: Sequence[int], seed) -> LocalUnitarySample:
     )
 
 
-def _embed_product(x: np.ndarray, y: np.ndarray, part: tuple[int, ...]) -> np.ndarray:
-    # Place x on the spin factors listed in `part` and y on the rest,
-    # then flatten in natural factor order.
-    rest = tuple(i for i in range(3) if i not in part)
-    t = np.multiply.outer(
-        x.reshape((2,) * len(part)), y.reshape((2,) * len(rest))
-    )
-    order = list(part) + list(rest)
-    inverse = [order.index(i) for i in range(3)]
-    return t.transpose(inverse).reshape(SPIN_DIM)
+# _CUT_INDEX[c, j]: position of natural spin index j = |s0 s1 s2> in x (x) y,
+# where x is the qubit c and y the other two in increasing order.
+_CUT_INDEX = np.array(
+    [[0, 1, 2, 3, 4, 5, 6, 7], [0, 1, 4, 5, 2, 3, 6, 7], [0, 4, 1, 5, 2, 6, 3, 7]]
+)
+
+
+def _biseparable_terms(cuts, weights, rng) -> np.ndarray:
+    # Terms sqrt(w) x (x) y, shape (..., n, 8), for cuts and weights (..., n):
+    # a Haar qubit x on spin `cut`, a Haar pair y on the other two spins.
+    x = np.sqrt(weights)[..., None] * haar_state(2, rng, cuts.shape)
+    y = haar_state(4, rng, cuts.shape)
+    prod = (x[..., :, None] * y[..., None, :]).reshape(cuts.shape + (SPIN_DIM,))
+    return np.take_along_axis(prod, _CUT_INDEX[cuts], axis=-1)
 
 
 def sample_biseparable(
@@ -118,27 +131,21 @@ def sample_biseparable(
     """Random biseparable 8x8 spin density matrix.
 
     Mixes `n_terms` Haar-random product states across the given spin
-    bipartition; with bipartition_spec=None each term draws its own
-    bipartition, exercising mixtures across different splits.
+    bipartition with Dirichlet(1, ..., 1) weights; with
+    bipartition_spec=None each term draws its own bipartition, exercising
+    mixtures across different splits.
     """
     if n_terms < 1:
         raise InputError("n_terms must be >= 1")
+    spec = bipartition_spec
+    if spec is not None and (spec.num_parts != 2 or spec.num_factors != 3):
+        raise InputError("biseparable sampling needs a two-part partition of 3 spins")
     rng = np.random.default_rng(seed)
-    if bipartition_spec is not None and bipartition_spec.num_parts != 2:
-        raise InputError("biseparable sampling needs a two-part partition")
     weights = rng.dirichlet(np.ones(n_terms))
-    rho = np.zeros((SPIN_DIM, SPIN_DIM), dtype=np.complex128)
-    for w in weights:
-        spec = (
-            bipartition_spec
-            if bipartition_spec is not None
-            else SPIN_BIPARTITIONS[rng.integers(0, 3)]
-        )
-        part = spec.parts[0]
-        x = haar_state(2 ** len(part), rng)
-        y = haar_state(2 ** (3 - len(part)), rng)
-        rho += w * projector(_embed_product(x, y, part))
-    return rho
+    cuts = (rng.integers(0, 3, size=n_terms) if spec is None
+            else np.full(n_terms, min(spec.parts, key=len)[0]))
+    chi = _biseparable_terms(cuts, weights, rng)
+    return chi.T @ chi.conj()
 
 
 def _all_partitions(n: int) -> list[PartitionSpec]:
@@ -331,3 +338,71 @@ def verify_certificate(
         max_base_deviation=float(base_dev.max()),
         failing_terms=failing,
     )
+
+
+def condition1_suite(trials: int = 100, seed: int = 7) -> tuple[bool, list[str]]:
+    """The LU-invariance suite: check_condition1 on GHZ, W and ten Haar spin
+    states, state i with seed + 1000 i.  Returns (passed, report lines)."""
+    rng = np.random.default_rng(seed)
+    cases = [("ghz", ghz_state()), ("w", w_state())]
+    cases += [(f"haar{i}", haar_state(8, rng)) for i in range(10)]
+    reports = [
+        check_condition1(spin, SPIN_DIMS, trials=trials, seed=seed + 1000 * i)
+        for i, (_, spin) in enumerate(cases)
+    ]
+    lines = [f"FAIL {name}: seeds {rep.failing_seeds[:5]}"
+             for (name, _), rep in zip(cases, reports) if not rep]
+    worst = max(max(r.max_tangle_deviation, r.max_concurrence_deviation)
+                for r in reports)
+    lines.append(f"local-unitary invariance over {len(cases)} states: "
+                 f"max deviation {worst:.3e}")
+    return all(reports), lines
+
+
+def condition2_suite(trials: int = 50, seed: int = 7) -> tuple[bool, list[str]]:
+    """The certificate suite: boosts of Haar momentum (x) Haar spin states
+    at uniform angles in [0, pi/2], all boosted and reduced as one batch,
+    then one verify_certificate per trial.  Returns (passed, report lines)."""
+    rng = np.random.default_rng(seed)
+    draws = [
+        (haar_state(27, rng), haar_state(8, rng), rng.uniform(0.0, math.pi / 2.0))
+        for _ in range(trials)
+    ]
+    axes = default_geometry().rotation_axes()
+    vectors = np.stack([compose(momentum, spin).vector for momentum, spin, _ in draws])
+    rotations = spin_rotations(axes, [delta for _, _, delta in draws])
+    m = _momentum_spin_rows(boosted_amplitudes(vectors, rotations))
+    rhos = np.swapaxes(m, -1, -2) @ m.conj()
+    reports = []
+    for (_, spin, delta), vec, rho in zip(draws, vectors, rhos):
+        ensemble = composite_spin_ensemble(vec, BoostScenario(delta, axes))
+        reports.append(verify_certificate(ClassCertificate(spin, ensemble), rho))
+    lines = [f"FAIL scenario {i}: {rep}" for i, rep in enumerate(reports) if not rep]
+    worst_rec = max(r.reconstruction_error for r in reports)
+    worst_inv = max(max(r.max_spectrum_deviation, r.max_tangle_deviation)
+                    for r in reports)
+    lines.append(
+        f"certificates over {trials} boosts: max reconstruction "
+        f"{worst_rec:.3e}, max invariant deviation {worst_inv:.3e}"
+    )
+    return all(reports), lines
+
+
+def soundness_suite(trials: int = 1000, seed: int = 7) -> tuple[bool, list[str]]:
+    """The witness-soundness suite: sample i mixes 1-4 product terms across
+    cut i % 3, or per-term random cuts when i % 4 is 0.  All samples are
+    drawn as one (trials, 4, 8) batch of terms, padded with weight 0, and
+    take one witness call.  Returns (passed, report lines)."""
+    rng = np.random.default_rng(seed)
+    n_terms = rng.integers(1, 5, size=trials)
+    weights = rng.exponential(size=(trials, 4)) * (np.arange(4) < n_terms[:, None])
+    weights /= weights.sum(axis=1, keepdims=True)  # Dirichlet(1, ..., 1)
+    cuts = rng.integers(0, 3, size=(trials, 4))  # per-term cuts when i % 4 == 0
+    fixed = np.arange(trials) % 4 != 0
+    cuts[fixed] = (np.arange(trials) % 3)[fixed, None]
+    values = witness_from_amplitudes(_biseparable_terms(cuts, weights, rng))
+    bad = np.flatnonzero(~(values <= ATOL_PHYSICS))  # NaN fails too
+    lines = [f"FAIL sample {i}: witness value {values[i]}" for i in bad]
+    lines.append(f"witness over {trials} biseparable samples: "
+                 f"max value {np.max(values):.3e}")
+    return bad.size == 0, lines

@@ -21,22 +21,9 @@ import sys
 
 import numpy as np
 
-from .boost import (
-    boost_mixed,
-    boost_pure,
-    boosted_amplitudes,
-    boosted_spin_terms,
-    composite_spin_ensemble,
-)
-from .classcheck import (
-    SPIN_BIPARTITIONS,
-    ClassCertificate,
-    check_condition1,
-    haar_state,
-    sample_biseparable,
-    verify_certificate,
-)
-from .constants import ATOL_PHYSICS, SPIN_DIM, SPIN_DIMS
+from .boost import boost_mixed, boost_pure, boosted_amplitudes, boosted_spin_terms
+from .classcheck import condition1_suite, condition2_suite, soundness_suite
+from .constants import SPIN_DIM, SPIN_DIMS
 from .errors import InputError, NumericError, SpinboostError
 from .kinematics import (
     BoostScenario,
@@ -73,6 +60,11 @@ FIG3_CATALOG = (
     ("spin2_vs_rest", bipartition((3,), 6)),
     ("spin3_vs_rest", bipartition((5,), 6)),
 )
+SUITES = {
+    "condition1": condition1_suite,
+    "condition2": condition2_suite,
+    "soundness": soundness_suite,
+}
 
 
 def _fmt(x: float) -> str:
@@ -100,14 +92,6 @@ def _momentum_coeffs(spec: str) -> np.ndarray:
     if len(parts) != 6:
         raise InputError("custom momentum needs 6 comma-separated coefficients")
     return np.asarray(parts, dtype=np.complex128)
-
-
-def _spin_vector(kind: str, alpha: float | None) -> np.ndarray:
-    if kind == "ghz":
-        return ghz_state() if alpha is None else ghz_alpha(alpha)
-    if kind == "w":
-        return w_state()
-    raise InputError(f"unknown spin state {kind!r}")
 
 
 def _write_lines(lines, out: str | None) -> None:
@@ -146,7 +130,7 @@ def _scan_fig2(args, grid: int) -> list[str]:
         boosted_spin_terms(compose(momentum, basis), rotations)
         for basis in np.eye(SPIN_DIM)[[0, 7]]
     )
-    variant = _variant_key(args.variant)
+    variant = _variant_key(args.variant or "symmetric")
     lines = ["alpha,delta,witness,gme_bound"]
     for alpha in alphas:
         spin = ghz_alpha(alpha)
@@ -167,7 +151,11 @@ def _scan_fig2(args, grid: int) -> list[str]:
 
 def _scan_fig3(args, grid: int) -> list[str]:
     momentum = permutation_momentum(_momentum_coeffs(args.momentum))
-    state = compose(momentum, _spin_vector(args.spin, args.alpha))
+    if args.spin == "w":
+        spin = w_state()
+    else:
+        spin = ghz_state() if args.alpha is None else ghz_alpha(args.alpha)
+    state = compose(momentum, spin)
     deltas, rotations = _sweep_rotations(grid)
     catalog = "; ".join(f"{name}={spec}" for name, spec in FIG3_CATALOG)
     boosted = boosted_amplitudes(state, rotations)
@@ -186,6 +174,12 @@ def cmd_scan(args) -> int:
     grid = args.grid if args.grid is not None else default_grid
     if grid < 2:
         raise InputError("--grid must be at least 2")
+    if args.figure == "fig2" and args.spin is not None:
+        raise InputError("--spin does not apply to fig2, which sweeps GHZ(alpha)")
+    if args.figure == "fig3" and args.variant is not None:
+        raise InputError("--variant does not apply to fig3, which has no witness")
+    if args.spin == "w" and args.alpha is not None:
+        raise InputError("--alpha does not apply to --spin w")
     scan = _scan_fig2 if args.figure == "fig2" else _scan_fig3
     _write_lines(scan(args, grid), args.out)
     return 0
@@ -267,85 +261,13 @@ def cmd_boost(args) -> int:
     return 0
 
 
-def _check_condition1(trials: int, seed: int) -> tuple[bool, list[str]]:
-    rng = np.random.default_rng(seed)
-    cases = [("ghz", ghz_state()), ("w", w_state())]
-    cases += [(f"haar{i}", haar_state(8, rng)) for i in range(10)]
-    lines = []
-    ok = True
-    worst = 0.0
-    for i, (name, spin) in enumerate(cases):
-        rep = check_condition1(spin, (2, 2, 2), trials=trials, seed=seed + 1000 * i)
-        ok = ok and rep.passed
-        worst = max(
-            worst, rep.max_tangle_deviation, rep.max_concurrence_deviation
-        )
-        if not rep.passed:
-            lines.append(f"FAIL {name}: seeds {rep.failing_seeds[:5]}")
-    lines.append(f"local-unitary invariance over {len(cases)} states: "
-                 f"max deviation {worst:.3e}")
-    return ok, lines
-
-
-def _check_condition2(trials: int, seed: int) -> tuple[bool, list[str]]:
-    rng = np.random.default_rng(seed)
-    ok = True
-    worst_rec = 0.0
-    worst_inv = 0.0
-    lines = []
-    for i in range(trials):
-        momentum = haar_state(27, rng)
-        spin = haar_state(8, rng)
-        delta = rng.uniform(0.0, math.pi / 2.0)
-        scenario = BoostScenario.from_angle(delta)
-        state = compose(momentum, spin)
-        rho = boost_pure(state, scenario).spin_density()
-        cert = ClassCertificate(spin, composite_spin_ensemble(state, scenario))
-        rep = verify_certificate(cert, rho)
-        ok = ok and rep.passed
-        worst_rec = max(worst_rec, rep.reconstruction_error)
-        worst_inv = max(
-            worst_inv, rep.max_spectrum_deviation, rep.max_tangle_deviation
-        )
-        if not rep.passed:
-            lines.append(f"FAIL scenario {i}: {rep}")
-    lines.append(
-        f"certificates over {trials} boosts: max reconstruction "
-        f"{worst_rec:.3e}, max invariant deviation {worst_inv:.3e}"
-    )
-    return ok, lines
-
-
-def _check_soundness(trials: int, seed: int) -> tuple[bool, list[str]]:
-    rng = np.random.default_rng(seed)
-    worst = -math.inf
-    ok = True
-    lines = []
-    for i in range(trials):
-        spec = SPIN_BIPARTITIONS[i % 3] if i % 4 else None
-        rho = sample_biseparable(spec, int(rng.integers(1, 5)), rng)
-        value = ghz_witness(rho, validate=False).value
-        worst = max(worst, value)
-        if not value <= ATOL_PHYSICS:
-            ok = False
-            lines.append(f"FAIL sample {i}: witness value {value}")
-    lines.append(f"witness over {trials} biseparable samples: max value {worst:.3e}")
-    return ok, lines
-
-
 def cmd_check(args) -> int:
-    defaults = {"condition1": 100, "condition2": 50, "soundness": 1000}
-    trials = args.trials if args.trials is not None else defaults[args.suite]
-    if trials < 1:
+    if args.trials is not None and args.trials < 1:
         raise InputError("--trials must be at least 1")
     if args.seed < 0:
         raise InputError("--seed must be nonnegative")
-    runner = {
-        "condition1": _check_condition1,
-        "condition2": _check_condition2,
-        "soundness": _check_soundness,
-    }[args.suite]
-    ok, lines = runner(trials, args.seed)
+    trials = {} if args.trials is None else {"trials": args.trials}
+    ok, lines = SUITES[args.suite](seed=args.seed, **trials)
     for line in lines:
         print(line)
     print(f"{args.suite}: {'PASS' if ok else 'FAIL'}")
@@ -370,11 +292,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="grid points per axis (fig2: 61, fig3: 121)")
     p.add_argument("--alpha", type=float, default=None,
                    help="fix the spin mixing angle instead of sweeping it")
-    p.add_argument("--spin", choices=("ghz", "w"), default="ghz")
+    p.add_argument("--spin", choices=("ghz", "w"), help="fig3 only (default ghz)")
     p.add_argument("--momentum", default="antisymmetric",
                    help="antisymmetric | product | 6 comma-separated coefficients")
     p.add_argument("--variant", choices=("symmetric", "as-printed"),
-                   default="symmetric")
+                   help="fig2 only (default symmetric)")
     p.add_argument("--out", default=None, help="output CSV path (default stdout)")
     p.set_defaults(func=cmd_scan)
 
@@ -395,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_boost)
 
     p = sub.add_parser("check", help="run a property-check suite")
-    p.add_argument("suite", choices=("condition1", "condition2", "soundness"))
+    p.add_argument("suite", choices=tuple(SUITES))
     p.add_argument("--trials", type=int, default=None)
     p.add_argument("--seed", type=int, default=7)
     p.set_defaults(func=cmd_check)

@@ -215,10 +215,12 @@ def _subset_purities(tensor: np.ndarray, keep: tuple[int, ...]) -> np.ndarray:
     return (flat.conj() @ flat.transpose(0, 2, 1))[:, 0, 0].real
 
 
-def _sqrt_radicand(x):
+def _sqrt_radicand(x, total: int = 0):
+    # A radicand `total` - (sum of `total` purities) within 16 eps total of
+    # zero is the roundoff of an exact zero and maps to 0, not sqrt(eps).
     if np.any(x < -RADICAND_NOISE):
         raise NumericError(f"negative radicand {np.min(x)} beyond noise threshold")
-    return np.sqrt(np.maximum(x, 0.0))
+    return np.sqrt(np.where(x <= 16.0 * np.finfo(float).eps * total, 0.0, x))
 
 
 def _batch_of_states(state, dims: Sequence[int] | None):
@@ -280,7 +282,7 @@ def m_concurrence_pure(
         for keep in partition.proper_subsets()
         if first in keep
     )
-    value = 2.0 ** (1.0 - m / 2.0) * _sqrt_radicand(total - acc)
+    value = 2.0 ** (1.0 - m / 2.0) * _sqrt_radicand(total - acc, total)
     return _unbatch(value, vec.shape[:-1])
 
 

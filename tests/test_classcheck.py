@@ -1,5 +1,6 @@
 """Haar sampling, biseparable models, invariance checks, certificates."""
 
+import itertools
 import math
 
 import numpy as np
@@ -34,18 +35,21 @@ from spinboost.classcheck import (
 from spinboost.constants import COMPOSITE_DIMS, ID2, PAULI_X
 from spinboost.linalg import hermitian_eigen, partial_trace, projector, purity_unchecked
 from spinboost.measures import m_concurrence_pure, three_tangle
-from spinboost.states import particle_partition
+from spinboost.states import bipartition, particle_partition
 
 
 def test_haar_state_normalized_and_uniform_mean():
     rng = np.random.default_rng(20)
-    samples = np.stack([haar_state(4, rng) for _ in range(2000)])
-    np.testing.assert_allclose(
-        np.linalg.norm(samples, axis=1), 1.0, atol=1e-12
-    )
-    # E |v_i|^2 = 1/dim for every component
-    mean_pops = (np.abs(samples) ** 2).mean(axis=0)
-    np.testing.assert_allclose(mean_pops, 0.25, atol=0.03)
+    for samples in (
+        np.stack([haar_state(4, rng) for _ in range(2000)]),
+        haar_state(4, rng, (40, 50)).reshape(2000, 4),  # one batched draw
+    ):
+        np.testing.assert_allclose(
+            np.linalg.norm(samples, axis=1), 1.0, atol=1e-12
+        )
+        # E |v_i|^2 = 1/dim for every component
+        mean_pops = (np.abs(samples) ** 2).mean(axis=0)
+        np.testing.assert_allclose(mean_pops, 0.25, atol=0.03)
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -134,15 +138,21 @@ def test_sample_biseparable_is_valid_density():
 
 
 def test_sample_biseparable_single_term_is_pure_product():
-    spec = SPIN_BIPARTITIONS[0]
-    first = spec.parts[0]
-    rho = sample_biseparable(spec, n_terms=1, seed=5)
-    assert abs(purity_unchecked(rho) - 1.0) < 1e-12
-    # product across the declared cut: rho = rho_first (x) rho_rest
-    ra = partial_trace(rho, (2, 2, 2), first)
-    rb = partial_trace(rho, (2, 2, 2), tuple(spec.parts[1]))
-    if first == (0,):
-        np.testing.assert_allclose(rho, np.kron(ra, rb), atol=1e-12)
+    # every cut, and a spec that lists the pair first
+    for spec, seed in itertools.product(
+        SPIN_BIPARTITIONS + (bipartition((0, 1), 3),), range(5)
+    ):
+        (lone,) = min(spec.parts, key=len)
+        rho = sample_biseparable(spec, n_terms=1, seed=seed)
+        assert abs(purity_unchecked(rho) - 1.0) < 1e-12
+        # a pure product across the cut has a pure reduction on each side
+        for keep in ((lone,), tuple(i for i in range(3) if i != lone)):
+            reduced = partial_trace(rho, (2, 2, 2), keep)
+            assert abs(purity_unchecked(reduced) - 1.0) < 1e-12
+        if lone == 0:  # rho = rho_lone (x) rho_pair in natural factor order
+            ra = partial_trace(rho, (2, 2, 2), (0,))
+            rb = partial_trace(rho, (2, 2, 2), (1, 2))
+            np.testing.assert_allclose(rho, np.kron(ra, rb), atol=1e-12)
 
 
 def test_sample_biseparable_deterministic():

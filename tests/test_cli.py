@@ -24,7 +24,7 @@ from spinboost import (
     w_state,
     write_state,
 )
-from spinboost import cli
+from spinboost import classcheck, cli
 from spinboost.measures import witness_from_amplitudes
 from spinboost.linalg import projector
 
@@ -79,29 +79,34 @@ def test_scan_fig2_alpha_override(capsys):
 
 def test_scan_fig3_schema(tmp_path, capsys):
     out_path = tmp_path / "fig3.csv"
-    code, _, _ = run(
-        ["scan", "fig3", "--grid", "7", "--spin", "w", "--out", str(out_path)],
-        capsys,
-    )
-    assert code == 0
-    lines = out_path.read_text().splitlines()
-    assert lines[0].startswith("# partitions: ")
-    assert "spins_vs_momenta=1,3,5|0,2,4" in lines[0]
-    assert "particles=0,1|2,3|4,5" in lines[0]
-    assert lines[1] == "delta,partition,m_concurrence"
-    body = lines[2:]
-    assert len(body) == 7 * 6
-    names = [row.split(",")[1] for row in body[:6]]
-    assert names == [
-        "spins_vs_momenta",
-        "particles",
-        "singletons",
-        "spin1_vs_rest",
-        "spin2_vs_rest",
-        "spin3_vs_rest",
-    ]
-    values = [float(row.rsplit(",", 1)[1]) for row in body]
-    assert all(v >= -1e-12 for v in values)
+    for spin, momentum in (("w", "antisymmetric"), ("ghz", "product")):
+        code, _, _ = run(
+            ["scan", "fig3", "--grid", "7", "--spin", spin, "--momentum", momentum,
+             "--out", str(out_path)],
+            capsys,
+        )
+        assert code == 0
+        lines = out_path.read_text().splitlines()
+        assert lines[0].startswith("# partitions: ")
+        assert "spins_vs_momenta=1,3,5|0,2,4" in lines[0]
+        assert "particles=0,1|2,3|4,5" in lines[0]
+        assert lines[1] == "delta,partition,m_concurrence"
+        body = lines[2:]
+        assert len(body) == 7 * 6
+        names = [row.split(",")[1] for row in body[:6]]
+        assert names == [
+            "spins_vs_momenta",
+            "particles",
+            "singletons",
+            "spin1_vs_rest",
+            "spin2_vs_rest",
+            "spin3_vs_rest",
+        ]
+        values = [float(row.rsplit(",", 1)[1]) for row in body]
+        assert all(v >= -1e-12 for v in values)
+    # a product momentum never entangles spins with momenta: exactly 0, not
+    # the square root of roundoff
+    assert [row.rsplit(",", 1)[1] for row in body[::6]] == ["0"] * 7
 
 
 def test_scan_deterministic(tmp_path, capsys):
@@ -296,6 +301,15 @@ def test_scan_rejects_bad_input(capsys):
     assert run(["scan", "fig2", "--momentum", "1,2"], capsys)[0] == 2
     assert run(["scan", "fig2", "--momentum", "1,1,0,0,0,0"], capsys)[0] == 2
     assert run(["scan", "fig2", "--momentum", "a,b,c,d,e,f"], capsys)[0] == 2
+    # a flag the figure never reads is bad input, not silently ignored
+    for argv, flag in (
+        (["scan", "fig2", "--spin", "w"], "--spin"),
+        (["scan", "fig2", "--spin", "ghz"], "--spin"),
+        (["scan", "fig3", "--variant", "as-printed"], "--variant"),
+        (["scan", "fig3", "--spin", "w", "--alpha", "0.3"], "--alpha"),
+    ):
+        code, out, err = run(argv + ["--grid", "3"], capsys)
+        assert (code, out) == (2, "") and flag in err
     # a non-finite angle is bad input, not nan rows or a math-domain
     # traceback; a NaN coefficient is not dropped as a negligible weight
     for figure in ("fig2", "fig3"):
@@ -456,9 +470,12 @@ def test_check_seed_changes_runs(capsys):
 
 
 def test_check_failure_exits_one(monkeypatch, capsys):
-    # a witness that flags a known biseparable state must fail the suite
+    # a sampler that yields a GHZ state, which the witness flags, must fail
+    # the suite
     monkeypatch.setattr(
-        cli, "sample_biseparable", lambda spec, n, rng: projector(ghz_state())
+        classcheck,
+        "_biseparable_terms",
+        lambda cuts, weights, rng: np.tile(ghz_state(), weights.shape[:-1] + (1, 1)),
     )
     code, out, _ = run(["check", "soundness", "--trials", "3"], capsys)
     assert code == 1
