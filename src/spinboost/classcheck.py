@@ -28,7 +28,7 @@ from .constants import ATOL_ALGEBRA, ATOL_PHYSICS, SPIN_DIM, SPIN_DIMS
 from .errors import InputError, ShapeError
 from .kinematics import BoostScenario, default_geometry, spin_rotations
 from .linalg import apply_local, kron
-from .measures import m_concurrence_pure, three_tangle, witness_from_amplitudes
+from .measures import m_concurrences_pure, three_tangle, witness_from_amplitudes
 from .states import (
     PartitionSpec,
     _as_state_vector,
@@ -40,6 +40,8 @@ from .states import (
 )
 
 SPIN_BIPARTITIONS = tuple(bipartition((i,), 3) for i in range(3))
+# Samples soundness_suite draws and evaluates together: bounds its memory.
+SOUNDNESS_CHUNK = 1000
 
 
 def haar_state(dim: int, rng, batch: tuple[int, ...] = ()) -> np.ndarray:
@@ -214,7 +216,7 @@ def check_condition1(
         return np.abs(values[1:] - values[0])
 
     conc = np.array(
-        [deviations(m_concurrence_pure(states, spec, dims)) for spec in specs]
+        [deviations(v) for v in m_concurrences_pure(states, specs, dims)]
     ).reshape(len(specs), trials)
     bad = ~np.all(conc <= atol, axis=0)  # NaN counts as a failure
     max_tangle = 0.0
@@ -390,19 +392,27 @@ def condition2_suite(trials: int = 50, seed: int = 7) -> tuple[bool, list[str]]:
 
 def soundness_suite(trials: int = 1000, seed: int = 7) -> tuple[bool, list[str]]:
     """The witness-soundness suite: sample i mixes 1-4 product terms across
-    cut i % 3, or per-term random cuts when i % 4 is 0.  All samples are
-    drawn as one (trials, 4, 8) batch of terms, padded with weight 0, and
-    take one witness call.  Returns (passed, report lines)."""
-    rng = np.random.default_rng(seed)
-    n_terms = rng.integers(1, 5, size=trials)
-    weights = rng.exponential(size=(trials, 4)) * (np.arange(4) < n_terms[:, None])
-    weights /= weights.sum(axis=1, keepdims=True)  # Dirichlet(1, ..., 1)
-    cuts = rng.integers(0, 3, size=(trials, 4))  # per-term cuts when i % 4 == 0
-    fixed = np.arange(trials) % 4 != 0
-    cuts[fixed] = (np.arange(trials) % 3)[fixed, None]
-    values = witness_from_amplitudes(_biseparable_terms(cuts, weights, rng))
-    bad = np.flatnonzero(~(values <= ATOL_PHYSICS))  # NaN fails too
-    lines = [f"FAIL sample {i}: witness value {values[i]}" for i in bad]
+    cut i % 3, or per-term random cuts when i % 4 is 0.  Samples are drawn
+    in chunks of SOUNDNESS_CHUNK, chunk k from default_rng(seed) for k = 0
+    and default_rng([seed, k]) after, so memory does not grow with
+    `trials`; each chunk is one (n, 4, 8) batch of terms, padded with
+    weight 0, and one witness call.  Returns (passed, report lines)."""
+    lines, maxima = [], []
+    for k, start in enumerate(range(0, trials, SOUNDNESS_CHUNK)):
+        rng = np.random.default_rng(seed if k == 0 else [seed, k])
+        index = np.arange(start, min(start + SOUNDNESS_CHUNK, trials))
+        n = index.size
+        n_terms = rng.integers(1, 5, size=n)
+        weights = rng.exponential(size=(n, 4)) * (np.arange(4) < n_terms[:, None])
+        weights /= weights.sum(axis=1, keepdims=True)  # Dirichlet(1, ..., 1)
+        cuts = rng.integers(0, 3, size=(n, 4))  # per-term cuts when i % 4 == 0
+        fixed = index % 4 != 0
+        cuts[fixed] = (index % 3)[fixed, None]
+        values = witness_from_amplitudes(_biseparable_terms(cuts, weights, rng))
+        bad = np.flatnonzero(~(values <= ATOL_PHYSICS))  # NaN fails too
+        lines += [f"FAIL sample {start + j}: witness value {values[j]}" for j in bad]
+        maxima.append(np.max(values))
+    passed = not lines
     lines.append(f"witness over {trials} biseparable samples: "
-                 f"max value {np.max(values):.3e}")
-    return bad.size == 0, lines
+                 f"max value {np.max(maxima):.3e}")
+    return passed, lines

@@ -33,7 +33,7 @@ from .kinematics import (
     wigner_angle,
 )
 from .linalg import projector, purity_unchecked, require_density
-from .measures import ghz_witness, m_concurrence_pure, witness_from_amplitudes
+from .measures import ghz_witness, m_concurrences_pure, witness_from_amplitudes
 from .states import (
     CompositeState,
     MixedState,
@@ -110,10 +110,11 @@ def cmd_wigner(args) -> int:
     return 0
 
 
-def _sweep_rotations(grid: int) -> tuple[np.ndarray, np.ndarray]:
-    """The swept deltas and their per-label rotations, (grid, 3, 2, 2)."""
+def _sweep_rotations(grid: int) -> tuple[list[str], np.ndarray]:
+    """The swept deltas as CSV fields and their rotations, (grid, 3, 2, 2)."""
     deltas = np.linspace(0.0, math.pi / 2.0, grid)
-    return deltas, spin_rotations(default_geometry().rotation_axes(), deltas)
+    rotations = spin_rotations(default_geometry().rotation_axes(), deltas)
+    return [f"{d:.12g}" for d in deltas.tolist()], rotations
 
 
 def _scan_fig2(args, grid: int) -> list[str]:
@@ -136,16 +137,12 @@ def _scan_fig2(args, grid: int) -> list[str]:
         spin = ghz_alpha(alpha)
         chi = spin[0] * up + spin[7] * down
         values = witness_from_amplitudes(chi, variant)
-        bounds = (
-            values
-            if variant == "symmetric"
-            else witness_from_amplitudes(chi, "symmetric")
-        )
+        bounds = witness_from_amplitudes(chi) if variant != "symmetric" else values
+        # + 0.0 prints -0.0 as 0; fmax, like max(0.0, x), maps NaN to 0
+        bounds = np.fmax(bounds, 0.0) + 0.0
+        rows = zip(deltas, (values + 0.0).tolist(), bounds.tolist())
         head = _fmt(alpha)
-        lines.extend(
-            f"{head},{_fmt(delta)},{_fmt(value)},{_fmt(max(0.0, bound))}"
-            for delta, value, bound in zip(deltas, values, bounds)
-        )
+        lines.extend(f"{head},{d},{v:.12g},{b:.12g}" for d, v, b in rows)
     return lines
 
 
@@ -159,12 +156,12 @@ def _scan_fig3(args, grid: int) -> list[str]:
     deltas, rotations = _sweep_rotations(grid)
     catalog = "; ".join(f"{name}={spec}" for name, spec in FIG3_CATALOG)
     boosted = boosted_amplitudes(state, rotations)
-    values = [m_concurrence_pure(boosted, spec) for _, spec in FIG3_CATALOG]
+    values = m_concurrences_pure(boosted, [spec for _, spec in FIG3_CATALOG])
     lines = [f"# partitions: {catalog}", "delta,partition,m_concurrence"]
-    for i, delta in enumerate(deltas):
+    for delta, row in zip(deltas, (np.stack(values, axis=1) + 0.0).tolist()):
         lines.extend(
-            f"{_fmt(delta)},{name},{_fmt(column[i])}"
-            for (name, _), column in zip(FIG3_CATALOG, values)
+            f"{delta},{name},{value:.12g}"
+            for (name, _), value in zip(FIG3_CATALOG, row)
         )
     return lines
 

@@ -197,22 +197,31 @@ def gme_lower_bound(rho: np.ndarray, validate: bool = True) -> float:
     return max(0.0, report.value)
 
 
-def _subset_purities(tensor: np.ndarray, keep: tuple[int, ...]) -> np.ndarray:
+def _subset_purities(tensor: np.ndarray, keep: tuple[int, ...], scratch) -> np.ndarray:
     # Purity of the reduction of each pure state in the batch onto `keep`:
-    # tensor has shape (B, *dims); reshape each amplitude tensor into
-    # (kept, rest) and take ||gram||_F^2 of the smaller gram matrix.
-    n = tensor.ndim - 1
-    rest = [i for i in range(n) if i not in keep]
-    mat = tensor.transpose([0] + [1 + i for i in list(keep) + rest])
-    dk = int(np.prod(mat.shape[1 : 1 + len(keep)]))
-    mat = mat.reshape(mat.shape[0], dk, -1)
-    mat_h = mat.conj().transpose(0, 2, 1)
-    gram = mat @ mat_h if mat.shape[1] <= mat.shape[2] else mat_h @ mat
-    flat = gram.reshape(gram.shape[0], 1, -1)
+    # tensor has shape (B, *dims) and scratch, reused for every subset, is
+    # (3, B*N) complex, so no amplitude-sized array is allocated here.  With
+    # the cut oriented so the kept side is the smaller, the amplitudes are
+    # copied once as (B, kept, rest), conjugated, and Tr rho^2 is the
+    # squared Frobenius norm of the Gram matrix M M^H.
+    b, dims = tensor.shape[0], tensor.shape[1:]
+    n = math.prod(dims)
+    rest = tuple(i for i in range(len(dims)) if i not in keep)
+    dk = math.prod(dims[i] for i in keep)
+    if dk * dk > n:
+        keep, rest, dk = rest, keep, n // dk
+    order = keep + rest
+    mat = scratch[0].reshape(b, dk, n // dk)
+    np.copyto(mat.reshape((b,) + tuple(dims[i] for i in order)),
+              tensor.transpose((0,) + tuple(1 + i for i in order)))
+    mat_c = np.conjugate(mat, out=scratch[1].reshape(mat.shape))
+    gram = scratch[2, : b * dk * dk].reshape(b, 1, dk * dk)  # flattened per state
+    np.matmul(mat, mat_c.transpose(0, 2, 1), out=gram.reshape(b, dk, dk))
+    gram_c = np.conjugate(gram, out=scratch[1, : gram.size].reshape(gram.shape))
     # a stacked (1, n) @ (n, 1) product runs numpy's dot, the same
     # arithmetic as np.vdot, so a batch reproduces one-state results bit
     # for bit (an einsum reduction would reorder the sum)
-    return (flat.conj() @ flat.transpose(0, 2, 1))[:, 0, 0].real
+    return (gram_c @ gram.transpose(0, 2, 1))[:, 0, 0].real
 
 
 def _sqrt_radicand(x, total: int = 0):
@@ -250,40 +259,51 @@ def _unbatch(values: np.ndarray, batch_shape: tuple[int, ...]):
     return float(values[0]) if not batch_shape else values.reshape(batch_shape)
 
 
-def m_concurrence_pure(
+def m_concurrences_pure(
     state,
-    partition: PartitionSpec,
+    partitions: Sequence[PartitionSpec],
     dims: Sequence[int] | None = None,
-):
-    """Generalized concurrence of pure states across an m-part partition.
+) -> list:
+    """Generalized concurrences of pure states across m-part partitions.
 
     C = 2^(1-m/2) sqrt((2^m - 2) - sum_g Tr rho_g^2), the sum running
     over the 2^m - 2 reductions onto proper nonempty unions of parts.  A
     pure state's reductions onto complementary unions share their purity,
-    so only the 2^(m-1) - 1 unions holding part 0 are evaluated, twice.
+    so only the 2^(m-1) - 1 unions holding factor 0 are evaluated, twice,
+    and each such union once per call, whichever partitions share it.
     Vanishes iff the state is a product across some split of the
     partition; invariant under per-factor unitaries.
 
     `state` is a CompositeState or amplitudes of shape (..., N), a batch
-    of states; every row must be normalized.  Returns a float for a
-    single state and an array of shape (...) for a batch.
+    of states; every row must be normalized.  Returns one value per
+    partition: a float for a single state, an array of shape (...) for a
+    batch.
     """
     vec, dims = _batch_of_states(state, dims)
-    if partition.num_factors != len(dims):
-        raise ShapeError(
-            f"partition covers {partition.num_factors} factors, state has {len(dims)}"
-        )
     tensor = vec.reshape((-1,) + dims)
-    m = partition.num_parts
-    total = 2**m - 2
-    first = partition.parts[0][0]
-    acc = 2.0 * sum(
-        _subset_purities(tensor, keep)
-        for keep in partition.proper_subsets()
-        if first in keep
-    )
-    value = 2.0 ** (1.0 - m / 2.0) * _sqrt_radicand(total - acc, total)
-    return _unbatch(value, vec.shape[:-1])
+    scratch = np.empty((3, tensor.size), dtype=np.complex128)
+    purities, values = {}, []
+    for spec in partitions:
+        if spec.num_factors != len(dims):
+            raise ShapeError(
+                f"partition covers {spec.num_factors} factors, state has {len(dims)}"
+            )
+        cuts = [keep for keep in spec.proper_subsets() if 0 in keep]
+        for keep in set(cuts) - purities.keys():
+            purities[keep] = _subset_purities(tensor, keep, scratch)
+        m = spec.num_parts
+        total = 2**m - 2
+        acc = 2.0 * sum(purities[keep] for keep in cuts)
+        value = 2.0 ** (1.0 - m / 2.0) * _sqrt_radicand(total - acc, total)
+        values.append(_unbatch(value, vec.shape[:-1]))
+    return values
+
+
+def m_concurrence_pure(state, partition: PartitionSpec,
+                       dims: Sequence[int] | None = None):
+    """m_concurrences_pure for one partition: a float for a single state,
+    an array of shape (...) for a batch of states (..., N)."""
+    return m_concurrences_pure(state, [partition], dims)[0]
 
 
 def three_tangle(state):

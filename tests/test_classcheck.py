@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,13 +25,16 @@ from spinboost import (
     verify_certificate,
     w_state,
 )
+from spinboost import classcheck
 from spinboost.boost import boost_pure
 from spinboost.classcheck import (
+    SOUNDNESS_CHUNK,
     SPIN_BIPARTITIONS,
     _all_partitions,
     _haar_factors,
     _haar_unitary_qr,
     single_qubit_spectra,
+    soundness_suite,
 )
 from spinboost.constants import COMPOSITE_DIMS, ID2, PAULI_X
 from spinboost.linalg import hermitian_eigen, partial_trace, projector, purity_unchecked
@@ -378,3 +382,47 @@ def test_certificate_rejects_lu_equivalent_base_vector():
     # ... while a global phase on the base vector is fine
     cert, rho = _single_term_certificate(base, [ID2, ID2, ID2], np.exp(0.3j) * base)
     assert verify_certificate(cert, rho).passed
+
+
+def test_soundness_suite_memory_does_not_grow_with_trials():
+    soundness_suite(trials=10)
+    tracemalloc.start()
+    try:
+        passed, lines = soundness_suite(trials=20000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert passed and len(lines) == 1
+    assert peak < 5e6
+
+
+def test_soundness_suite_chunks_keep_global_sample_indices(monkeypatch):
+    # sample i keeps its cut pattern (i % 4, i % 3) and its report index
+    # across chunks; chunk 0 is the draw of a run with fewer trials, and
+    # later chunks draw from their own streams
+    seen = []
+    real = classcheck._biseparable_terms
+
+    def spy(cuts, weights, rng):
+        seen.append(cuts.copy())
+        return real(cuts, weights, rng)
+
+    monkeypatch.setattr(classcheck, "_biseparable_terms", spy)
+    trials = 2 * SOUNDNESS_CHUNK + 500
+    assert soundness_suite(trials=trials, seed=3)[0]
+    assert [c.shape[0] for c in seen] == [SOUNDNESS_CHUNK] * 2 + [500]
+    cuts, i = np.concatenate(seen), np.arange(trials)
+    fixed = i % 4 != 0
+    assert np.all(cuts[fixed] == (i % 3)[fixed, None])
+    assert not np.array_equal(seen[0][::4], seen[1][::4])
+    soundness_suite(trials=SOUNDNESS_CHUNK, seed=3)
+    assert np.array_equal(seen[-1], seen[0])
+
+    monkeypatch.setattr(
+        classcheck,
+        "_biseparable_terms",
+        lambda cuts, weights, rng: np.tile(ghz_state(), weights.shape[:-1] + (1, 1)),
+    )
+    passed, lines = soundness_suite(trials=trials)
+    assert not passed and len(lines) == trials + 1
+    assert lines[trials - 1].startswith(f"FAIL sample {trials - 1}: witness value")

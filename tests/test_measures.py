@@ -1,6 +1,8 @@
 """Entanglement quantifiers: GHZ witness, m-concurrence, three-tangle."""
 
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from spinboost import (
     ghz_witness,
     gme_lower_bound,
     m_concurrence_pure,
+    m_concurrences_pure,
     antisymmetric_coeffs,
     boosted_spin_density_fast,
     boosted_spin_terms,
@@ -31,9 +34,10 @@ from spinboost import (
     witness_from_amplitudes,
 )
 from spinboost.classcheck import _all_partitions, haar_state, random_local_unitary
+from spinboost import cli, measures
 from spinboost.cli import FIG3_CATALOG
 from spinboost.constants import COMPOSITE_DIMS
-from spinboost.boost import boost_pure
+from spinboost.boost import boost_pure, build_boost_unitary
 from spinboost.linalg import partial_trace, projector
 from spinboost.measures import _sqrt_radicand
 from spinboost.errors import NumericError
@@ -288,14 +292,19 @@ def test_batched_measures_reject_one_unnormalized_row():
 
 def _full_sum_m_concurrence(vec, spec, dims):
     # the defining formula: every one of the 2^m - 2 proper subsets, each
-    # purity from an explicit partial trace
+    # purity from an explicit partial trace; a radicand within 16 eps per
+    # purity of zero is the roundoff of an exact zero, whose square root
+    # would read about 1e-8
     rho = projector(vec)
     acc = 0.0
     for keep in spec.proper_subsets():
         red = partial_trace(rho, dims, keep)
         acc += np.vdot(red, red).real
     m = spec.num_parts
-    return 2.0 ** (1.0 - m / 2.0) * math.sqrt(max(2**m - 2 - acc, 0.0))
+    radicand = 2**m - 2 - acc
+    if radicand <= 16.0 * np.finfo(float).eps * (2**m - 2):
+        radicand = 0.0
+    return 2.0 ** (1.0 - m / 2.0) * math.sqrt(radicand)
 
 
 def test_m_concurrence_complement_pairs_match_full_sum():
@@ -315,6 +324,75 @@ def test_m_concurrence_complement_pairs_match_full_sum():
         for vec in spins:
             ref = _full_sum_m_concurrence(vec, spec, (2, 2, 2))
             assert abs(m_concurrence_pure(vec, spec) - ref) < 1e-13
+
+
+def test_scan_fig3_matches_full_sum_on_brute_force_boost(capsys):
+    # every printed fig3 value against the defining formula (explicit
+    # partial traces over all 2^m - 2 subsets) on the 216x216 boost
+    specs = dict(FIG3_CATALOG)
+    for spin, momentum in itertools.product(("ghz", "w"), ("antisymmetric", "product")):
+        assert cli.main(["scan", "fig3", "--grid", "13", "--spin", spin,
+                         "--momentum", momentum]) == 0
+        rows = [r.split(",") for r in capsys.readouterr().out.splitlines()[2:]]
+        assert len(rows) == 13 * len(FIG3_CATALOG)
+        state = compose(
+            permutation_momentum(cli._momentum_coeffs(momentum)),
+            w_state() if spin == "w" else ghz_state(),
+        )
+        for delta in np.linspace(0.0, math.pi / 2.0, 13):
+            boosted = build_boost_unitary(BoostScenario.from_angle(delta))(state)
+            for _, name, value in rows[: len(FIG3_CATALOG)]:
+                ref = _full_sum_m_concurrence(boosted.vector, specs[name], COMPOSITE_DIMS)
+                assert abs(float(value) - ref) < 1e-11, (spin, momentum, delta, name)
+            rows = rows[len(FIG3_CATALOG):]
+
+
+def test_m_concurrences_pure_evaluates_each_distinct_cut_once(monkeypatch):
+    # the fig3 catalog needs 38 subset purities but only 31 are distinct;
+    # the values are bit-identical in any partition order and equal the
+    # single-partition route
+    rng = np.random.default_rng(23)
+    batch = np.array([haar_state(216, rng) for _ in range(5)])
+    specs = [spec for _, spec in FIG3_CATALOG]
+    calls = []
+    real = measures._subset_purities
+    monkeypatch.setattr(
+        measures, "_subset_purities", lambda *a: calls.append(a[1]) or real(*a)
+    )
+    values = m_concurrences_pure(batch, specs)
+    assert len(calls) == len(set(calls)) == 31
+    assert all(0 in keep for keep in calls)
+    reordered = m_concurrences_pure(batch, specs[::-1])[::-1]
+    for spec, got, again in zip(specs, values, reordered):
+        assert np.array_equal(got, again)
+        assert np.array_equal(got, m_concurrence_pure(batch, spec))
+    # an empty batch gives empty arrays, as three_tangle does
+    assert [v.shape for v in m_concurrences_pure(batch[:0], specs)] == [(0,)] * 6
+
+
+def test_m_concurrences_pure_allocates_scratch_once():
+    # a call allocates three amplitude-sized scratch buffers; every subset
+    # purity (kept side smaller or larger) writes only into them
+    rng = np.random.default_rng(29)
+    batch = np.array([haar_state(216, rng) for _ in range(121)])
+    tensor = batch.reshape((-1,) + COMPOSITE_DIMS)
+    scratch = np.empty((3, batch.size), dtype=np.complex128)
+    specs = [spec for _, spec in FIG3_CATALOG]
+    calls = [lambda: m_concurrences_pure(batch, specs)] + [
+        lambda keep=keep: measures._subset_purities(tensor, keep, scratch)
+        for keep in ((0,), (0, 2, 4), (0, 1, 2, 4))
+    ]
+    peaks = []
+    for call in calls:
+        call()
+        tracemalloc.start()
+        try:
+            call()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < 3.5 * batch.nbytes
+    assert max(peaks[1:]) < 0.1 * batch.nbytes
 
 
 def test_sqrt_radicand_noise_policy():
