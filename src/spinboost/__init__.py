@@ -3,6 +3,8 @@ entanglement structure they preserve: Wigner rotations, boosted reduced
 spin states with ensemble certificates, a GHZ-type witness, and
 partition entanglement measures."""
 
+import types
+
 from .boost import (
     BoostUnitary,
     SpinEnsemble,
@@ -84,70 +86,8 @@ from .states import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BoostScenario",
-    "BoostUnitary",
-    "CertificateReport",
-    "ClassCertificate",
-    "CompositeState",
-    "COMPOSITE_DIMS",
-    "DensityCheck",
-    "InputError",
-    "InvarianceReport",
-    "LocalUnitarySample",
-    "MixedState",
-    "MomentumGeometry",
-    "NumericError",
-    "PartitionSpec",
-    "ShapeError",
-    "SpinboostError",
-    "SpinEnsemble",
-    "StateFileError",
-    "ValidationError",
-    "WitnessReport",
-    "antisymmetric_coeffs",
-    "antisymmetric_momentum",
-    "basis_momentum",
-    "bipartition",
-    "boost_mixed",
-    "boost_pure",
-    "boosted_amplitudes",
-    "boosted_spin_terms",
-    "boosted_spin_density_fast",
-    "build_boost_unitary",
-    "check_condition1",
-    "compose",
-    "composite_spin_ensemble",
-    "default_geometry",
-    "ghz_alpha",
-    "ghz_state",
-    "ghz_witness",
-    "gme_lower_bound",
-    "haar_state",
-    "hermitian_eigen",
-    "is_density_matrix",
-    "kron",
-    "local_unitary",
-    "m_concurrence_pure",
-    "m_concurrences_pure",
-    "partial_trace",
-    "particle_partition",
-    "permutation_momentum",
-    "purity",
-    "random_local_unitary",
-    "rapidity",
-    "read_state",
-    "rotation_axis",
-    "sample_biseparable",
-    "singletons_partition",
-    "spin_rotation",
-    "spin_rotations",
-    "spins_vs_momenta_partition",
-    "three_tangle",
-    "verify_certificate",
-    "w_state",
-    "wigner_angle",
-    "witness_from_amplitudes",
-    "write_state",
-    "SPIN_DIMS",
-]
+# The public API is every name imported above.
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, types.ModuleType)
+)

@@ -22,7 +22,9 @@ rotations is formed.  The mixture route also yields a SpinEnsemble: the
 explicit list of (weight, three 2x2 rotations, base vector) terms whose
 mixture is the reduced spin state.  Because each term applies a *local*
 unitary to a pure spin state, the ensemble certifies that boosting
-cannot move a state between local-unitary entanglement classes.
+cannot move a state between local-unitary entanglement classes.  Its
+arrays carry leading batch axes, so a batch of boosts is certified in one
+call; an item pads the kets only its neighbours carry with weight 0.
 """
 
 from __future__ import annotations
@@ -31,14 +33,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import COMPOSITE_DIM, MOMENTUM_DIM, SPIN_DIM, SPIN_DIMS
-from .errors import ShapeError
+from .constants import ATOL_PHYSICS, COMPOSITE_DIM, MOMENTUM_DIM, SPIN_DIM, SPIN_DIMS
+from .errors import ShapeError, ValidationError
 from .kinematics import BoostScenario
 from .linalg import apply_local, kron
 from .states import (
     CompositeState,
     MixedState,
-    _mixture_weights,
     _momentum_spin_rows,
     _state_rows,
     compose,
@@ -62,12 +63,14 @@ class BoostUnitary:
 
 @dataclass(frozen=True)
 class SpinEnsemble:
-    """Mixture certificate for a reduced spin state.
+    """Mixture certificates for reduced spin states, with batch axes (...).
 
-    Term k contributes weights[k] * |psi_k><psi_k| with psi_k = U_k phi_k,
+    Term k contributes weights[..., k] |psi_k><psi_k| with psi_k = U_k phi_k,
     where U_k is the product of the three single-qubit rotations
-    rotations[k] (shape (3, 2, 2)) and phi_k = base_vectors[k].  U_k is
-    local by construction.
+    rotations[..., k, :, :, :] and phi_k = base_vectors[..., k, :] (shapes
+    (..., K), (..., K, 3, 2, 2), (..., K, 8)).  U_k is local by construction.
+    Each item's weights are nonnegative and sum to one; a weight-0 term pads
+    an item to the batch's K and is left out of verification.
     """
 
     weights: np.ndarray
@@ -75,26 +78,30 @@ class SpinEnsemble:
     base_vectors: np.ndarray
 
     def __post_init__(self):
-        w = _mixture_weights(self.weights, "ensemble")
+        w = np.asarray(self.weights, dtype=float)
         r = np.asarray(self.rotations, dtype=np.complex128)
         vecs = np.asarray(self.base_vectors, dtype=np.complex128)
-        k = w.size
-        if r.shape != (k, 3, 2, 2) or vecs.shape != (k, SPIN_DIM):
-            raise ShapeError("ensemble arrays have inconsistent shapes")
+        if w.size == 0 or (r.shape, vecs.shape) != (w.shape + (3, 2, 2),
+                                                    w.shape + (SPIN_DIM,)):
+            raise ShapeError("ensemble arrays are empty or inconsistent")
+        total = w.sum(axis=-1)  # NaN fails both checks
+        if not (np.all(w >= 0.0) and np.all(np.abs(total - 1.0) <= ATOL_PHYSICS)):
+            raise ValidationError("ensemble weights must be nonnegative and "
+                                  "sum to 1 per item")
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "rotations", r)
         object.__setattr__(self, "base_vectors", vecs)
 
     def __len__(self) -> int:
-        return int(self.weights.size)
+        return int(self.weights.shape[-1])
 
     def amplitudes(self) -> np.ndarray:
-        """The rotated term states psi_k = U_k phi_k, shape (K, 8)."""
+        """The rotated term states psi_k = U_k phi_k, shape (..., K, 8)."""
         return _rotate_kets(self.rotations, self.base_vectors)
 
     def mix(self) -> np.ndarray:
-        """The 8x8 density matrix sum_k w_k U_k |phi_k><phi_k| U_k^H."""
-        return _mixture(np.sqrt(self.weights)[:, None] * self.amplitudes())
+        """The (..., 8, 8) densities sum_k w_k U_k |phi_k><phi_k| U_k^H."""
+        return _mixture(np.sqrt(self.weights)[..., None] * self.amplitudes())
 
 
 def _mixture(chi: np.ndarray) -> np.ndarray:
@@ -104,7 +111,7 @@ def _mixture(chi: np.ndarray) -> np.ndarray:
 
 def _rotate_kets(factors: np.ndarray, rows: np.ndarray) -> np.ndarray:
     # chi_k = (f_k0 (x) f_k1 (x) f_k2) rows_k for per-ket rotations
-    # factors (..., K, 3, 2, 2) and spin rows (K, 8); shape (..., K, 8)
+    # factors (..., K, 3, 2, 2) and spin rows (..., K, 8); shape (..., K, 8)
     return apply_local([factors[..., i, :, :] for i in range(3)], rows, SPIN_DIMS)
 
 
@@ -159,19 +166,26 @@ def boost_mixed(mixed: MixedState, scenario: BoostScenario) -> MixedState:
 
 
 def _momentum_kets(state) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # Label assignments (K, 3), spin rows m_k (K, 8) and weights |m_k|^2
-    # of the momentum basis kets that carry amplitude.  Member i of a
+    # Label assignments (K, 3), spin rows m_k (..., K, 8) and weights
+    # |m_k|^2 (..., K) of the momentum basis kets that carry amplitude in
+    # any item of a batch of pure states (..., 216); where a kept ket is
+    # negligible, its row and weight are exact zeros.  Member i of a
     # mixture contributes its 27 rows scaled by sqrt(q_i), so its terms
-    # weigh q_i |m_k^i|^2; a pure state is a mixture of one.
-    if not isinstance(state, MixedState):
-        vec = state.vector if isinstance(state, CompositeState) else state
-        state = MixedState(np.ones(1), np.reshape(vec, (1, -1)))
-    m = np.sqrt(state.weights)[:, None, None] * _momentum_spin_rows(state.vectors)
-    m = m.reshape(-1, SPIN_DIM)  # (M * 27, 8), rows are momentum kets
-    w = np.einsum("ki,ki->k", m.conj(), m).real
-    keep = w > _NEGLIGIBLE_WEIGHT
-    labels = np.tile(_MOMENTUM_BASIS_LABELS, (len(state.weights), 1))
-    return labels[keep], m[keep], w[keep]
+    # weigh q_i |m_k^i|^2; a mixture is one item.
+    if isinstance(state, MixedState):
+        m = np.sqrt(state.weights)[:, None, None] * _momentum_spin_rows(state.vectors)
+        m = m.reshape(-1, SPIN_DIM)  # (M * 27, 8), rows are momentum kets
+        labels = np.tile(_MOMENTUM_BASIS_LABELS, (len(state.weights), 1))
+    else:
+        vec = (state.vector if isinstance(state, CompositeState)
+               else _state_rows(state, COMPOSITE_DIM, "composite state"))
+        m, labels = _momentum_spin_rows(vec), _MOMENTUM_BASIS_LABELS
+    w = np.einsum("...ki,...ki->...k", m.conj(), m).real
+    carries = w > _NEGLIGIBLE_WEIGHT
+    keep = np.any(carries.reshape(-1, w.shape[-1]), axis=0)
+    carries = carries[..., keep]
+    rows = np.where(carries[..., None], m[..., keep, :], 0.0)
+    return labels[keep], rows, np.where(carries, w[..., keep], 0.0)
 
 
 def boosted_spin_terms(state, rotations: np.ndarray) -> np.ndarray:
@@ -196,16 +210,23 @@ def boosted_spin_density_fast(coeffs, spin, scenario: BoostScenario) -> np.ndarr
     return _mixture(boosted_spin_terms(state, scenario.rotations()))
 
 
+def _spin_ensembles(state, rotations: np.ndarray) -> SpinEnsemble:
+    # composite_spin_ensemble for a batch of pure states (..., 216) under
+    # per-item rotations (..., 3, 2, 2); padding keeps a zero base vector.
+    labels, rows, w = _momentum_kets(state)
+    norms = np.sqrt(np.where(w > 0.0, w, 1.0))
+    return SpinEnsemble(
+        weights=w,
+        rotations=np.asarray(rotations)[..., labels, :, :],
+        base_vectors=rows / norms[..., None],
+    )
+
+
 def composite_spin_ensemble(
     state: CompositeState | MixedState, scenario: BoostScenario
 ) -> SpinEnsemble:
     """The mixture route as a certificate: term k has weight |m_k|^2, base
     vector m_k / |m_k| and the rotations (U(m1), U(m2), U(m3)) of its
     momentum ket |m1 m2 m3>.  For a mixture with weights q_i the terms
-    of member i weigh q_i |m_k^i|^2."""
-    labels, rows, w = _momentum_kets(state)
-    return SpinEnsemble(
-        weights=w,
-        rotations=scenario.rotations()[labels],
-        base_vectors=rows / np.sqrt(w)[:, None],
-    )
+    of member i weigh q_i |m_k^i|^2.  A batch of one of _spin_ensembles."""
+    return _spin_ensembles(state, scenario.rotations())

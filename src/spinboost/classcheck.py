@@ -10,7 +10,8 @@ a boost produces decomposes into weighted terms U_k |phi><phi| U_k^H with
 local-unitary class of the unboosted spin state; verification checks
 that every factor is unitary and every base vector is the base state,
 reconstructs the density matrix, and compares LU invariants term against
-base.  soundness_suite: the GHZ witness is nonpositive on random
+base, for a whole batch of certificates in one vectorized pass.
+soundness_suite: the GHZ witness is nonpositive on random
 biseparable mixtures.  All sampling is driven by numpy's seeded
 Generator, so every check is reproducible from its seed.
 """
@@ -23,18 +24,22 @@ from typing import Sequence
 
 import numpy as np
 
-from .boost import SpinEnsemble, boosted_amplitudes, composite_spin_ensemble
+from .boost import SpinEnsemble, _mixture, _spin_ensembles, boosted_amplitudes
 from .constants import ATOL_ALGEBRA, ATOL_PHYSICS, SPIN_DIM, SPIN_DIMS
-from .errors import InputError, ShapeError
-from .kinematics import BoostScenario, default_geometry, spin_rotations
-from .linalg import apply_local, kron
-from .measures import m_concurrences_pure, three_tangle, witness_from_amplitudes
+from .errors import InputError, ShapeError, ValidationError
+from .kinematics import default_geometry, spin_rotations
+from .linalg import apply_local, kron, row_norms
+from .measures import (
+    _three_tangle_unchecked,
+    m_concurrences_pure,
+    three_tangle,
+    witness_from_amplitudes,
+)
 from .states import (
     PartitionSpec,
-    _as_state_vector,
     _momentum_spin_rows,
+    _product_rows,
     bipartition,
-    compose,
     ghz_state,
     w_state,
 )
@@ -42,6 +47,8 @@ from .states import (
 SPIN_BIPARTITIONS = tuple(bipartition((i,), 3) for i in range(3))
 # Samples soundness_suite draws and evaluates together: bounds its memory.
 SOUNDNESS_CHUNK = 1000
+# Boosts condition2_suite certifies together: bounds its memory.
+CONDITION2_CHUNK = 64
 
 
 def haar_state(dim: int, rng, batch: tuple[int, ...] = ()) -> np.ndarray:
@@ -49,10 +56,7 @@ def haar_state(dim: int, rng, batch: tuple[int, ...] = ()) -> np.ndarray:
     rng = np.random.default_rng(rng)
     shape = tuple(batch) + (dim,)
     v = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    # |v|^2 by the dot products np.linalg.norm takes for a single vector
-    re, im = v.real[..., None, :], v.imag[..., None, :]
-    sq = re @ np.swapaxes(re, -1, -2) + im @ np.swapaxes(im, -1, -2)
-    return v / np.sqrt(sq[..., 0])
+    return v / row_norms(v)[..., None]
 
 
 def _haar_unitary_qr(g: np.ndarray) -> np.ndarray:
@@ -81,19 +85,19 @@ class LocalUnitarySample:
 def _haar_factors(dims: Sequence[int], seeds: Sequence) -> list[np.ndarray]:
     # Haar-random factors for every seed: entry i has shape (T, d_i, d_i)
     # and row t is drawn from default_rng(seeds[t]), all factors of one
-    # dimension as one complex Gaussian stack; every seed's stacks of one
-    # dimension are orthonormalized by one stacked QR.
+    # dimension as one complex Gaussian stack, written in place; every
+    # seed's stacks of one dimension are orthonormalized by one stacked QR.
     dims = tuple(int(d) for d in dims)
     if any(d < 2 for d in dims):
         raise InputError(f"factor dimensions must be >= 2, got {dims}")
     distinct = list(dict.fromkeys(dims))  # first-seen order
-    gauss = {d: [] for d in distinct}
-    for seed in seeds:
+    # per seed and dimension, the real then the imaginary parts in one call
+    gauss = {d: np.empty((len(seeds), 2, dims.count(d), d, d)) for d in distinct}
+    for t, seed in enumerate(seeds):
         rng = np.random.default_rng(seed)
         for d in distinct:
-            shape = (dims.count(d), d, d)
-            gauss[d].append(rng.normal(size=shape) + 1j * rng.normal(size=shape))
-    stacks = {d: iter(np.moveaxis(_haar_unitary_qr(np.stack(g)), 1, 0))
+            rng.standard_normal(out=gauss[d][t])
+    stacks = {d: iter(np.moveaxis(_haar_unitary_qr(g[:, 0] + 1j * g[:, 1]), 1, 0))
               for d, g in gauss.items()}
     return [next(stacks[d]) for d in dims]
 
@@ -293,9 +297,9 @@ def verify_certificate(
     rho: np.ndarray,
     reconstruction_atol: float = 1e-10,
     invariant_atol: float = ATOL_PHYSICS,
-) -> CertificateReport:
-    """Check a boost certificate against the reduced spin density it claims
-    to decompose.
+) -> CertificateReport | list[CertificateReport]:
+    """Check boost certificates against the reduced spin densities they
+    claim to decompose.
 
     (a) the weighted terms must reconstruct `rho` within
     `reconstruction_atol` (Frobenius); (b) every term must be a local
@@ -306,40 +310,65 @@ def verify_certificate(
     reduction spectra and three-tangle within `invariant_atol`.  (b) is
     what proves LU equivalence; (c) follows from it and is checked and
     reported as well.
+
+    Batches of base_state (..., 8), ensemble and rho (..., 8, 8) are
+    checked in one pass and give a list of reports in C order, each equal
+    bit for bit to its item's report alone; zero-weight padding terms are
+    not checked.  A base state or term that is not normalized fails its
+    item, and raises ValidationError for a single certificate.
     """
     ens = cert.ensemble
-    base = _as_state_vector(cert.base_state, SPIN_DIM, "base state")
-    recon = ens.mix()
-    rec_err = float(np.linalg.norm(recon - np.asarray(rho, dtype=np.complex128)))
+    batch = ens.weights.shape[:-1]
+    base = np.asarray(cert.base_state, dtype=np.complex128)
+    rho = np.asarray(rho, dtype=np.complex128)
+    if base.shape != batch + (SPIN_DIM,) or rho.shape != batch + (SPIN_DIM,) * 2:
+        raise ShapeError(f"base states {base.shape} and densities {rho.shape} "
+                         f"do not match an ensemble of batch shape {batch}")
+    psi = ens.amplitudes()
+    # ens.mix(), from the rotated terms the invariants are checked on
+    diff = _mixture(np.sqrt(ens.weights)[..., None] * psi) - rho
+    rec_err = row_norms(diff.reshape(batch + (SPIN_DIM * SPIN_DIM,)))
 
     f = ens.rotations
     unitarity = np.linalg.norm(
         f @ np.swapaxes(f.conj(), -1, -2) - np.eye(2), axis=(-2, -1)
-    ).max(axis=1)
-    overlap = ens.base_vectors @ base.conj()
+    ).max(axis=-1)
+    # one dot product per term, so no term's value depends on the others
+    rows = ens.base_vectors[..., None, :]
+    overlap = (rows @ base.conj()[..., None, :, None])[..., 0, 0]
     phase = np.exp(1j * np.angle(overlap))
-    base_dev = np.linalg.norm(ens.base_vectors - phase[:, None] * base, axis=1)
+    base_dev = np.linalg.norm(
+        ens.base_vectors - phase[..., None] * base[..., None, :], axis=-1
+    )
 
-    psi = ens.amplitudes()
-    spec_dev = np.abs(single_qubit_spectra(psi) - single_qubit_spectra(base))
-    spec_dev = spec_dev.max(axis=(1, 2))
-    tangle_dev = np.abs(three_tangle(psi) - three_tangle(base))
+    spec_dev = np.abs(single_qubit_spectra(psi)
+                      - single_qubit_spectra(base)[..., None, :, :])
+    spec_dev = spec_dev.max(axis=(-2, -1))
+    tangle_dev = np.abs(_three_tangle_unchecked(psi)
+                        - _three_tangle_unchecked(base)[..., None])
+    base_ok = np.abs(np.linalg.norm(base, axis=-1) - 1.0) <= ATOL_PHYSICS
+    term_ok = np.abs(np.linalg.norm(psi, axis=-1) - 1.0) <= ATOL_PHYSICS
+    live = ens.weights > 0.0
+    if not batch and not (base_ok and np.all(term_ok[live])):
+        raise ValidationError("base state or rotated terms are not normalized")
     good = (
         (spec_dev <= invariant_atol)
         & (tangle_dev <= invariant_atol)
         & (unitarity <= ATOL_ALGEBRA)
         & (base_dev <= ATOL_ALGEBRA)
+        & term_ok
+        & base_ok[..., None]
     )  # NaN anywhere fails the term
-    failing = tuple(int(k) for k in np.flatnonzero(~good))
-    return CertificateReport(
-        passed=rec_err <= reconstruction_atol and not failing,
-        reconstruction_error=rec_err,
-        max_spectrum_deviation=float(spec_dev.max()),
-        max_tangle_deviation=float(tangle_dev.max()),
-        max_unitarity_error=float(unitarity.max()),
-        max_base_deviation=float(base_dev.max()),
-        failing_terms=failing,
-    )
+    # per item, each check's worst live term (deviations are >= 0 or NaN)
+    worst = [np.where(live, dev, 0.0).max(axis=-1).ravel().tolist()
+             for dev in (spec_dev, tangle_dev, unitarity, base_dev)]
+    reports = []
+    for rec, bad, *maxima in zip(rec_err.ravel().tolist(),
+                                 (live & ~good).reshape(-1, live.shape[-1]), *worst):
+        failing = tuple(np.flatnonzero(bad).tolist())
+        passed = rec <= reconstruction_atol and not failing
+        reports.append(CertificateReport(passed, rec, *maxima, failing))
+    return reports if batch else reports[0]
 
 
 def condition1_suite(trials: int = 100, seed: int = 7) -> tuple[bool, list[str]]:
@@ -363,22 +392,25 @@ def condition1_suite(trials: int = 100, seed: int = 7) -> tuple[bool, list[str]]
 
 def condition2_suite(trials: int = 50, seed: int = 7) -> tuple[bool, list[str]]:
     """The certificate suite: boosts of Haar momentum (x) Haar spin states
-    at uniform angles in [0, pi/2], all boosted and reduced as one batch,
-    then one verify_certificate per trial.  Returns (passed, report lines)."""
+    at uniform angles in [0, pi/2], drawn trial by trial from one
+    generator.  Each chunk of CONDITION2_CHUNK trials is boosted, reduced,
+    certified and verified as one batch, so only the reports grow with
+    `trials`.  Returns (passed, report lines)."""
     rng = np.random.default_rng(seed)
-    draws = [
-        (haar_state(27, rng), haar_state(8, rng), rng.uniform(0.0, math.pi / 2.0))
-        for _ in range(trials)
-    ]
     axes = default_geometry().rotation_axes()
-    vectors = np.stack([compose(momentum, spin).vector for momentum, spin, _ in draws])
-    rotations = spin_rotations(axes, [delta for _, _, delta in draws])
-    m = _momentum_spin_rows(boosted_amplitudes(vectors, rotations))
-    rhos = np.swapaxes(m, -1, -2) @ m.conj()
     reports = []
-    for (_, spin, delta), vec, rho in zip(draws, vectors, rhos):
-        ensemble = composite_spin_ensemble(vec, BoostScenario(delta, axes))
-        reports.append(verify_certificate(ClassCertificate(spin, ensemble), rho))
+    for start in range(0, trials, CONDITION2_CHUNK):
+        draws = [
+            (haar_state(27, rng), haar_state(8, rng), rng.uniform(0.0, math.pi / 2.0))
+            for _ in range(min(CONDITION2_CHUNK, trials - start))
+        ]
+        momenta, spins, deltas = (np.array(column) for column in zip(*draws))
+        vectors = _product_rows(momenta, spins)
+        rotations = spin_rotations(axes, deltas)
+        m = _momentum_spin_rows(boosted_amplitudes(vectors, rotations))
+        rhos = np.swapaxes(m, -1, -2) @ m.conj()
+        ensembles = _spin_ensembles(vectors, rotations)
+        reports += verify_certificate(ClassCertificate(spins, ensembles), rhos)
     lines = [f"FAIL scenario {i}: {rep}" for i, rep in enumerate(reports) if not rep]
     worst_rec = max(r.reconstruction_error for r in reports)
     worst_inv = max(max(r.max_spectrum_deviation, r.max_tangle_deviation)

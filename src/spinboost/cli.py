@@ -49,6 +49,7 @@ from .states import (
     singletons_partition,
     spins_vs_momenta_partition,
     w_state,
+    write_output,
     write_state,
 )
 
@@ -99,8 +100,7 @@ def _write_lines(lines, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w", newline="") as fh:
-            fh.write(text)
+        write_output(out, text)
 
 
 def cmd_wigner(args) -> int:
@@ -249,9 +249,7 @@ def cmd_boost(args) -> int:
     rho = boosted.spin_density()
     if args.spin_out:
         doc = {"dims": list(SPIN_DIMS), "matrix": _amps_to_json(rho)}
-        with open(args.spin_out, "w") as fh:
-            json.dump(doc, fh)
-            fh.write("\n")
+        write_output(args.spin_out, json.dumps(doc) + "\n")
     print(f"delta_rad {_fmt(scenario.delta)}")
     print(f"spin_purity {_fmt(purity_unchecked(rho))}")
     print(f"witness {_fmt(ghz_witness(rho, validate=False).value)}")

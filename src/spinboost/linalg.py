@@ -78,6 +78,15 @@ def apply_local(
     return t
 
 
+def row_norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norms over the last axis, shape (...).  Each is the pair
+    of dot products np.linalg.norm takes for a single vector, so it equals
+    np.linalg.norm of its row bit for bit, batched or not."""
+    re, im = v.real[..., None, :], v.imag[..., None, :]
+    sq = re @ np.swapaxes(re, -1, -2) + im @ np.swapaxes(im, -1, -2)
+    return np.sqrt(sq[..., 0, 0])
+
+
 def _check_factored(mat: np.ndarray, dims: Sequence[int]) -> tuple[int, ...]:
     dims = tuple(int(d) for d in dims)
     if any(d < 1 for d in dims):

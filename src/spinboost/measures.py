@@ -313,6 +313,11 @@ def three_tangle(state):
     returns a float for a single state, an array of shape (...) for a
     batch."""
     vec, _ = _batch_of_states(state, SPIN_DIMS)
+    return _unbatch(_three_tangle_unchecked(vec).ravel(), vec.shape[:-1])
+
+
+def _three_tangle_unchecked(vec: np.ndarray) -> np.ndarray:
+    # three_tangle of amplitudes (..., 8) without the normalization check.
     a = np.moveaxis(vec.reshape((-1, 2, 2, 2)), 0, -1)
     d1 = (
         a[0, 0, 0] ** 2 * a[1, 1, 1] ** 2
@@ -332,4 +337,4 @@ def three_tangle(state):
         a[0, 0, 0] * a[1, 1, 0] * a[1, 0, 1] * a[0, 1, 1]
         + a[1, 1, 1] * a[0, 0, 1] * a[0, 1, 0] * a[1, 0, 0]
     )
-    return _unbatch(4.0 * np.abs(d1 - 2.0 * d2 + 4.0 * d3), vec.shape[:-1])
+    return (4.0 * np.abs(d1 - 2.0 * d2 + 4.0 * d3)).reshape(vec.shape[:-1])

@@ -187,13 +187,22 @@ class MixedState:
         return np.sum(self.weights[:, None, None] * rhos, axis=0)
 
 
+def _product_rows(momentum: np.ndarray, spin: np.ndarray) -> np.ndarray:
+    # Amplitudes (..., 216) of momentum (..., 27) (x) spin (..., 8), the
+    # factors interleaved into the composite order, one product per entry.
+    m = momentum.reshape(momentum.shape[:-1] + (3, 3, 3))
+    s = spin.reshape(spin.shape[:-1] + (2, 2, 2))
+    full = np.einsum("...abc,...xyz->...axbycz", m, s)
+    return full.reshape(full.shape[:-6] + (COMPOSITE_DIM,))
+
+
 def compose(momentum: np.ndarray, spin: np.ndarray) -> CompositeState:
     """Tensor a 27-dim momentum state with an 8-dim spin state, interleaving
     the factors into the composite order."""
-    m = _as_state_vector(momentum, MOMENTUM_DIM, "momentum state").reshape(3, 3, 3)
-    s = _as_state_vector(spin, SPIN_DIM, "spin state").reshape(2, 2, 2)
-    full = np.einsum("abc,xyz->axbycz", m, s).reshape(COMPOSITE_DIM)
-    return CompositeState(full)
+    return CompositeState(_product_rows(
+        _as_state_vector(momentum, MOMENTUM_DIM, "momentum state"),
+        _as_state_vector(spin, SPIN_DIM, "spin state"),
+    ))
 
 
 @dataclass(frozen=True)
@@ -297,9 +306,17 @@ def write_state(state: StateLike, path) -> None:
     else:
         v = _as_state_vector(state, SPIN_DIM, "spin state")
         doc = {"dims": list(SPIN_DIMS), "amps": _amps_to_json(v)}
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+    write_output(path, json.dumps(doc) + "\n")
+
+
+def write_output(path, text: str) -> None:
+    """Write a file, the package's only way to; an unwritable path raises
+    InputError naming it (CLI exit 2)."""
+    try:
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def read_state(path) -> StateLike:

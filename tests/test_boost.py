@@ -201,6 +201,23 @@ def test_spin_ensemble_validation():
         SpinEnsemble(np.array([np.nan]), eye, vec)
 
 
+def test_spin_ensemble_batch_validation():
+    # weights are checked per item: exact zeros pad an item, a negative,
+    # NaN or mis-summed weight in any one item is rejected
+    eye = np.broadcast_to(np.eye(2, dtype=np.complex128), (2, 2, 3, 2, 2))
+    vec = np.zeros((2, 2, 8), dtype=np.complex128)
+    vec[..., 0] = 1.0
+    ens = SpinEnsemble(np.array([[1.0, 0.0], [0.5, 0.5]]), eye, vec)
+    assert len(ens) == 2 and ens.mix().shape == (2, 8, 8)
+    np.testing.assert_allclose(ens.mix()[0], ens.mix()[1], rtol=0, atol=1e-15)
+    for bad in ([[1.0, 0.0], [0.5, 0.6]], [[1.0, 0.0], [1.5, -0.5]],
+                [[1.0, 0.0], [np.nan, 1.0]]):
+        with pytest.raises(ValidationError):
+            SpinEnsemble(np.array(bad), eye, vec)
+    with pytest.raises(ShapeError):  # one more item of rotations than weights
+        SpinEnsemble(np.array([[1.0, 0.0]]), eye, vec[:1])
+
+
 def test_mix_is_weighted_sum_of_rotated_projectors():
     rng = np.random.default_rng(9)
     state = compose(haar_vec(27, rng), haar_vec(8, rng))

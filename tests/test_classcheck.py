@@ -25,21 +25,30 @@ from spinboost import (
     verify_certificate,
     w_state,
 )
-from spinboost import classcheck
+from spinboost import boost, classcheck
 from spinboost.boost import boost_pure
 from spinboost.classcheck import (
+    CONDITION2_CHUNK,
     SOUNDNESS_CHUNK,
     SPIN_BIPARTITIONS,
     _all_partitions,
     _haar_factors,
     _haar_unitary_qr,
+    condition2_suite,
     single_qubit_spectra,
     soundness_suite,
 )
 from spinboost.constants import COMPOSITE_DIMS, ID2, PAULI_X
+from spinboost.kinematics import default_geometry, spin_rotations
 from spinboost.linalg import hermitian_eigen, partial_trace, projector, purity_unchecked
 from spinboost.measures import m_concurrence_pure, three_tangle
-from spinboost.states import bipartition, particle_partition
+from spinboost.states import (
+    CompositeState,
+    basis_momentum,
+    bipartition,
+    particle_partition,
+    permutation_momentum,
+)
 
 
 def test_haar_state_normalized_and_uniform_mean():
@@ -426,3 +435,159 @@ def test_soundness_suite_chunks_keep_global_sample_indices(monkeypatch):
     passed, lines = soundness_suite(trials=trials)
     assert not passed and len(lines) == trials + 1
     assert lines[trials - 1].startswith(f"FAIL sample {trials - 1}: witness value")
+
+
+def _mixed_batch(rng):
+    # Boosts of a permutation-momentum state (6 kets carry amplitude), a
+    # product-momentum state (1 ket, |A A B>, not a permutation) and two
+    # Haar states (27 kets), each with its own spin and angle; returns
+    # spins, amplitudes, per-item rotations, rhos and single scenarios.
+    coeffs = rng.normal(size=6) + 1j * rng.normal(size=6)
+    momenta = [permutation_momentum(coeffs / np.linalg.norm(coeffs)),
+               basis_momentum("AAB"), haar_state(27, rng), haar_state(27, rng)]
+    spins = haar_state(8, rng, (4,))
+    vectors = np.array([compose(m, s).vector for m, s in zip(momenta, spins)])
+    axes = default_geometry().rotation_axes()
+    scenarios = [BoostScenario(d, axes) for d in rng.uniform(0.0, math.pi / 2, 4)]
+    rotations = spin_rotations(axes, [sc.delta for sc in scenarios])
+    rhos = np.array([boost_pure(CompositeState(v), sc).spin_density()
+                     for v, sc in zip(vectors, scenarios)])
+    return spins, vectors, rotations, rhos, scenarios
+
+
+def test_batched_certificates_equal_per_item_bit_for_bit():
+    # the builder keeps every ket that carries amplitude in any item; an
+    # item's own kets are its single certificate's terms, bit for bit, and
+    # the others are exact-zero padding, so mix() and every report equal
+    # the item's batch-of-one results bit for bit
+    spins, vectors, rotations, rhos, scenarios = _mixed_batch(np.random.default_rng(40))
+    for n, union in ((2, 7), (4, 27)):  # permutation + product: 6 + 1 kets
+        batched = boost._spin_ensembles(vectors[:n], rotations[:n])
+        assert batched.weights.shape == (n, union) and len(batched) == union
+        mixes = batched.mix()
+        reports = verify_certificate(ClassCertificate(spins[:n], batched), rhos[:n])
+        assert isinstance(reports, list) and len(reports) == n
+        for t in range(n):
+            single = composite_spin_ensemble(CompositeState(vectors[t]), scenarios[t])
+            live = batched.weights[t] > 0.0
+            assert live.sum() == len(single) == (6, 1, 27, 27)[t]
+            np.testing.assert_array_equal(batched.weights[t][live], single.weights)
+            np.testing.assert_array_equal(batched.rotations[t][live], single.rotations)
+            np.testing.assert_array_equal(batched.base_vectors[t][live],
+                                          single.base_vectors)
+            assert np.all(batched.weights[t][~live] == 0.0)
+            assert np.all(batched.base_vectors[t][~live] == 0.0)
+            np.testing.assert_array_equal(mixes[t], single.mix())
+            alone = verify_certificate(ClassCertificate(spins[t], single), rhos[t])
+            assert isinstance(alone, classcheck.CertificateReport) and alone.passed
+            assert reports[t] == alone
+
+
+def test_batched_verification_fails_only_broken_items():
+    # one vectorized pass over six certificates: a forgery (base vectors
+    # = base, U = I, claiming |other><other|), a NaN base state, a wrong
+    # rho and a NaN in a zero-weight padding term each fail their own
+    # item; the two honest items pass with their single reports
+    rng = np.random.default_rng(41)
+    spins = haar_state(8, rng, (4,))
+    vectors = np.array([compose(haar_state(27, rng), s).vector for s in spins])
+    axes = default_geometry().rotation_axes()
+    deltas = rng.uniform(0.0, math.pi / 2, 4)
+    rotations = spin_rotations(axes, deltas)
+    honest = boost._spin_ensembles(vectors, rotations)
+    rhos = np.array([
+        boost_pure(CompositeState(v), BoostScenario(d, axes)).spin_density()
+        for v, d in zip(vectors, deltas)
+    ])
+    base, other, lone = haar_state(8, rng, (3,))
+    eye = np.broadcast_to(ID2, (27, 3, 2, 2))
+    padded_w = np.eye(27)[0]
+    forged_v = np.zeros((27, 8), dtype=np.complex128)
+    forged_v[0] = base
+    nan_pad = forged_v.copy()
+    nan_pad[0], nan_pad[5] = lone, np.nan
+    ens = SpinEnsemble(
+        np.concatenate([honest.weights, [padded_w, padded_w]]),
+        np.concatenate([honest.rotations, [eye, eye]]),
+        np.concatenate([honest.base_vectors, [forged_v, nan_pad]]),
+    )
+    bases = np.stack([spins[0], spins[1], np.full(8, np.nan), spins[3], base, lone])
+    rho_in = np.concatenate([rhos, [projector(other), projector(lone)]])
+    rho_in[3] = np.eye(8) / 8.0  # wrong density for an honest certificate
+    reports = verify_certificate(ClassCertificate(bases, ens), rho_in)
+    assert [r.passed for r in reports] == [True, True, False, False, False, False]
+    for t in (0, 1):
+        single = SpinEnsemble(honest.weights[t], honest.rotations[t],
+                              honest.base_vectors[t])
+        assert reports[t] == verify_certificate(ClassCertificate(spins[t], single),
+                                                rhos[t])
+    assert reports[2].failing_terms == tuple(range(27))  # NaN base state
+    assert math.isnan(reports[2].max_base_deviation)
+    with pytest.raises(ValidationError):  # ... which alone still raises
+        verify_certificate(ClassCertificate(bases[2], SpinEnsemble(
+            honest.weights[2], honest.rotations[2], honest.base_vectors[2])), rhos[2])
+    assert reports[3].reconstruction_error > 0.1 and not reports[3].failing_terms
+    assert reports[4].reconstruction_error > 0.1 and not reports[4].failing_terms
+    assert math.isnan(reports[5].reconstruction_error)  # 0 * NaN in mix()
+    assert not reports[5].failing_terms  # padding is not a checked term
+
+
+def _condition2_reference(trials, seed):
+    # condition2_suite as it read with one certificate per trial: the same
+    # draws, each boosted, reduced, certified and verified alone
+    rng = np.random.default_rng(seed)
+    axes = default_geometry().rotation_axes()
+    reports = []
+    for _ in range(trials):
+        momentum, spin = haar_state(27, rng), haar_state(8, rng)
+        sc = BoostScenario(rng.uniform(0.0, math.pi / 2.0), axes)
+        state = compose(momentum, spin)
+        cert = ClassCertificate(spin, composite_spin_ensemble(state, sc))
+        reports.append(verify_certificate(cert, boost_pure(state, sc).spin_density()))
+    lines = [f"FAIL scenario {i}: {rep}" for i, rep in enumerate(reports) if not rep]
+    worst_rec = max(r.reconstruction_error for r in reports)
+    worst_inv = max(max(r.max_spectrum_deviation, r.max_tangle_deviation)
+                    for r in reports)
+    lines.append(
+        f"certificates over {trials} boosts: max reconstruction "
+        f"{worst_rec:.3e}, max invariant deviation {worst_inv:.3e}"
+    )
+    return all(reports), lines
+
+
+@pytest.mark.parametrize(
+    "trials, seed", [(50, 7), (CONDITION2_CHUNK + 6, 123), (3, 991)]
+)
+def test_condition2_suite_matches_single_certificate_loop(trials, seed):
+    assert condition2_suite(trials, seed) == _condition2_reference(trials, seed)
+
+
+def test_condition2_suite_builds_and_verifies_once_per_chunk(monkeypatch):
+    calls = {"build": 0, "verify": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(classcheck, "_spin_ensembles",
+                        counted("build", classcheck._spin_ensembles))
+    monkeypatch.setattr(classcheck, "verify_certificate",
+                        counted("verify", classcheck.verify_certificate))
+    assert condition2_suite()[0]
+    assert calls == {"build": 1, "verify": 1}
+    assert condition2_suite(trials=2 * CONDITION2_CHUNK + 1)[0]
+    assert calls == {"build": 4, "verify": 4}
+
+
+def test_condition2_suite_memory_does_not_grow_with_trials():
+    condition2_suite(trials=2)
+    tracemalloc.start()
+    try:
+        passed, lines = condition2_suite(trials=1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert passed and len(lines) == 1
+    assert peak < 5e6

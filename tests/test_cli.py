@@ -455,6 +455,37 @@ def test_boost_command_rejects_spin_only_file(tmp_path, capsys):
     assert "momentum" in err
 
 
+@pytest.mark.parametrize("argv, path", [
+    (["boost", "{src}", "--delta", "0.3", "--out", "/nonexistent/x.json"],
+     "/nonexistent/x.json"),
+    (["boost", "{src}", "--delta", "0.3", "--out", "{tmp}/o.json",
+      "--spin-out", "/nonexistent/y.json"], "/nonexistent/y.json"),
+    (["scan", "fig3", "--grid", "3", "--out", "/nonexistent/z.csv"],
+     "/nonexistent/z.csv"),
+    (["scan", "fig2", "--grid", "3", "--out", "{tmp}"], "{tmp}"),  # a directory
+])
+def test_unwritable_output_path_is_bad_input(argv, path, tmp_path, capsys):
+    # every file the CLI writes goes through one helper, which turns an
+    # OSError into exit 2 with the path named, not a traceback
+    src = tmp_path / "s.json"
+    write_state(compose(antisymmetric_momentum(), ghz_state()), src)
+    argv = [a.format(src=src, tmp=tmp_path) for a in argv]
+    code, out, err = run(argv, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot write ")
+    assert path.format(tmp=tmp_path) in err and "Traceback" not in err
+
+
+def test_write_state_bytes_are_json_dumps(tmp_path):
+    # the C encoder writes what json.dump wrote: one line of default JSON
+    path = tmp_path / "s.json"
+    state = compose(antisymmetric_momentum(), ghz_state())
+    write_state(state, path)
+    doc = {"dims": [3, 2, 3, 2, 3, 2],
+           "amps": [[z.real, z.imag] for z in state.vector.tolist()]}
+    assert path.read_text() == json.dumps(doc) + "\n"
+
+
 def test_check_suites_pass(capsys):
     for suite, trials in (("condition1", "3"), ("condition2", "3"),
                           ("soundness", "20")):
