@@ -20,10 +20,8 @@ from .classcheck import (
     CertificateReport,
     ClassCertificate,
     InvarianceReport,
-    LocalUnitarySample,
     check_condition1,
     haar_state,
-    random_local_unitary,
     sample_biseparable,
     verify_certificate,
 )
@@ -53,7 +51,6 @@ from .linalg import (
     is_density_matrix,
     kron,
     partial_trace,
-    purity,
 )
 from .measures import (
     WitnessReport,

@@ -92,9 +92,6 @@ class SpinEnsemble:
         object.__setattr__(self, "rotations", r)
         object.__setattr__(self, "base_vectors", vecs)
 
-    def __len__(self) -> int:
-        return int(self.weights.shape[-1])
-
     def amplitudes(self) -> np.ndarray:
         """The rotated term states psi_k = U_k phi_k, shape (..., K, 8)."""
         return _rotate_kets(self.rotations, self.base_vectors)

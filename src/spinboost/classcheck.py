@@ -28,7 +28,7 @@ from .boost import SpinEnsemble, _mixture, _spin_ensembles, boosted_amplitudes
 from .constants import ATOL_ALGEBRA, ATOL_PHYSICS, SPIN_DIM, SPIN_DIMS
 from .errors import InputError, ShapeError, ValidationError
 from .kinematics import default_geometry, spin_rotations
-from .linalg import apply_local, kron, row_norms
+from .linalg import apply_local, row_norms
 from .measures import (
     _three_tangle_unchecked,
     m_concurrences_pure,
@@ -68,20 +68,6 @@ def _haar_unitary_qr(g: np.ndarray) -> np.ndarray:
     return q * (d / np.abs(d))[..., None, :]
 
 
-@dataclass(frozen=True)
-class LocalUnitarySample:
-    """One independently Haar-drawn unitary per tensor factor."""
-
-    factors: tuple[np.ndarray, ...]
-
-    def matrix(self) -> np.ndarray:
-        return kron(list(self.factors))
-
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        dims = tuple(f.shape[0] for f in self.factors)
-        return apply_local(self.factors, np.ravel(vec), dims)
-
-
 def _haar_factors(dims: Sequence[int], seeds: Sequence) -> list[np.ndarray]:
     # Haar-random factors for every seed: entry i has shape (T, d_i, d_i)
     # and row t is drawn from default_rng(seeds[t]), all factors of one
@@ -100,17 +86,6 @@ def _haar_factors(dims: Sequence[int], seeds: Sequence) -> list[np.ndarray]:
     stacks = {d: iter(np.moveaxis(_haar_unitary_qr(g[:, 0] + 1j * g[:, 1]), 1, 0))
               for d, g in gauss.items()}
     return [next(stacks[d]) for d in dims]
-
-
-def random_local_unitary(dims: Sequence[int], seed) -> LocalUnitarySample:
-    """Draw a Haar-random unitary for each factor dimension in `dims`.
-
-    All factors of one dimension are drawn as one complex Gaussian stack
-    and orthonormalized by one stacked QR; deterministic given seed.
-    """
-    return LocalUnitarySample(
-        factors=tuple(f[0] for f in _haar_factors(dims, [seed]))
-    )
 
 
 # _CUT_INDEX[c, j]: position of natural spin index j = |s0 s1 s2> in x (x) y,
@@ -175,10 +150,9 @@ def _all_partitions(n: int) -> list[PartitionSpec]:
 
 @dataclass(frozen=True)
 class InvarianceReport:
-    """Result of an LU-invariance sweep."""
+    """Result of an LU-invariance sweep: worst deviations, failing seeds."""
 
     passed: bool
-    trials: int
     max_tangle_deviation: float
     max_concurrence_deviation: float
     failing_seeds: tuple[int, ...] = ()
@@ -208,6 +182,8 @@ def check_condition1(
     """
     if trials < 1:  # no trial would pass vacuously
         raise InputError(f"trials must be at least 1, got {trials}")
+    if seed < 0:
+        raise InputError(f"seed must be nonnegative, got {seed}")
     vec = np.asarray(state, dtype=np.complex128).ravel()
     dims = tuple(int(d) for d in dims)
     if int(np.prod(dims)) != vec.size:
@@ -231,7 +207,6 @@ def check_condition1(
     failing = tuple(seed + int(t) for t in np.flatnonzero(bad))
     return InvarianceReport(
         passed=not failing,
-        trials=trials,
         max_tangle_deviation=max_tangle,
         max_concurrence_deviation=float(np.max(conc, initial=0.0)),
         failing_seeds=failing,

@@ -38,6 +38,7 @@ from .states import (
     CompositeState,
     MixedState,
     _amps_to_json,
+    _state_text,
     antisymmetric_coeffs,
     bipartition,
     compose,
@@ -50,7 +51,6 @@ from .states import (
     spins_vs_momenta_partition,
     w_state,
     write_output,
-    write_state,
 )
 
 FIG3_CATALOG = (
@@ -100,7 +100,7 @@ def _write_lines(lines, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        write_output(out, text)
+        write_output((out, text))
 
 
 def cmd_wigner(args) -> int:
@@ -224,6 +224,8 @@ def cmd_witness(args) -> int:
 
 def _scenario_from_args(args) -> BoostScenario:
     if args.delta is not None:
+        if args.observer_speed is not None or args.particle_speed is not None:
+            raise InputError("--delta excludes --observer-speed and --particle-speed")
         return BoostScenario.from_angle(args.delta)
     if args.observer_speed is None or args.particle_speed is None:
         raise InputError(
@@ -245,11 +247,12 @@ def cmd_boost(args) -> int:
         raise InputError(
             "boost needs a composite or mixed state file (momentum info required)"
         )
-    write_state(boosted, args.out)
     rho = boosted.spin_density()
+    outputs = [(args.out, _state_text(boosted))]
     if args.spin_out:
         doc = {"dims": list(SPIN_DIMS), "matrix": _amps_to_json(rho)}
-        write_output(args.spin_out, json.dumps(doc) + "\n")
+        outputs.append((args.spin_out, json.dumps(doc) + "\n"))
+    write_output(*outputs)  # both files or neither
     print(f"delta_rad {_fmt(scenario.delta)}")
     print(f"spin_purity {_fmt(purity_unchecked(rho))}")
     print(f"witness {_fmt(ghz_witness(rho, validate=False).value)}")

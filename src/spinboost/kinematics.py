@@ -185,10 +185,6 @@ class BoostScenario:
         geo = geometry if geometry is not None else default_geometry()
         return cls(delta=float(delta), axes=geo.rotation_axes())
 
-    def rotation(self, label: int | str) -> np.ndarray:
-        """2x2 spin rotation for the particle carrying the given momentum label."""
-        return spin_rotation(self.axes[momentum_label_index(label)], self.delta)
-
     def rotations(self) -> np.ndarray:
         """The rotations of all three labels, shape (3, 2, 2)."""
         return spin_rotations(self.axes, self.delta)

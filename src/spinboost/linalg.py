@@ -188,13 +188,6 @@ def require_density(rho: np.ndarray, atol: float = ATOL_PHYSICS) -> None:
         raise ValidationError(f"not a density matrix: {check}")
 
 
-def purity(rho: np.ndarray, atol: float = ATOL_PHYSICS) -> float:
-    """Tr(rho^2) of a validated density matrix; 1/dim <= purity <= 1."""
-    rho = np.asarray(rho, dtype=np.complex128)
-    require_density(rho, atol)
-    return purity_unchecked(rho)
-
-
 def purity_unchecked(rho: np.ndarray) -> float:
     # Tr(rho^2) = ||rho||_F^2 for Hermitian rho; used on hot paths where
     # the input is a density matrix by construction.

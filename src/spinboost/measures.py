@@ -95,21 +95,12 @@ _POP_PAIRS = {
 
 @dataclass(frozen=True)
 class WitnessReport:
-    """Witness evaluation with its pieces: value = offdiag_term - sum of
-    population_terms (each already carrying its factor of two)."""
+    """Witness value = offdiag_term - sum of population_terms (each carrying
+    its factor of two); a positive value certifies GME."""
 
     value: float
     offdiag_term: float
     population_terms: tuple[float, float, float]
-    offdiag_real: float
-    offdiag_imag: float
-    path: str
-    variant: str
-
-    @property
-    def detected(self) -> bool:
-        """True when genuine multipartite entanglement is certified."""
-        return self.value > 0.0
 
 
 def _expect(rho: np.ndarray, op: np.ndarray) -> float:
@@ -161,15 +152,7 @@ def ghz_witness(
         for i, j in _POP_PAIRS[variant]
     )
     value = offdiag - sum(terms)
-    return WitnessReport(
-        value=value,
-        offdiag_term=offdiag,
-        population_terms=terms,
-        offdiag_real=re2,
-        offdiag_imag=im2,
-        path=path,
-        variant=variant,
-    )
+    return WitnessReport(value=value, offdiag_term=offdiag, population_terms=terms)
 
 
 def witness_from_amplitudes(psi, variant: str = "symmetric") -> np.ndarray:

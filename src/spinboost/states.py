@@ -15,8 +15,10 @@ also accepted for bare three-spin states (used by the witness command).
 
 from __future__ import annotations
 
+import errno
 import json
 import math
+import os
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence, Union
@@ -145,10 +147,6 @@ class CompositeState:
         v = _as_state_vector(self.vector, COMPOSITE_DIM, "composite state")
         object.__setattr__(self, "vector", v)
 
-    def tensor(self) -> np.ndarray:
-        """View reshaped to the factor grid (3,2,3,2,3,2)."""
-        return self.vector.reshape(COMPOSITE_DIMS)
-
     def momentum_spin_matrix(self) -> np.ndarray:
         """Amplitudes regrouped as a (27, 8) matrix: rows momentum, cols spin."""
         return _momentum_spin_rows(self.vector)
@@ -157,11 +155,6 @@ class CompositeState:
         """Reduced 8x8 spin density matrix (momenta traced out)."""
         m = self.momentum_spin_matrix()
         return m.T @ m.conj()
-
-    def momentum_density(self) -> np.ndarray:
-        """Reduced 27x27 momentum density matrix (spins traced out)."""
-        m = self.momentum_spin_matrix()
-        return m @ m.conj().T
 
 
 @dataclass(frozen=True)
@@ -296,8 +289,8 @@ def _amps_from_json(raw, dim: int, where: str) -> np.ndarray:
     return v
 
 
-def write_state(state: StateLike, path) -> None:
-    """Serialize a composite, mixed, or bare-spin state to a JSON file."""
+def _state_text(state: StateLike) -> str:
+    # The JSON text of a composite, mixed, or bare-spin state file.
     if isinstance(state, CompositeState):
         doc = {"dims": list(COMPOSITE_DIMS), "amps": _amps_to_json(state.vector)}
     elif isinstance(state, MixedState):
@@ -306,16 +299,33 @@ def write_state(state: StateLike, path) -> None:
     else:
         v = _as_state_vector(state, SPIN_DIM, "spin state")
         doc = {"dims": list(SPIN_DIMS), "amps": _amps_to_json(v)}
-    write_output(path, json.dumps(doc) + "\n")
+    return json.dumps(doc) + "\n"
 
 
-def write_output(path, text: str) -> None:
-    """Write a file, the package's only way to; an unwritable path raises
-    InputError naming it (CLI exit 2)."""
+def write_state(state: StateLike, path) -> None:
+    """Serialize a composite, mixed, or bare-spin state to a JSON file."""
+    write_output((path, _state_text(state)))
+
+
+def write_output(*outputs: tuple) -> None:
+    """Write (path, text) pairs, the package's only way to write a file.
+    Each text is staged in a new file next to its path and renamed onto it
+    once all are written, so a failed write leaves no new or changed file
+    behind; an unwritable path raises InputError naming it (CLI exit 2)."""
+    staged = []  # (temporary, path) pairs not yet renamed
     try:
-        with open(path, "w", newline="") as fh:
-            fh.write(text)
+        for i, (path, text) in enumerate(outputs):
+            if os.path.isdir(path):  # fail here, not midway through the renames
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+            with open(f"{path}.{os.getpid()}.{i}.tmp", "x", newline="") as fh:
+                staged.append((fh.name, path))
+                fh.write(text)
+        for tmp, path in staged[:]:
+            os.replace(tmp, path)
+            staged.remove((tmp, path))
     except OSError as exc:
+        for tmp, _ in staged:
+            os.remove(tmp)
         raise InputError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 

@@ -20,7 +20,6 @@ from spinboost import (
     ghz_state,
     haar_state,
     is_density_matrix,
-    random_local_unitary,
     sample_biseparable,
     verify_certificate,
     w_state,
@@ -40,7 +39,13 @@ from spinboost.classcheck import (
 )
 from spinboost.constants import COMPOSITE_DIMS, ID2, PAULI_X
 from spinboost.kinematics import default_geometry, spin_rotations
-from spinboost.linalg import hermitian_eigen, partial_trace, projector, purity_unchecked
+from spinboost.linalg import (
+    apply_local,
+    hermitian_eigen,
+    partial_trace,
+    projector,
+    purity_unchecked,
+)
 from spinboost.measures import m_concurrence_pure, three_tangle
 from spinboost.states import (
     CompositeState,
@@ -85,22 +90,22 @@ def test_haar_unitary_qr_moments(dim):
     assert np.all(np.abs(fourth.mean(axis=0) - 2.0 / (dim * (dim + 1))) < 4.0 * se)
 
 
-def test_random_local_unitary_structure():
-    lu = random_local_unitary((3, 2, 2), seed=99)
-    assert [f.shape for f in lu.factors] == [(3, 3), (2, 2), (2, 2)]
-    m = lu.matrix()
-    expected = np.kron(np.kron(lu.factors[0], lu.factors[1]), lu.factors[2])
-    np.testing.assert_allclose(m, expected, atol=1e-14)
+def test_haar_factors_structure():
+    factors = _haar_factors((3, 2, 2), [99])
+    assert [f.shape for f in factors] == [(1, 3, 3), (1, 2, 2), (1, 2, 2)]
+    m = np.kron(np.kron(factors[0][0], factors[1][0]), factors[2][0])
     np.testing.assert_allclose(m @ m.conj().T, np.eye(12), atol=1e-12)
 
     rng = np.random.default_rng(23)
     v = haar_state(12, rng)
-    np.testing.assert_allclose(lu.apply(v), m @ v, atol=1e-13)
+    np.testing.assert_allclose(apply_local(factors, v, (3, 2, 2))[0], m @ v,
+                               atol=1e-13)
 
-    again = random_local_unitary((3, 2, 2), seed=99)
-    np.testing.assert_allclose(again.matrix(), m, atol=0)  # deterministic
+    again = _haar_factors((3, 2, 2), [99])
+    for a, b in zip(again, factors):
+        np.testing.assert_array_equal(a, b)  # deterministic
     with pytest.raises(InputError):
-        random_local_unitary((2, 1), seed=99)
+        _haar_factors((2, 1), [99])
 
 
 @pytest.mark.parametrize("dims", [(2, 2, 2), COMPOSITE_DIMS])
@@ -118,11 +123,11 @@ def test_haar_factors_match_per_seed_draws(dims):
             shape = (dims.count(d), d, d)
             g = rng.normal(size=shape) + 1j * rng.normal(size=shape)
             stacks[d] = iter(_haar_unitary_qr(g))
-        single = random_local_unitary(dims, seed).factors
+        single = _haar_factors(dims, [seed])
         for i, d in enumerate(dims):
             expected = next(stacks[d])
             np.testing.assert_array_equal(batched[i][t], expected)
-            np.testing.assert_array_equal(single[i], expected)
+            np.testing.assert_array_equal(single[i][0], expected)
     with pytest.raises(InputError):  # condition1 still rejects 1-dim factors
         check_condition1(ghz_state(), (1, 8), trials=2, seed=1)
 
@@ -178,7 +183,6 @@ def test_condition1_passes_for_known_states():
     for state in (ghz_state(), w_state()):
         rep = check_condition1(state, (2, 2, 2), trials=10, seed=1)
         assert rep.passed and bool(rep)
-        assert rep.trials == 10
         assert rep.max_tangle_deviation < 1e-10
         assert rep.max_concurrence_deviation < 1e-10
         assert rep.failing_seeds == ()
@@ -189,6 +193,13 @@ def test_condition1_rejects_fewer_than_one_trial():
     for trials in (0, -3):
         with pytest.raises(InputError):
             check_condition1(ghz_state(), (2, 2, 2), trials=trials, seed=1)
+
+
+def test_condition1_rejects_negative_seed():
+    # numpy would raise a bare ValueError for the negative trial seeds
+    for seed in (-1, -50):
+        with pytest.raises(InputError, match=f"seed must be nonnegative, got {seed}"):
+            check_condition1(ghz_state(), (2, 2, 2), trials=2, seed=seed)
 
 
 def test_condition1_reports_failures_at_impossible_tolerance():
@@ -206,7 +217,7 @@ def _condition1_per_trial(vec, dims, trials, seed, specs, atol):
     base_tangle = three_tangle(vec) if dims == (2, 2, 2) else None
     failing, max_conc, max_tangle = [], 0.0, 0.0
     for t in range(trials):
-        rotated = random_local_unitary(dims, seed + t).apply(vec)
+        rotated = apply_local(_haar_factors(dims, [seed + t]), vec, dims)[0]
         devs = [
             abs(m_concurrence_pure(rotated, spec, dims) - ref)
             for spec, ref in zip(specs, base_conc)
@@ -463,14 +474,14 @@ def test_batched_certificates_equal_per_item_bit_for_bit():
     spins, vectors, rotations, rhos, scenarios = _mixed_batch(np.random.default_rng(40))
     for n, union in ((2, 7), (4, 27)):  # permutation + product: 6 + 1 kets
         batched = boost._spin_ensembles(vectors[:n], rotations[:n])
-        assert batched.weights.shape == (n, union) and len(batched) == union
+        assert batched.weights.shape == (n, union)
         mixes = batched.mix()
         reports = verify_certificate(ClassCertificate(spins[:n], batched), rhos[:n])
         assert isinstance(reports, list) and len(reports) == n
         for t in range(n):
             single = composite_spin_ensemble(CompositeState(vectors[t]), scenarios[t])
             live = batched.weights[t] > 0.0
-            assert live.sum() == len(single) == (6, 1, 27, 27)[t]
+            assert live.sum() == single.weights.size == (6, 1, 27, 27)[t]
             np.testing.assert_array_equal(batched.weights[t][live], single.weights)
             np.testing.assert_array_equal(batched.rotations[t][live], single.rotations)
             np.testing.assert_array_equal(batched.base_vectors[t][live],

@@ -444,6 +444,22 @@ def test_boost_command_needs_angle_or_speeds(tmp_path, capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("speeds", [
+    ["--observer-speed", "0.5"],
+    ["--particle-speed", "0.5"],
+    ["--observer-speed", "0.5", "--particle-speed", "0.5"],
+])
+def test_boost_command_delta_excludes_speeds(speeds, tmp_path, capsys):
+    # --delta fixes the angle, so a speed flag with it would be ignored
+    src, dst = tmp_path / "in.json", tmp_path / "o.json"
+    write_state(compose(antisymmetric_momentum(), ghz_state()), src)
+    code, out, err = run(
+        ["boost", str(src), "--delta", "0.3", *speeds, "--out", str(dst)], capsys
+    )
+    assert code == 2 and out == "" and "--delta" in err
+    assert not dst.exists()
+
+
 def test_boost_command_rejects_spin_only_file(tmp_path, capsys):
     src = tmp_path / "spin.json"
     write_state(ghz_state(), src)
@@ -463,10 +479,13 @@ def test_boost_command_rejects_spin_only_file(tmp_path, capsys):
     (["scan", "fig3", "--grid", "3", "--out", "/nonexistent/z.csv"],
      "/nonexistent/z.csv"),
     (["scan", "fig2", "--grid", "3", "--out", "{tmp}"], "{tmp}"),  # a directory
+    (["boost", "{src}", "--delta", "0.3", "--out", "{tmp}/o.json",
+      "--spin-out", "{tmp}"], "{tmp}"),
 ])
 def test_unwritable_output_path_is_bad_input(argv, path, tmp_path, capsys):
     # every file the CLI writes goes through one helper, which turns an
-    # OSError into exit 2 with the path named, not a traceback
+    # OSError into exit 2 with the path named, not a traceback, and writes
+    # no file at all: no o.json beside an unwritable --spin-out, no *.tmp
     src = tmp_path / "s.json"
     write_state(compose(antisymmetric_momentum(), ghz_state()), src)
     argv = [a.format(src=src, tmp=tmp_path) for a in argv]
@@ -474,6 +493,19 @@ def test_unwritable_output_path_is_bad_input(argv, path, tmp_path, capsys):
     assert code == 2 and out == ""
     assert err.startswith("error: cannot write ")
     assert path.format(tmp=tmp_path) in err and "Traceback" not in err
+    assert [p.name for p in tmp_path.iterdir()] == ["s.json"]
+
+
+def test_failed_boost_keeps_existing_out(tmp_path, capsys):
+    # a boost whose --spin-out cannot be written leaves --out as it was
+    src, dst = tmp_path / "s.json", tmp_path / "o.json"
+    write_state(compose(antisymmetric_momentum(), ghz_state()), src)
+    dst.write_bytes(b"earlier output\n")
+    code, _, err = run(["boost", str(src), "--delta", "0.3", "--out", str(dst),
+                        "--spin-out", "/nonexistent/y.json"], capsys)
+    assert code == 2 and "/nonexistent/y.json" in err
+    assert dst.read_bytes() == b"earlier output\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["o.json", "s.json"]
 
 
 def test_write_state_bytes_are_json_dumps(tmp_path):

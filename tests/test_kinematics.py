@@ -174,10 +174,7 @@ def test_scenario_from_speeds_matches_angle():
     assert abs(sc.delta - DELTA_08) < 1e-15
     sc2 = BoostScenario.from_angle(DELTA_08)
     np.testing.assert_allclose(sc.axes, sc2.axes, atol=1e-15)
-    for label in "ABC":
-        np.testing.assert_allclose(
-            sc.rotation(label), sc2.rotation(label), atol=1e-15
-        )
+    np.testing.assert_allclose(sc.rotations(), sc2.rotations(), atol=1e-15)
 
 
 def test_scenario_validates_delta_range():
@@ -191,31 +188,34 @@ def test_scenario_validates_delta_range():
 
 def test_scenario_rotation_labels():
     sc = BoostScenario.from_angle(0.4)
-    np.testing.assert_allclose(sc.rotation(0), sc.rotation("A"))
-    np.testing.assert_allclose(sc.rotation(2), sc.rotation("C"))
+    rot = sc.rotations()
+    for i in range(3):  # label i rotates about axis i by delta
+        np.testing.assert_array_equal(rot[i], spin_rotation(sc.axes[i], sc.delta))
+    # labels 'A'-'C' name indices 0-2, and any other label is rejected
+    for letters, indices in (("ABC", (0, 1, 2)), ("CAB", (2, 0, 1))):
+        np.testing.assert_array_equal(
+            local_unitary(letters, sc), local_unitary(indices, sc)
+        )
     with pytest.raises(InputError):
-        sc.rotation("D")
+        local_unitary("ABD", sc)
     # delta = 0 means every rotation is the identity
     sc0 = BoostScenario.from_angle(0.0)
-    for label in range(3):
-        np.testing.assert_allclose(sc0.rotation(label), np.eye(2), atol=1e-15)
+    np.testing.assert_allclose(
+        sc0.rotations(), np.broadcast_to(np.eye(2), (3, 2, 2)), atol=1e-15
+    )
 
 
 def test_local_unitary_factorization():
     sc = BoostScenario.from_angle(0.7)
     u = local_unitary((0, 1, 2), sc)
-    expected = np.kron(
-        np.kron(sc.rotation(0), sc.rotation(1)), sc.rotation(2)
-    )
+    rot = sc.rotations()
+    expected = np.kron(np.kron(rot[0], rot[1]), rot[2])
     np.testing.assert_allclose(u, expected, atol=1e-14)
     np.testing.assert_allclose(u @ u.conj().T, np.eye(8), atol=1e-13)
     u_perm = local_unitary((2, 0, 1), sc)
-    expected = np.kron(
-        np.kron(sc.rotation(2), sc.rotation(0)), sc.rotation(1)
-    )
+    expected = np.kron(np.kron(rot[2], rot[0]), rot[1])
     np.testing.assert_allclose(u_perm, expected, atol=1e-14)
     # every one of the 27 assignments equals np.kron of its rotations
-    rot = sc.rotations()
     for a, b, c in np.indices((3, 3, 3)).reshape(3, 27).T:
         np.testing.assert_array_equal(
             local_unitary((a, b, c), sc), np.kron(np.kron(rot[a], rot[b]), rot[c])

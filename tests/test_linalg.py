@@ -15,7 +15,6 @@ from spinboost import (
     hermitian_eigen,
     is_density_matrix,
     partial_trace,
-    purity,
 )
 from spinboost.linalg import (
     dagger,
@@ -24,6 +23,7 @@ from spinboost.linalg import (
     kron,
     projector,
     purity_unchecked,
+    require_density,
 )
 
 
@@ -237,11 +237,12 @@ def test_density_checks():
 def test_purity_range_and_values():
     rng = np.random.default_rng(37)
     v = random_state(6, rng)
-    assert abs(purity(projector(v)) - 1.0) < 1e-12
-    assert abs(purity(np.eye(4) / 4.0) - 0.25) < 1e-14
+    assert abs(purity_unchecked(projector(v)) - 1.0) < 1e-12
+    assert abs(purity_unchecked(np.eye(4) / 4.0) - 0.25) < 1e-14
     rho = random_density(6, rng)
-    p = purity(rho)
+    require_density(rho)
+    p = purity_unchecked(rho)
     assert 1.0 / 6.0 - 1e-12 <= p <= 1.0 + 1e-12
-    assert abs(p - purity_unchecked(rho)) < 1e-14
+    assert abs(p - np.trace(rho @ rho).real) < 1e-14
     with pytest.raises(ValidationError):
-        purity(np.eye(3))  # trace 3
+        require_density(np.eye(3))  # trace 3

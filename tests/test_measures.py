@@ -33,12 +33,12 @@ from spinboost import (
     w_state,
     witness_from_amplitudes,
 )
-from spinboost.classcheck import _all_partitions, haar_state, random_local_unitary
+from spinboost.classcheck import _all_partitions, _haar_factors, haar_state
 from spinboost import cli, measures
 from spinboost.cli import FIG3_CATALOG
 from spinboost.constants import COMPOSITE_DIMS
 from spinboost.boost import boost_pure, build_boost_unitary
-from spinboost.linalg import partial_trace, projector
+from spinboost.linalg import apply_local, partial_trace, projector
 from spinboost.measures import _sqrt_radicand
 from spinboost.errors import NumericError
 
@@ -67,14 +67,14 @@ def test_witness_ghz_is_one():
         for variant in ("symmetric", "as_printed"):
             rep = ghz_witness(rho, path=path, variant=variant)
             assert abs(rep.value - 1.0) < 1e-12
-            assert rep.detected
+            assert rep.value > 0.0
     assert abs(gme_lower_bound(rho) - 1.0) < 1e-12
 
 
 def test_witness_w_state_is_zero():
     rep = ghz_witness(projector(w_state()))
     assert abs(rep.value) < 1e-14
-    assert not rep.detected
+    assert rep.value <= 0.0
     assert gme_lower_bound(projector(w_state())) == 0.0
 
 
@@ -90,8 +90,6 @@ def test_witness_report_terms():
     rep = ghz_witness(rho)
     assert abs(rep.offdiag_term - 1.0) < 1e-14  # 2 |rho_07| = 1
     assert np.allclose(rep.population_terms, 0.0, atol=1e-14)
-    assert rep.path == "matrix_elements"
-    assert rep.variant == "symmetric"
 
 
 def test_witness_paths_agree_on_random_densities():
@@ -112,9 +110,9 @@ def test_witness_complex_coherence_uses_modulus():
     phase = np.exp(0.37j)
     vec = ghz_state().astype(complex)
     vec[7] *= phase
-    rep = ghz_witness(projector(vec))
-    assert abs(rep.value - 1.0) < 1e-12
-    assert abs(rep.offdiag_imag) > 0.1  # genuinely complex now
+    rho = projector(vec)
+    assert abs(ghz_witness(rho).value - 1.0) < 1e-12
+    assert abs(rho[0, 7].imag) > 0.1  # genuinely complex now
 
 
 def test_witness_symmetric_sound_where_as_printed_is_not():
@@ -188,8 +186,8 @@ def test_m_concurrence_local_unitary_invariance():
     specs = [singletons_partition(3), bipartition((1,), 3)]
     for trial in range(20):
         v = haar_state(8, rng)
-        lu = random_local_unitary((2, 2, 2), int(rng.integers(0, 2**31)))
-        w = lu.apply(v)
+        seed = int(rng.integers(0, 2**31))
+        w = apply_local(_haar_factors((2, 2, 2), [seed]), v, (2, 2, 2))[0]
         for spec in specs:
             a = m_concurrence_pure(v, spec, dims=(2, 2, 2))
             b = m_concurrence_pure(w, spec, dims=(2, 2, 2))
@@ -241,8 +239,8 @@ def test_three_tangle_local_unitary_invariant_and_bounded():
         v = haar_state(8, rng)
         tau = three_tangle(v)
         assert -1e-12 <= tau <= 1.0 + 1e-12
-        lu = random_local_unitary((2, 2, 2), trial)
-        assert abs(three_tangle(lu.apply(v)) - tau) < 1e-10
+        w = apply_local(_haar_factors((2, 2, 2), [trial]), v, (2, 2, 2))[0]
+        assert abs(three_tangle(w) - tau) < 1e-10
 
 
 def test_batched_measures_match_per_row_loop():

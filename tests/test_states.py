@@ -28,7 +28,7 @@ from spinboost import (
     w_state,
     write_state,
 )
-from spinboost.constants import PERMUTATIONS, PERMUTATION_SIGNS
+from spinboost.constants import COMPOSITE_DIMS, PERMUTATIONS, PERMUTATION_SIGNS
 from spinboost.states import antisymmetric_coeffs
 
 
@@ -114,7 +114,9 @@ def test_compose_interleaves_factors():
     expected = np.einsum(
         "abc,xyz->axbycz", mom.reshape(3, 3, 3), spin.reshape(2, 2, 2)
     )
-    np.testing.assert_allclose(state.tensor(), expected, atol=1e-15)
+    np.testing.assert_allclose(
+        state.vector.reshape(COMPOSITE_DIMS), expected, atol=1e-15
+    )
     assert state.vector.shape == (216,)
     assert abs(np.linalg.norm(state.vector) - 1.0) < 1e-13
 
@@ -125,7 +127,8 @@ def test_composite_reduced_densities():
     spin = haar_vec(8, rng)
     state = compose(mom, spin)
     rho_s = state.spin_density()
-    rho_m = state.momentum_density()
+    m = state.momentum_spin_matrix()
+    rho_m = m @ m.conj().T  # spins traced out
     # product states reduce to pure marginals
     np.testing.assert_allclose(rho_s, np.outer(spin, spin.conj()), atol=1e-14)
     np.testing.assert_allclose(rho_m, np.outer(mom, mom.conj()), atol=1e-14)
@@ -147,7 +150,10 @@ def test_momentum_spin_matrix_consistency():
     m = state.momentum_spin_matrix()
     assert m.shape == (27, 8)
     np.testing.assert_allclose(m.T @ m.conj(), state.spin_density(), atol=1e-14)
-    np.testing.assert_allclose(m @ m.conj().T, state.momentum_density(), atol=1e-14)
+    # the momentum reduction from m equals an explicit trace over the spins
+    t = vec.reshape(COMPOSITE_DIMS)
+    rho_m = np.einsum("axbycz,dxeyfz->abcdef", t, t.conj()).reshape(27, 27)
+    np.testing.assert_allclose(m @ m.conj().T, rho_m, atol=1e-14)
 
 
 def test_composite_state_validation():
