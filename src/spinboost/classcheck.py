@@ -2,19 +2,18 @@
 
 Three suites return (passed, report lines).  condition1_suite, LU
 invariance: the three-tangle and every m-concurrence are unchanged when
-each factor is rotated by an independent random unitary — and a boost of
-a separable-momentum state acts exactly like such a rotation on the
-spins.  condition2_suite, ensemble certificates: the reduced spin state
-a boost produces decomposes into weighted terms U_k |phi><phi| U_k^H with
-*local* U_k (stored as three 2x2 factors), so every term stays in the
+each factor is rotated by an independent Haar unitary — and a boost of a
+separable-momentum state acts exactly like such a rotation on the spins;
+one batched call checks all states, each with its own seeded stream of
+trials.  condition2_suite, ensemble certificates: the reduced spin state
+a boost produces decomposes into weighted terms U_k |phi><phi| U_k^H
+with *local* U_k (three 2x2 factors), so every term stays in the
 local-unitary class of the unboosted spin state; verification checks
-that every factor is unitary and every base vector is the base state,
-reconstructs the density matrix, and compares LU invariants term against
-base, for a whole batch of certificates in one vectorized pass.
-soundness_suite: the GHZ witness is nonpositive on random
-biseparable mixtures.  All sampling is driven by numpy's seeded
-Generator, so every check is reproducible from its seed.
-"""
+every factor's unitarity and every base vector against the base state,
+the reconstructed density and the terms' LU invariants, for a batch of
+certificates in one pass.  soundness_suite: the GHZ witness is
+nonpositive on random biseparable mixtures.  All sampling is driven by
+numpy's seeded Generator, so every check is reproducible from its seed."""
 
 from __future__ import annotations
 
@@ -47,6 +46,8 @@ from .states import (
 SPIN_BIPARTITIONS = tuple(bipartition((i,), 3) for i in range(3))
 # Samples soundness_suite draws and evaluates together: bounds its memory.
 SOUNDNESS_CHUNK = 1000
+# Trials check_condition1 rotates and evaluates together: bounds its memory.
+CONDITION1_CHUNK = 128
 # Boosts condition2_suite certifies together: bounds its memory.
 CONDITION2_CHUNK = 64
 
@@ -68,23 +69,24 @@ def _haar_unitary_qr(g: np.ndarray) -> np.ndarray:
     return q * (d / np.abs(d))[..., None, :]
 
 
-def _haar_factors(dims: Sequence[int], seeds: Sequence) -> list[np.ndarray]:
-    # Haar-random factors for every seed: entry i has shape (T, d_i, d_i)
-    # and row t is drawn from default_rng(seeds[t]), all factors of one
-    # dimension as one complex Gaussian stack, written in place; every
-    # seed's stacks of one dimension are orthonormalized by one stacked QR.
+def _haar_factors(dims: Sequence[int], rngs: Sequence, trials: int) -> list[np.ndarray]:
+    # Haar-random factors: entry i has shape (len(rngs), trials, d_i, d_i).
+    # Each generator draws one (2, sum d_i^2) row of normals per trial (real
+    # then imaginary parts, factor by factor), so trial t is row t of its
+    # stream however the trials are split into calls.  Every factor of one
+    # dimension, over all generators and trials, goes through one stacked QR.
     dims = tuple(int(d) for d in dims)
     if any(d < 2 for d in dims):
         raise InputError(f"factor dimensions must be >= 2, got {dims}")
-    distinct = list(dict.fromkeys(dims))  # first-seen order
-    # per seed and dimension, the real then the imaginary parts in one call
-    gauss = {d: np.empty((len(seeds), 2, dims.count(d), d, d)) for d in distinct}
-    for t, seed in enumerate(seeds):
-        rng = np.random.default_rng(seed)
-        for d in distinct:
-            rng.standard_normal(out=gauss[d][t])
-    stacks = {d: iter(np.moveaxis(_haar_unitary_qr(g[:, 0] + 1j * g[:, 1]), 1, 0))
-              for d, g in gauss.items()}
+    gauss = np.empty((len(rngs), trials, 2, sum(d * d for d in dims)))
+    for rng, rows in zip(rngs, gauss):
+        rng.standard_normal(out=rows)
+    z = gauss[:, :, 0] + 1j * gauss[:, :, 1]
+    blocks = np.split(z, np.cumsum([d * d for d in dims[:-1]]), axis=-1)
+    stacks = {}
+    for d in set(dims):
+        same = [b.reshape(z.shape[:2] + (d, d)) for b, e in zip(blocks, dims) if e == d]
+        stacks[d] = iter(np.moveaxis(_haar_unitary_qr(np.stack(same, axis=2)), 2, 0))
     return [next(stacks[d]) for d in dims]
 
 
@@ -150,12 +152,12 @@ def _all_partitions(n: int) -> list[PartitionSpec]:
 
 @dataclass(frozen=True)
 class InvarianceReport:
-    """Result of an LU-invariance sweep: worst deviations, failing seeds."""
+    """Result of an LU-invariance sweep: worst deviations, failing trials."""
 
     passed: bool
     max_tangle_deviation: float
     max_concurrence_deviation: float
-    failing_seeds: tuple[int, ...] = ()
+    failing_trials: tuple[int, ...] = ()
 
     def __bool__(self) -> bool:
         return self.passed
@@ -165,52 +167,62 @@ def check_condition1(
     state,
     dims: Sequence[int],
     trials: int,
-    seed: int,
+    seed,
     partitions: Sequence[PartitionSpec] | None = None,
     atol: float = ATOL_PHYSICS,
-) -> InvarianceReport:
+) -> InvarianceReport | list[InvarianceReport]:
     """Verify that tangle and m-concurrences are unchanged by random local
     unitaries.
 
-    Applies `trials` independent per-factor Haar rotations (trial t uses
-    seed `seed + t`, reported on failure) and compares every invariant
-    against the unrotated state: the three-tangle (three-qubit states
-    only) and the m-concurrence for every partition (default: all
-    partitions of the factors).  All trials' factors are drawn as one
-    stack per factor and applied with one apply_local call, and the state
-    and its rotated copies are evaluated as one batch per invariant.
+    Applies `trials` independent per-factor Haar rotations to each state
+    of amplitudes (..., N) and compares every invariant against the
+    unrotated state: the three-tangle (three-qubit states only) and the
+    m-concurrence for every partition (default: all partitions of the
+    factors).  `seed` is a nonnegative int or an int array of the batch
+    shape.  Each state draws its trials as consecutive rows of its own
+    default_rng(seed), so a trial index in `failing_trials` is the same
+    trial for any larger `trials`.  Chunks of CONDITION1_CHUNK trials are
+    rotated and evaluated for all states at once, so memory does not grow
+    with `trials`.  Returns one report for a single state, a list in C
+    order for a batch, each equal to the state's single call bit for bit.
     """
+    seeds = np.asarray(seed, dtype=object)  # Python ints of any size
+    if not all(isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+               for x in (trials, *seeds.flat)):
+        raise InputError(f"trials and seed must be integers, got {trials!r}, {seed!r}")
     if trials < 1:  # no trial would pass vacuously
         raise InputError(f"trials must be at least 1, got {trials}")
-    if seed < 0:
+    if any(s < 0 for s in seeds.flat):
         raise InputError(f"seed must be nonnegative, got {seed}")
-    vec = np.asarray(state, dtype=np.complex128).ravel()
+    vec = np.asarray(state, dtype=np.complex128)
     dims = tuple(int(d) for d in dims)
-    if int(np.prod(dims)) != vec.size:
-        raise ShapeError(f"state size {vec.size} does not match dims {dims}")
+    if vec.shape[-1:] != (math.prod(dims),):
+        raise ShapeError(f"state shape {vec.shape} does not match dims {dims}")
+    if seeds.ndim and seeds.shape != vec.shape[:-1]:
+        raise ShapeError(f"seed shape {seeds.shape} does not match states {vec.shape}")
     specs = list(partitions) if partitions is not None else _all_partitions(len(dims))
-    factors = _haar_factors(dims, [seed + t for t in range(trials)])
-    states = np.concatenate([vec[None], apply_local(factors, vec, dims)])
+    rows = vec.reshape(-1, vec.shape[-1])
+    rngs = list(map(np.random.default_rng, np.broadcast_to(seeds, vec.shape[:-1]).flat))
 
-    def deviations(values: np.ndarray) -> np.ndarray:
-        return np.abs(values[1:] - values[0])
+    def invariants(states: np.ndarray) -> np.ndarray:  # (invariants, *batch)
+        values = m_concurrences_pure(states, specs, dims)
+        values += [three_tangle(states)] if dims == (2, 2, 2) else []
+        return np.reshape(values, (len(values),) + states.shape[:-1])
 
-    conc = np.array(
-        [deviations(v) for v in m_concurrences_pure(states, specs, dims)]
-    ).reshape(len(specs), trials)
-    bad = ~np.all(conc <= atol, axis=0)  # NaN counts as a failure
-    max_tangle = 0.0
-    if dims == (2, 2, 2):
-        tangle = deviations(three_tangle(states))
-        bad |= ~(tangle <= atol)
-        max_tangle = float(np.max(tangle, initial=0.0))
-    failing = tuple(seed + int(t) for t in np.flatnonzero(bad))
-    return InvarianceReport(
-        passed=not failing,
-        max_tangle_deviation=max_tangle,
-        max_concurrence_deviation=float(np.max(conc, initial=0.0)),
-        failing_seeds=failing,
-    )
+    base = invariants(rows)[..., None]
+    worst = np.zeros(base.shape[:2])
+    bad = np.empty((len(rows), trials), dtype=bool)
+    for start in range(0, trials, CONDITION1_CHUNK):
+        stop = min(start + CONDITION1_CHUNK, trials)
+        factors = _haar_factors(dims, rngs, stop - start)
+        dev = np.abs(invariants(apply_local(factors, rows[:, None], dims)) - base)
+        bad[:, start:stop] = ~np.all(dev <= atol, axis=0)  # NaN counts as a failure
+        worst = np.maximum(worst, dev.max(axis=-1))
+    conc = worst[: len(specs)].max(axis=0, initial=0.0)
+    tangle = worst[-1] if dims == (2, 2, 2) else np.zeros_like(conc)
+    reports = [InvarianceReport(not f.any(), t, c, tuple(np.flatnonzero(f).tolist()))
+               for f, t, c in zip(bad, tangle.tolist(), conc.tolist())]
+    return reports if vec.ndim > 1 else reports[0]
 
 
 @dataclass(frozen=True)
@@ -347,20 +359,18 @@ def verify_certificate(
 
 
 def condition1_suite(trials: int = 100, seed: int = 7) -> tuple[bool, list[str]]:
-    """The LU-invariance suite: check_condition1 on GHZ, W and ten Haar spin
-    states, state i with seed + 1000 i.  Returns (passed, report lines)."""
+    """The LU-invariance suite: one check_condition1 call on GHZ, W and ten
+    Haar spin states, state i with seed + 1000 i.  Returns (passed, lines)."""
     rng = np.random.default_rng(seed)
-    cases = [("ghz", ghz_state()), ("w", w_state())]
-    cases += [(f"haar{i}", haar_state(8, rng)) for i in range(10)]
-    reports = [
-        check_condition1(spin, SPIN_DIMS, trials=trials, seed=seed + 1000 * i)
-        for i, (_, spin) in enumerate(cases)
-    ]
-    lines = [f"FAIL {name}: seeds {rep.failing_seeds[:5]}"
-             for (name, _), rep in zip(cases, reports) if not rep]
+    names = ["ghz", "w"] + [f"haar{i}" for i in range(10)]
+    spins = np.stack([ghz_state(), w_state()] + [haar_state(8, rng) for _ in range(10)])
+    seeds = [seed + 1000 * i for i in range(len(names))]
+    reports = check_condition1(spins, SPIN_DIMS, trials=trials, seed=seeds)
+    lines = [f"FAIL {name} (seed {s}): trials {rep.failing_trials[:5]}"
+             for name, s, rep in zip(names, seeds, reports) if not rep]
     worst = max(max(r.max_tangle_deviation, r.max_concurrence_deviation)
                 for r in reports)
-    lines.append(f"local-unitary invariance over {len(cases)} states: "
+    lines.append(f"local-unitary invariance over {len(names)} states: "
                  f"max deviation {worst:.3e}")
     return all(reports), lines
 

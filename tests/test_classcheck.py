@@ -27,12 +27,14 @@ from spinboost import (
 from spinboost import boost, classcheck
 from spinboost.boost import boost_pure
 from spinboost.classcheck import (
+    CONDITION1_CHUNK,
     CONDITION2_CHUNK,
     SOUNDNESS_CHUNK,
     SPIN_BIPARTITIONS,
     _all_partitions,
     _haar_factors,
     _haar_unitary_qr,
+    condition1_suite,
     condition2_suite,
     single_qubit_spectra,
     soundness_suite,
@@ -91,45 +93,68 @@ def test_haar_unitary_qr_moments(dim):
 
 
 def test_haar_factors_structure():
-    factors = _haar_factors((3, 2, 2), [99])
-    assert [f.shape for f in factors] == [(1, 3, 3), (1, 2, 2), (1, 2, 2)]
-    m = np.kron(np.kron(factors[0][0], factors[1][0]), factors[2][0])
+    factors = _haar_factors((3, 2, 2), [np.random.default_rng(99)], 1)
+    assert [f.shape for f in factors] == [(1, 1, 3, 3), (1, 1, 2, 2), (1, 1, 2, 2)]
+    m = np.kron(np.kron(factors[0][0, 0], factors[1][0, 0]), factors[2][0, 0])
     np.testing.assert_allclose(m @ m.conj().T, np.eye(12), atol=1e-12)
 
     rng = np.random.default_rng(23)
     v = haar_state(12, rng)
-    np.testing.assert_allclose(apply_local(factors, v, (3, 2, 2))[0], m @ v,
+    np.testing.assert_allclose(apply_local(factors, v, (3, 2, 2))[0, 0], m @ v,
                                atol=1e-13)
 
-    again = _haar_factors((3, 2, 2), [99])
+    again = _haar_factors((3, 2, 2), [np.random.default_rng(99)], 1)
     for a, b in zip(again, factors):
         np.testing.assert_array_equal(a, b)  # deterministic
     with pytest.raises(InputError):
-        _haar_factors((2, 1), [99])
+        _haar_factors((2, 1), [np.random.default_rng(99)], 1)
+
+
+def _trial_factors(dims, seed, trials):
+    # Reference draw: one (trials, 2, sum d_i^2) block of normals from
+    # default_rng(seed); factor i of trial t is its d_i^2 entries at
+    # factor i's offset, orthonormalized by its own QR.
+    g = np.random.default_rng(seed).normal(size=(trials, 2, sum(d * d for d in dims)))
+    z = g[:, 0] + 1j * g[:, 1]
+    ends = np.cumsum([0] + [d * d for d in dims])
+    return [[_haar_unitary_qr(z[t, ends[i]:ends[i + 1]].reshape(d, d))
+             for i, d in enumerate(dims)] for t in range(trials)]
 
 
 @pytest.mark.parametrize("dims", [(2, 2, 2), COMPOSITE_DIMS])
 def test_haar_factors_match_per_seed_draws(dims):
-    # every seed's factors equal a draw from its own Generator, bit for
-    # bit: Gaussian stacks per distinct dimension in first-seen order,
-    # each orthonormalized by its own QR
-    seeds = [40 + t for t in range(7)]
-    batched = _haar_factors(dims, seeds)
-    assert [f.shape for f in batched] == [(7, d, d) for d in dims]
-    for t, seed in enumerate(seeds):
-        rng = np.random.default_rng(seed)
-        stacks = {}
-        for d in dict.fromkeys(dims):
-            shape = (dims.count(d), d, d)
-            g = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-            stacks[d] = iter(_haar_unitary_qr(g))
-        single = _haar_factors(dims, [seed])
-        for i, d in enumerate(dims):
-            expected = next(stacks[d])
-            np.testing.assert_array_equal(batched[i][t], expected)
-            np.testing.assert_array_equal(single[i][0], expected)
+    # every generator's factors equal the reference draw from its own
+    # seed, bit for bit, whichever generators share the call
+    seeds = [40 + s for s in range(3)]
+    batched = _haar_factors(dims, [np.random.default_rng(s) for s in seeds], 7)
+    assert [f.shape for f in batched] == [(3, 7, d, d) for d in dims]
+    for k, seed in enumerate(seeds):
+        single = _haar_factors(dims, [np.random.default_rng(seed)], 7)
+        for t, expected in enumerate(_trial_factors(dims, seed, 7)):
+            for i in range(len(dims)):
+                np.testing.assert_array_equal(batched[i][k, t], expected[i])
+                np.testing.assert_array_equal(single[i][0, t], expected[i])
     with pytest.raises(InputError):  # condition1 still rejects 1-dim factors
         check_condition1(ghz_state(), (1, 8), trials=2, seed=1)
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 2), COMPOSITE_DIMS])
+def test_haar_factors_trial_is_a_prefix_of_the_stream(dims):
+    # trial t is the same for trials = t + 1, trials = T and trials past a
+    # chunk, and consecutive calls on one generator continue its stream
+    big = CONDITION1_CHUNK + 5
+    full = _haar_factors(dims, [np.random.default_rng(8)], big)
+    rng = np.random.default_rng(8)
+    chunks = [_haar_factors(dims, [rng], n) for n in (CONDITION1_CHUNK, 2, 3)]
+    for i in range(len(dims)):
+        np.testing.assert_array_equal(
+            np.concatenate([c[i] for c in chunks], axis=1), full[i])
+    for trials in (1, 4, 9):
+        short = _haar_factors(dims, [np.random.default_rng(8)], trials)
+        for i in range(len(dims)):
+            np.testing.assert_array_equal(short[i][0, trials - 1],
+                                          full[i][0, trials - 1])
+            np.testing.assert_array_equal(short[i], full[i][:, :trials])
 
 
 def test_spin_bipartitions_catalog():
@@ -185,7 +210,7 @@ def test_condition1_passes_for_known_states():
         assert rep.passed and bool(rep)
         assert rep.max_tangle_deviation < 1e-10
         assert rep.max_concurrence_deviation < 1e-10
-        assert rep.failing_seeds == ()
+        assert rep.failing_trials == ()
 
 
 def test_condition1_rejects_fewer_than_one_trial():
@@ -202,22 +227,46 @@ def test_condition1_rejects_negative_seed():
             check_condition1(ghz_state(), (2, 2, 2), trials=2, seed=seed)
 
 
+def test_condition1_rejects_non_integer_trials_and_seeds():
+    for kwargs in ({"seed": 1.5}, {"seed": True}, {"seed": np.array([1.0])},
+                   {"seed": "3"}, {"trials": 2.5}, {"trials": True}):
+        args = {"trials": 2, "seed": 1, **kwargs}
+        with pytest.raises(InputError, match="trials and seed must be integers"):
+            check_condition1(ghz_state(), (2, 2, 2), **args)
+    states = np.stack([ghz_state(), w_state()])
+    for seed in ([1, 2, 3], [[1, 2]], np.arange(4).reshape(2, 2)):
+        with pytest.raises(ShapeError, match="seed shape"):
+            check_condition1(states, (2, 2, 2), trials=2, seed=seed)
+    with pytest.raises(ShapeError, match="does not match dims"):
+        check_condition1(ghz_state().reshape(2, 4), (2, 2, 2), trials=2, seed=1)
+
+
 def test_condition1_reports_failures_at_impossible_tolerance():
+    # at atol 1e-18 every roundoff fails a trial; the indices name trials,
+    # so a shorter run reports exactly the failures among its trials
     rng = np.random.default_rng(25)
     state = haar_state(8, rng)
     rep = check_condition1(state, (2, 2, 2), trials=6, seed=2, atol=1e-18)
     assert not rep.passed
-    assert len(rep.failing_seeds) > 0
-    assert all(2 <= s < 2 + 6 for s in rep.failing_seeds)
+    assert len(rep.failing_trials) > 0
+    assert set(rep.failing_trials) <= set(range(6))
+    assert rep.failing_trials == tuple(sorted(rep.failing_trials))
+    for trials in range(1, 6):
+        short = check_condition1(state, (2, 2, 2), trials=trials, seed=2,
+                                 atol=1e-18)
+        assert short.failing_trials == tuple(
+            t for t in rep.failing_trials if t < trials)
 
 
 def _condition1_per_trial(vec, dims, trials, seed, specs, atol):
-    # One sample applied and one evaluation of every invariant per trial.
+    # One sample applied and one evaluation of every invariant per trial,
+    # trial t drawn as the next row of default_rng(seed).
     base_conc = [m_concurrence_pure(vec, spec, dims) for spec in specs]
     base_tangle = three_tangle(vec) if dims == (2, 2, 2) else None
+    rng = np.random.default_rng(seed)
     failing, max_conc, max_tangle = [], 0.0, 0.0
     for t in range(trials):
-        rotated = apply_local(_haar_factors(dims, [seed + t]), vec, dims)[0]
+        rotated = apply_local(_haar_factors(dims, [rng], 1), vec, dims)[0, 0]
         devs = [
             abs(m_concurrence_pure(rotated, spec, dims) - ref)
             for spec, ref in zip(specs, base_conc)
@@ -228,7 +277,7 @@ def _condition1_per_trial(vec, dims, trials, seed, specs, atol):
             max_tangle = max(max_tangle, dev)
             devs.append(dev)
         if max(devs) > atol:
-            failing.append(seed + t)
+            failing.append(t)
     return tuple(failing), max_conc, max_tangle
 
 
@@ -247,9 +296,54 @@ def test_condition1_matches_per_trial_loop(atol):
         failing, max_conc, max_tangle = _condition1_per_trial(
             vec, dims, 6, 40, specs, atol
         )
-        assert rep.failing_seeds == failing
+        assert rep.failing_trials == failing
         assert rep.max_concurrence_deviation == max_conc
         assert rep.max_tangle_deviation == max_tangle
+
+
+@pytest.mark.parametrize("atol", [1e-18, 1e-9])
+def test_condition1_batch_equals_single_calls(atol):
+    # a batch of states gives, field for field, each state's single call;
+    # an int seed is every state's seed
+    rng = np.random.default_rng(32)
+    spins = np.stack([ghz_state(), w_state()] + [haar_state(8, rng) for _ in range(4)])
+    composite = np.stack([compose(haar_state(27, rng), haar_state(8, rng)).vector
+                          for _ in range(2)])
+    cases = [
+        (spins.reshape(2, 3, 8), (2, 2, 2), np.array([[5, 0, 9], [2**40, 3, 5]])),
+        (spins, (2, 2, 2), 11),
+        (composite, COMPOSITE_DIMS, [4, 17]),
+    ]
+    for states, dims, seeds in cases:
+        reports = check_condition1(states, dims, trials=9, seed=seeds, atol=atol)
+        rows = states.reshape(-1, states.shape[-1])
+        flat_seeds = np.broadcast_to(np.asarray(seeds), states.shape[:-1]).ravel()
+        assert isinstance(reports, list) and len(reports) == len(rows)
+        for rep, vec, seed in zip(reports, rows, flat_seeds.tolist()):
+            assert rep == check_condition1(vec, dims, trials=9, seed=seed, atol=atol)
+
+
+def test_condition1_chunks_do_not_change_reports(monkeypatch):
+    rng = np.random.default_rng(33)
+    spins = np.stack([ghz_state()] + [haar_state(8, rng) for _ in range(3)])
+    trials = CONDITION1_CHUNK + 7
+    chunked = check_condition1(spins, (2, 2, 2), trials, [1, 2, 3, 4], atol=1e-18)
+    monkeypatch.setattr(classcheck, "CONDITION1_CHUNK", trials)
+    whole = check_condition1(spins, (2, 2, 2), trials, [1, 2, 3, 4], atol=1e-18)
+    assert chunked == whole
+    assert any(t >= CONDITION1_CHUNK for rep in whole for t in rep.failing_trials)
+
+
+def test_condition1_suite_memory_does_not_grow_with_trials():
+    condition1_suite(trials=2)
+    tracemalloc.start()
+    try:
+        passed, lines = condition1_suite(trials=5000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert passed and len(lines) == 1
+    assert peak < 4e6  # all rotated amplitudes at once would be 7.7 MB
 
 
 def test_condition1_composite_factors():

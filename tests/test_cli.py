@@ -546,6 +546,20 @@ def test_check_failure_exits_one(monkeypatch, capsys):
     assert "FAIL sample" in out
 
 
+def test_check_condition1_failure_exits_one(monkeypatch, capsys):
+    # a "measure" that is not LU-invariant, the population of |000>, must
+    # fail every state on every trial, named by state, seed and trial
+    monkeypatch.setattr(classcheck, "three_tangle",
+                        lambda psi: np.abs(psi[..., 0]) ** 2)
+    code, out, _ = run(["check", "condition1", "--trials", "3", "--seed", "7"], capsys)
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[0] == "FAIL ghz (seed 7): trials (0, 1, 2)"
+    assert lines[1] == "FAIL w (seed 1007): trials (0, 1, 2)"
+    assert lines[11] == "FAIL haar9 (seed 11007): trials (0, 1, 2)"
+    assert lines[-1] == "condition1: FAIL"
+
+
 def test_numeric_error_maps_to_exit_three(monkeypatch, capsys):
     def boom(*args, **kwargs):
         raise NumericError("did not converge")

@@ -187,7 +187,8 @@ def test_m_concurrence_local_unitary_invariance():
     for trial in range(20):
         v = haar_state(8, rng)
         seed = int(rng.integers(0, 2**31))
-        w = apply_local(_haar_factors((2, 2, 2), [seed]), v, (2, 2, 2))[0]
+        factors = _haar_factors((2, 2, 2), [np.random.default_rng(seed)], 1)
+        w = apply_local(factors, v, (2, 2, 2))[0, 0]
         for spec in specs:
             a = m_concurrence_pure(v, spec, dims=(2, 2, 2))
             b = m_concurrence_pure(w, spec, dims=(2, 2, 2))
@@ -239,7 +240,8 @@ def test_three_tangle_local_unitary_invariant_and_bounded():
         v = haar_state(8, rng)
         tau = three_tangle(v)
         assert -1e-12 <= tau <= 1.0 + 1e-12
-        w = apply_local(_haar_factors((2, 2, 2), [trial]), v, (2, 2, 2))[0]
+        factors = _haar_factors((2, 2, 2), [np.random.default_rng(trial)], 1)
+        w = apply_local(factors, v, (2, 2, 2))[0, 0]
         assert abs(three_tangle(w) - tau) < 1e-10
 
 
