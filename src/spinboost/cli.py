@@ -15,6 +15,7 @@ Exit codes: 0 success, 1 property-check failure, 2 invalid input,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -185,7 +186,7 @@ def cmd_scan(args) -> int:
 def _spin_density_of(state) -> np.ndarray:
     if isinstance(state, (CompositeState, MixedState)):
         return state.spin_density()
-    return projector(state)
+    return state if state.ndim == 2 else projector(state)
 
 
 def cmd_witness(args) -> int:
@@ -272,7 +273,10 @@ def cmd_check(args) -> int:
     return 0 if ok else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process and shared, so callers must
+    not modify it; each parse_args call returns a new Namespace."""
     parser = argparse.ArgumentParser(
         prog="spinboost",
         description="Boosted three-particle spin states and their entanglement",
@@ -282,7 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("wigner", help="print the Wigner rotation angle")
     p.add_argument("--observer-speed", type=float, required=True)
     p.add_argument("--particle-speed", type=float, required=True)
-    p.set_defaults(func=cmd_wigner)
 
     p = sub.add_parser("scan", help="deterministic CSV sweeps")
     p.add_argument("figure", choices=("fig2", "fig3"))
@@ -296,13 +299,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variant", choices=("symmetric", "as-printed"),
                    help="fig2 only (default symmetric)")
     p.add_argument("--out", default=None, help="output CSV path (default stdout)")
-    p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("witness", help="evaluate the GHZ-type witness on a state file")
     p.add_argument("state")
     p.add_argument("--variant", choices=("symmetric", "as-printed"),
                    default="symmetric")
-    p.set_defaults(func=cmd_witness)
 
     p = sub.add_parser("boost", help="apply a boost scenario to a state file")
     p.add_argument("state")
@@ -312,22 +313,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="boosted state file")
     p.add_argument("--spin-out", default=None,
                    help="also write the reduced spin density matrix (JSON)")
-    p.set_defaults(func=cmd_boost)
 
     p = sub.add_parser("check", help="run a property-check suite")
     p.add_argument("suite", choices=tuple(SUITES))
     p.add_argument("--trials", type=int, default=None)
     p.add_argument("--seed", type=int, default=7)
-    p.set_defaults(func=cmd_check)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # looked up per call, not bound into the parser once per process, so
+        # a cmd_* wrapped or patched after the first call is the one that runs
+        return globals()[f"cmd_{args.command}"](args)
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3

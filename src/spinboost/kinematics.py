@@ -18,7 +18,7 @@ import numpy as np
 
 from .constants import ATOL_PHYSICS, MOMENTUM_LABELS
 from .errors import InputError, ShapeError
-from .linalg import kron
+from .linalg import kron, row_norms
 
 _AXIS_DEGENERATE = 1e-12
 
@@ -53,15 +53,19 @@ def wigner_angle(eta: float, xi: float) -> float:
 
 
 def rotation_axis(boost_axis: np.ndarray, momentum_dir: np.ndarray) -> np.ndarray:
-    """Unit Wigner-rotation axis: normalize(boost_axis x momentum_dir)."""
+    """Unit Wigner-rotation axes normalize(boost_axis x p), one per momentum-
+    direction row p of shape (..., 3); each equals its row's call bit for bit."""
     b = np.asarray(boost_axis, dtype=float).reshape(3)
-    p = np.asarray(momentum_dir, dtype=float).reshape(3)
-    nb, npp = np.linalg.norm(b), np.linalg.norm(p)
-    if not all(_AXIS_DEGENERATE <= n < math.inf for n in (nb, npp)):  # NaN fails
+    p = np.asarray(momentum_dir, dtype=float)
+    if p.shape[-1:] != (3,):
+        raise ShapeError(f"momentum directions must have shape (..., 3), got {p.shape}")
+    nb, npp = np.linalg.norm(b), row_norms(p)[..., None]
+    norms = np.append(npp, nb)
+    if not np.all((_AXIS_DEGENERATE <= norms) & (norms < math.inf)):  # NaN fails
         raise InputError("boost axis and momentum direction must be nonzero and finite")
     axis = np.cross(b / nb, p / npp)
-    norm = np.linalg.norm(axis)
-    if norm < _AXIS_DEGENERATE:
+    norm = row_norms(axis)[..., None]
+    if not np.all(norm >= _AXIS_DEGENERATE):
         raise InputError(
             "rotation axis degenerate: boost axis parallel to momentum direction"
         )
@@ -138,9 +142,7 @@ class MomentumGeometry:
 
     def rotation_axes(self) -> np.ndarray:
         """Per-label Wigner rotation axes, shape (3, 3)."""
-        return np.stack(
-            [rotation_axis(self.boost_axis, d) for d in self.directions]
-        )
+        return rotation_axis(self.boost_axis, self.directions)
 
 
 def default_geometry(particle_speed: float = 0.8) -> MomentumGeometry:

@@ -10,7 +10,9 @@ State files are JSON.  A pure state is
 and a mixed state is
     {"ensemble": [{"weight": w, "amps": [...]}, ...]}
 with positive weights summing to one.  dims [2,2,2] with 8 amplitudes is
-also accepted for bare three-spin states (used by the witness command).
+also accepted for bare three-spin states, and dims [2,2,2] with an 8x8
+"matrix" of [re, im] pairs for spin density matrices (as `boost
+--spin-out` writes them); both are used by the witness command.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -37,6 +39,7 @@ from .constants import (
     SPIN_FACTORS,
 )
 from .errors import InputError, ShapeError, StateFileError, ValidationError
+from .linalg import require_density
 
 
 def _state_rows(vec, dim: int, what: str) -> np.ndarray:
@@ -275,14 +278,20 @@ def _amps_to_json(vec: np.ndarray) -> list:
 def _amps_from_json(raw, dim: int, where: str) -> np.ndarray:
     if not isinstance(raw, list) or len(raw) != dim:
         raise StateFileError(f"{where}: expected {dim} amplitude pairs")
-    for i, pair in enumerate(raw):
-        if (
-            not isinstance(pair, list)
-            or len(pair) != 2
-            # type(), not isinstance(): JSON true/false load as bool, an int
-            or not all(type(x) in (int, float) for x in pair)
-        ):
-            raise StateFileError(f"{where}: amps[{i}] is not a [re, im] pair")
+    # The whole list is checked in C first; the per-pair loop only names the
+    # first bad pair.  type(), not isinstance(): JSON true/false load as bool.
+    if not (
+        set(map(type, raw)) == {list}
+        and set(map(len, raw)) == {2}
+        and set(map(type, chain.from_iterable(raw))) <= {int, float}
+    ):
+        for i, pair in enumerate(raw):
+            if (
+                not isinstance(pair, list)
+                or len(pair) != 2
+                or not all(type(x) in (int, float) for x in pair)
+            ):
+                raise StateFileError(f"{where}: amps[{i}] is not a [re, im] pair")
     v = np.array(raw, dtype=float).view(np.complex128).ravel()
     if not np.all(np.isfinite(v.view(float))):
         raise StateFileError(f"{where}: non-finite amplitude")
@@ -330,8 +339,9 @@ def write_output(*outputs: tuple) -> None:
 
 
 def read_state(path) -> StateLike:
-    """Load a state file; returns CompositeState, MixedState, or a plain
-    8-amplitude spin vector depending on the file contents."""
+    """Load a state file; returns CompositeState, MixedState, a plain
+    8-amplitude spin vector or an 8x8 spin density matrix depending on the
+    file contents."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -360,6 +370,16 @@ def read_state(path) -> StateLike:
         dims = doc.get("dims")
         if dims == list(COMPOSITE_DIMS):
             return CompositeState(_amps_from_json(doc.get("amps"), COMPOSITE_DIM, path))
+        if dims == list(SPIN_DIMS) and "matrix" in doc:
+            rows = doc["matrix"]
+            if not isinstance(rows, list) or len(rows) != SPIN_DIM:
+                raise StateFileError(f"{path}: matrix must have {SPIN_DIM} rows")
+            rho = np.array([
+                _amps_from_json(row, SPIN_DIM, f"{path}: matrix[{j}]")
+                for j, row in enumerate(rows)
+            ])
+            require_density(rho)
+            return rho
         if dims == list(SPIN_DIMS):
             amps = _amps_from_json(doc.get("amps"), SPIN_DIM, path)
             return _as_state_vector(amps, SPIN_DIM, "spin state")

@@ -406,6 +406,33 @@ def test_boost_command_roundtrip(tmp_path, capsys):
     assert abs(printed - ghz_witness(rho, validate=False).value) < 1e-10
 
 
+@pytest.mark.parametrize("variant", ["symmetric", "as-printed"])
+@pytest.mark.parametrize("mixed", [False, True])
+def test_witness_reads_boost_spin_out(mixed, variant, tmp_path, capsys):
+    # the --spin-out matrix round-trips exactly, so the witness of it prints
+    # what the witness of the boosted state file prints
+    src, dst, spin_dst = (tmp_path / n for n in ("s.json", "o.json", "r.json"))
+    state = compose(antisymmetric_momentum(), ghz_state())
+    if mixed:
+        other = compose(permutation_momentum(np.eye(6)[0]), w_state())
+        state = MixedState((0.6, 0.4), np.array([state.vector, other.vector]))
+    write_state(state, src)
+    code, _, _ = run(["boost", str(src), "--delta", "0.3", "--out", str(dst),
+                      "--spin-out", str(spin_dst)], capsys)
+    assert code == 0
+    code, from_state, _ = run(["witness", str(dst), "--variant", variant], capsys)
+    assert code == 0
+    assert run(["witness", str(spin_dst), "--variant", variant], capsys) == (
+        0, from_state, ""
+    )
+    # a matrix that fails the density checks is bad input
+    doc = json.loads(spin_dst.read_text())
+    doc["matrix"] = [[[2 * re, 2 * im] for re, im in row] for row in doc["matrix"]]
+    spin_dst.write_text(json.dumps(doc))
+    code, out, err = run(["witness", str(spin_dst)], capsys)
+    assert (code, out) == (2, "") and "not a density matrix" in err
+
+
 def test_boost_command_mixed_spin_out_matches_written_state(tmp_path, capsys):
     # a mixture's --spin-out is the reduced density of the boosted mixture
     # it writes, bit for bit, as for a pure state
@@ -516,6 +543,28 @@ def test_write_state_bytes_are_json_dumps(tmp_path):
     doc = {"dims": [3, 2, 3, 2, 3, 2],
            "amps": [[z.real, z.imag] for z in state.vector.tolist()]}
     assert path.read_text() == json.dumps(doc) + "\n"
+
+
+def test_reused_parser_keeps_no_state(tmp_path, monkeypatch, capsys):
+    # main parses with one parser per process; an option given in one call
+    # must not leak into the next, and a command patched after the parser
+    # was built is the one that runs
+    assert cli.build_parser() is cli.build_parser()
+    monkeypatch.setattr(cli, "cmd_wigner", lambda args: 7)
+    assert cli.main(["wigner", "--observer-speed", "0", "--particle-speed", "0"]) == 7
+    assert run(["scan", "fig2", "--grid", "3", "--alpha", "0.3"], capsys)[0] == 0
+    code, out, _ = run(["scan", "fig2", "--grid", "3"], capsys)
+    assert code == 0 and len(out.splitlines()) == 1 + 9
+
+    path = tmp_path / "f.json"
+    write_state(ghz_state(), path)
+    assert run(["witness", str(path), "--variant", "as-printed"], capsys)[0] == 0
+    code, out, _ = run(["witness", str(path)], capsys)
+    assert code == 0 and out.splitlines()[0].endswith("(variant symmetric)")
+
+    assert run(["check", "condition2", "--trials", "2"], capsys)[0] == 0
+    code, out, _ = run(["check", "condition2"], capsys)
+    assert code == 0 and "over 50 boosts" in out
 
 
 def test_check_suites_pass(capsys):

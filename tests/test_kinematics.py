@@ -11,6 +11,7 @@ from spinboost import (
     BoostScenario,
     InputError,
     MomentumGeometry,
+    ShapeError,
     default_geometry,
     rapidity,
     rotation_axis,
@@ -104,6 +105,37 @@ def test_rotation_axis_degenerate_raises():
             rotation_axis(z, p)
         with pytest.raises(InputError):
             rotation_axis(p, z)
+
+
+def _rotation_axis_reference(b, p):
+    # the formula for one direction: np.linalg.norm and np.cross of vectors
+    axis = np.cross(b / np.linalg.norm(b), p / np.linalg.norm(p))
+    return axis / np.linalg.norm(axis)
+
+
+def test_rotation_axis_rows_match_single_vector_formula():
+    # a batch of directions equals the one-vector formula row by row, bit
+    # for bit, so the sweeps see the same axes as before batching
+    rng = np.random.default_rng(11)
+    b = rng.normal(size=3)
+    p = rng.normal(size=(4, 5, 3)) * rng.uniform(0.01, 100.0, size=(4, 5, 1))
+    axes = rotation_axis(b, p)
+    assert axes.shape == (4, 5, 3)
+    ref = [[_rotation_axis_reference(b, q) for q in row] for row in p]
+    np.testing.assert_array_equal(axes, ref)
+    geo = default_geometry()
+    np.testing.assert_array_equal(
+        geo.rotation_axes(),
+        [_rotation_axis_reference(geo.boost_axis, d) for d in geo.directions],
+    )
+    # one degenerate or non-finite row fails the whole batch
+    for bad in (-4.0 * b, [np.nan, 0.0, 0.0]):
+        q = p.copy()
+        q[2, 3] = bad
+        with pytest.raises(InputError):
+            rotation_axis(b, q)
+    with pytest.raises(ShapeError):
+        rotation_axis(b, np.ones((3, 2)))
 
 
 def test_spin_rotation_unitary_su2():

@@ -348,3 +348,100 @@ def test_state_file_rejects_bad_ensemble(tmp_path):
         with pytest.raises(StateFileError, match=message) as info:
             read_state(path)
         assert str(path) in str(info.value)
+
+
+def _composite_amps():
+    amps = [[0.0, 0.0] for _ in range(216)]
+    amps[0] = [1.0, 0.0]
+    return amps
+
+
+_PAIR_MESSAGE = "amps[5] is not a [re, im] pair"
+
+
+@pytest.mark.parametrize("bad, message", [
+    ("10", _PAIR_MESSAGE),  # a two-character string
+    (None, _PAIR_MESSAGE),
+    ([1.0, 0.0, 0.0], _PAIR_MESSAGE),
+    ({"re": 1.0, "im": 0.0}, _PAIR_MESSAGE),  # an object with two keys
+    ([[1.0, 0.0], 0.0], _PAIR_MESSAGE),
+    (True, _PAIR_MESSAGE),
+    ([0.0, True], _PAIR_MESSAGE),
+    ([float("nan"), 0.0], "non-finite amplitude"),
+])
+@pytest.mark.parametrize("member", [None, 1])
+def test_state_file_malformed_pair_messages(bad, message, member, tmp_path):
+    # the bad pair sits at index 5 of a composite file's amps, or of the
+    # second member of an ensemble; every message names the file and place
+    path = tmp_path / "bad.json"
+    amps = _composite_amps()
+    amps[5] = bad
+    if member is None:
+        doc, where = {"dims": list(COMPOSITE_DIMS), "amps": amps}, f"{path}"
+    else:
+        members = [{"weight": 0.5, "amps": _composite_amps()},
+                   {"weight": 0.5, "amps": amps}]
+        doc, where = {"ensemble": members}, f"{path}: ensemble[{member}]"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(StateFileError) as info:
+        read_state(path)
+    assert str(info.value) == f"{where}: {message}"
+
+
+@pytest.mark.parametrize("member", [None, 1])
+def test_state_file_pair_beyond_float_range(member, tmp_path):
+    path = tmp_path / "bad.json"
+    amps = _composite_amps()
+    amps[5] = [10**400, 0]
+    if member is None:
+        doc = {"dims": list(COMPOSITE_DIMS), "amps": amps}
+    else:
+        doc = {"ensemble": [{"weight": 0.5, "amps": _composite_amps()},
+                            {"weight": 0.5, "amps": amps}]}
+    path.write_text(json.dumps(doc))
+    with pytest.raises(StateFileError, match="too large") as info:
+        read_state(path)
+    assert str(info.value).startswith(f"{path}: ")
+
+
+def _matrix_doc(rho):
+    return {"dims": [2, 2, 2], "matrix": np.stack([rho.real, rho.imag], -1).tolist()}
+
+
+def test_state_file_reads_spin_density_matrix(tmp_path):
+    # the form `boost --spin-out` writes; the JSON floats round-trip exactly
+    members = (ghz_state(), w_state(), haar_vec(8, np.random.default_rng(3)))
+    rho = sum(q * np.outer(v, v.conj()) for q, v in zip((0.5, 0.3, 0.2), members))
+    path = tmp_path / "rho.json"
+    path.write_text(json.dumps(_matrix_doc(rho)))
+    back = read_state(path)
+    assert back.shape == (8, 8)
+    np.testing.assert_array_equal(back, rho)
+
+
+def _set(doc, row, col, pair):
+    doc["matrix"][row][col] = pair
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: d["matrix"].pop(), "matrix must have 8 rows"),
+    (lambda d: d.update(matrix="rows"), "matrix must have 8 rows"),
+    (lambda d: d["matrix"][3].pop(), r"matrix\[3\]: expected 8 amplitude pairs"),
+    (lambda d: _set(d, 2, 5, [True, False]), r"matrix\[2\]: amps\[5\] is not a"),
+    (lambda d: _set(d, 1, 1, [float("inf"), 0.0]), r"matrix\[1\]: non-finite"),
+    (lambda d: _set(d, 0, 7, [0.3, 0.0]), "not a density matrix"),  # not Hermitian
+    (lambda d: _set(d, 0, 0, [0.7, 0.0]), "not a density matrix"),  # trace 1.2
+    (lambda d: (_set(d, 0, 0, [1.2, 0.0]), _set(d, 1, 1, [-0.2, 0.0])),
+     "not a density matrix"),  # an eigenvalue of -0.2
+])
+def test_state_file_rejects_bad_spin_density_matrix(edit, message, tmp_path):
+    rho = np.zeros((8, 8), dtype=complex)
+    rho[0, 0] = 0.5
+    rho[7, 7] = 0.5
+    doc = _matrix_doc(rho)
+    edit(doc)
+    path = tmp_path / "rho.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(StateFileError, match=message) as info:
+        read_state(path)
+    assert str(info.value).startswith(f"{path}: ")
