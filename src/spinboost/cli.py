@@ -192,7 +192,8 @@ def _spin_density_of(state) -> np.ndarray:
 def cmd_witness(args) -> int:
     state = read_state(args.state)
     rho = _spin_density_of(state)
-    require_density(rho)
+    if rho is not state:  # read_state has already checked a matrix file
+        require_density(rho)
     reports = {
         (path, variant): ghz_witness(rho, path=path, variant=variant, validate=False)
         for path in ("matrix_elements", "pauli_settings")

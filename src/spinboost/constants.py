@@ -42,5 +42,3 @@ ID2 = np.eye(2, dtype=np.complex128)
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
-PROJ_UP = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=np.complex128)    # (1+sz)/2
-PROJ_DOWN = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=np.complex128)  # (1-sz)/2

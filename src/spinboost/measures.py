@@ -15,7 +15,10 @@ so the reported value
 is nonpositive on every biseparable state and reaches 1 on the GHZ
 state.  Everything is measurable with nine local settings: the eight
 X/Y Pauli strings below determine Re rho07 and Im rho07, one
-computational-basis measurement determines the populations.
+computational-basis measurement determines the populations.  One kernel
+maps populations and 2|rho07| to the value for both routes; each route
+forms 2|rho07| itself, ghz_witness with math.hypot (from the matrix
+entries or the nine settings), witness_from_amplitudes with np.abs.
 
 variant="as_printed" replaces the third pairing by sqrt(rho_44 rho_44)
 = rho_44.  It is kept for comparison but is NOT sound as a witness: for
@@ -48,8 +51,6 @@ from .constants import (
     COMPOSITE_DIMS,
     PAULI_X,
     PAULI_Y,
-    PROJ_DOWN,
-    PROJ_UP,
     RADICAND_NOISE,
     SPIN_DIM,
     SPIN_DIMS,
@@ -61,29 +62,18 @@ from .states import CompositeState, PartitionSpec, _state_rows
 WITNESS_PATHS = ("matrix_elements", "pauli_settings")
 WITNESS_VARIANTS = ("symmetric", "as_printed")
 
-# The eight local measurement settings behind the coherence terms:
-# 8 Re rho07 = <XXX> - <XYY> - <YXY> - <YYX> and
-# 8 Im rho07 = <YYY> - <XXY> - <YXX> - <XYX>.
-_RE_STRINGS = (
-    (PAULI_X, PAULI_X, PAULI_X, +1.0),
-    (PAULI_X, PAULI_Y, PAULI_Y, -1.0),
-    (PAULI_Y, PAULI_X, PAULI_Y, -1.0),
-    (PAULI_Y, PAULI_Y, PAULI_X, -1.0),
-)
-_IM_STRINGS = (
-    (PAULI_Y, PAULI_Y, PAULI_Y, +1.0),
-    (PAULI_X, PAULI_X, PAULI_Y, -1.0),
-    (PAULI_Y, PAULI_X, PAULI_X, -1.0),
-    (PAULI_X, PAULI_Y, PAULI_X, -1.0),
-)
-_RE_OPS = tuple((kron([a, b, c]), s) for a, b, c, s in _RE_STRINGS)
-_IM_OPS = tuple((kron([a, b, c]), s) for a, b, c, s in _IM_STRINGS)
-
-# Computational-basis projectors |j><j| as products of single-qubit
-# projectors (bit 0 = up): the one setting that yields the populations.
-_POPULATION_OPS = tuple(
-    kron([(PROJ_UP, PROJ_DOWN)[(j >> b) & 1] for b in (2, 1, 0)])
-    for j in range(SPIN_DIM)
+# The nine local measurement settings as one (16, 8, 8) table of
+# observables: eight X/Y Pauli strings, signs folded in, give
+# 8 Re rho07 = <XXX> - <XYY> - <YXY> - <YYX> (rows 0-3) and
+# 8 Im rho07 = <YYY> - <XXY> - <YXX> - <XYX> (rows 4-7); one
+# computational-basis measurement gives the populations, from the
+# projectors |j><j| (rows 8-15).
+_PAULI = {"X": PAULI_X, "Y": PAULI_Y}
+_SETTINGS = np.array(
+    [sign * kron([_PAULI[c] for c in word]) for sign, word in zip(
+        (1, -1, -1, -1, 1, -1, -1, -1),
+        ("XXX", "XYY", "YXY", "YYX", "YYY", "XXY", "YXX", "XYX"))]
+    + [np.diag(e) for e in np.eye(SPIN_DIM)]
 )
 # Population index pairs in the flat spin basis: (uud, ddu), (udu, dud),
 # (duu, udd).  as_printed pairs the third as (duu, duu).
@@ -103,15 +93,18 @@ class WitnessReport:
     population_terms: tuple[float, float, float]
 
 
-def _expect(rho: np.ndarray, op: np.ndarray) -> float:
-    return float(np.trace(rho @ op).real)
-
-
-def _check_variant(variant: str) -> None:
+def _witness(pops, offdiag, variant: str):
+    # Populations (..., 8) and 2|rho07| (...) to the value and the three
+    # population terms.  Callers form 2|rho07|: math.hypot and np.abs can
+    # differ in the last bit, and each route keeps its own.
     if variant not in WITNESS_VARIANTS:
         raise InputError(
             f"unknown variant {variant!r}, expected one of {WITNESS_VARIANTS}"
         )
+    # populations may dip an epsilon below zero on valid densities
+    pops = np.maximum(pops, 0.0)
+    terms = [2.0 * np.sqrt(pops[..., i] * pops[..., j]) for i, j in _POP_PAIRS[variant]]
+    return offdiag - sum(terms), terms
 
 
 def ghz_witness(
@@ -132,27 +125,22 @@ def ghz_witness(
         raise ShapeError(f"witness needs an 8x8 density matrix, got {rho.shape}")
     if path not in WITNESS_PATHS:
         raise InputError(f"unknown path {path!r}, expected one of {WITNESS_PATHS}")
-    _check_variant(variant)
     if validate:
         require_density(rho)
 
     if path == "pauli_settings":
-        re2 = 0.25 * sum(s * _expect(rho, op) for op, s in _RE_OPS)  # = 2 Re rho07
-        im2 = 0.25 * sum(s * _expect(rho, op) for op, s in _IM_OPS)  # = 2 Im rho07
-        pops = [_expect(rho, op) for op in _POPULATION_OPS]
+        means = np.trace(rho @ _SETTINGS, axis1=-2, axis2=-1).real
+        re2 = 0.25 * sum(means[:4])  # = 2 Re rho07, summed left to right
+        im2 = 0.25 * sum(means[4:8])  # = 2 Im rho07
+        pops = means[8:]
     else:
-        re2 = 2.0 * float(rho[0, 7].real)
-        im2 = 2.0 * float(rho[0, 7].imag)
-        pops = rho.diagonal().real.tolist()
+        re2 = 2.0 * rho[0, 7].real
+        im2 = 2.0 * rho[0, 7].imag
+        pops = rho.diagonal().real
 
     offdiag = math.hypot(re2, im2)  # = 2 |rho07|
-    # populations may dip an epsilon below zero on valid densities
-    terms = tuple(
-        2.0 * math.sqrt(max(pops[i], 0.0) * max(pops[j], 0.0))
-        for i, j in _POP_PAIRS[variant]
-    )
-    value = offdiag - sum(terms)
-    return WitnessReport(value=value, offdiag_term=offdiag, population_terms=terms)
+    value, terms = _witness(pops, offdiag, variant)
+    return WitnessReport(float(value), offdiag, tuple(float(t) for t in terms))
 
 
 def witness_from_amplitudes(psi, variant: str = "symmetric") -> np.ndarray:
@@ -164,12 +152,10 @@ def witness_from_amplitudes(psi, variant: str = "symmetric") -> np.ndarray:
     come straight from the amplitudes, so no 8x8 matrix is formed and the
     value keeps the conditioning described in the module docstring.
     """
-    _check_variant(variant)
     psi = np.asarray(psi, dtype=np.complex128)
     pops = np.sum(psi.real**2 + psi.imag**2, axis=-2)
     rho07 = np.sum(psi[..., 0] * psi[..., 7].conj(), axis=-1)
-    terms = sum(np.sqrt(pops[..., i] * pops[..., j]) for i, j in _POP_PAIRS[variant])
-    return 2.0 * np.abs(rho07) - 2.0 * terms
+    return _witness(pops, 2.0 * np.abs(rho07), variant)[0]
 
 
 def gme_lower_bound(rho: np.ndarray, validate: bool = True) -> float:

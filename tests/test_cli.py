@@ -349,18 +349,24 @@ def test_witness_command_composite_file(tmp_path, capsys):
 
 
 def test_witness_command_validates_once(tmp_path, monkeypatch, capsys):
-    # one density check (one eigensolve) covers all four witness evaluations
+    # one density check (one eigensolve) per request covers all four witness
+    # evaluations, for a composite state file and for a --spin-out matrix
     from spinboost import linalg
 
+    src, dst, spin_dst = (tmp_path / n for n in ("comp.json", "o.json", "r.json"))
+    write_state(compose(antisymmetric_momentum(), ghz_state()), src)
+    code, _, _ = run(["boost", str(src), "--delta", "0.3", "--out", str(dst),
+                      "--spin-out", str(spin_dst)], capsys)
+    assert code == 0
     calls = []
     eigen = linalg.hermitian_eigen
     monkeypatch.setattr(
         linalg, "hermitian_eigen", lambda h: calls.append(1) or eigen(h)
     )
-    path = tmp_path / "comp.json"
-    write_state(compose(antisymmetric_momentum(), ghz_state()), path)
-    assert run(["witness", str(path)], capsys)[0] == 0
-    assert len(calls) == 1
+    for path in (src, spin_dst):
+        calls.clear()
+        assert run(["witness", str(path)], capsys)[0] == 0
+        assert len(calls) == 1, path.name
 
 
 def test_witness_command_rejects_non_density(tmp_path, monkeypatch, capsys):

@@ -139,6 +139,24 @@ def test_witness_validation():
         ghz_witness(np.eye(8) / 8.0, path="nope")
     with pytest.raises(InputError):
         ghz_witness(np.eye(8) / 8.0, variant="nope")
+    with pytest.raises(InputError):
+        witness_from_amplitudes(np.eye(8)[None, 0], "nope")
+
+
+@pytest.mark.parametrize("path", ["matrix_elements", "pauli_settings"])
+def test_witness_clamps_negative_population(path):
+    # a valid density (eigenvalue -1e-12, within ATOL_PHYSICS) whose
+    # population rho_33 is -1e-12: the kernel reads it as 0, so the value
+    # is finite, with no sqrt of a negative number (warnings are errors)
+    pops = [0.35, 0.05, 0.05, -1e-12, 0.1 + 1e-12, 0.05, 0.05, 0.35]
+    rho = np.diag(pops).astype(np.complex128)
+    rho[0, 7] = rho[7, 0] = 0.3
+    zeroed = rho.copy()
+    zeroed[3, 3] = 0.0
+    for variant in ("symmetric", "as_printed"):
+        value = ghz_witness(rho, path=path, variant=variant).value
+        assert math.isfinite(value)
+        assert value == ghz_witness(zeroed, path=path, variant=variant).value
 
 
 def test_gme_lower_bound_clamps_at_zero():
