@@ -35,9 +35,8 @@ from .errors import (
     ValidationError,
 )
 from .kinematics import (
+    ROTATION_AXES,
     BoostScenario,
-    MomentumGeometry,
-    default_geometry,
     local_unitary,
     rapidity,
     rotation_axis,

@@ -26,7 +26,7 @@ import numpy as np
 from .boost import SpinEnsemble, _mixture, _spin_ensembles, boosted_amplitudes
 from .constants import ATOL_ALGEBRA, ATOL_PHYSICS, SPIN_DIM, SPIN_DIMS
 from .errors import InputError, ShapeError, ValidationError
-from .kinematics import default_geometry, spin_rotations
+from .kinematics import ROTATION_AXES, spin_rotations
 from .linalg import apply_local, row_norms
 from .measures import (
     _three_tangle_unchecked,
@@ -382,7 +382,6 @@ def condition2_suite(trials: int = 50, seed: int = 7) -> tuple[bool, list[str]]:
     certified and verified as one batch, so only the reports grow with
     `trials`.  Returns (passed, report lines)."""
     rng = np.random.default_rng(seed)
-    axes = default_geometry().rotation_axes()
     reports = []
     for start in range(0, trials, CONDITION2_CHUNK):
         draws = [
@@ -391,7 +390,7 @@ def condition2_suite(trials: int = 50, seed: int = 7) -> tuple[bool, list[str]]:
         ]
         momenta, spins, deltas = (np.array(column) for column in zip(*draws))
         vectors = _product_rows(momenta, spins)
-        rotations = spin_rotations(axes, deltas)
+        rotations = spin_rotations(ROTATION_AXES, deltas)
         m = _momentum_spin_rows(boosted_amplitudes(vectors, rotations))
         rhos = np.swapaxes(m, -1, -2) @ m.conj()
         ensembles = _spin_ensembles(vectors, rotations)

@@ -27,8 +27,8 @@ from .classcheck import condition1_suite, condition2_suite, soundness_suite
 from .constants import SPIN_DIM, SPIN_DIMS
 from .errors import InputError, NumericError, SpinboostError
 from .kinematics import (
+    ROTATION_AXES,
     BoostScenario,
-    default_geometry,
     rapidity,
     spin_rotations,
     wigner_angle,
@@ -114,7 +114,7 @@ def cmd_wigner(args) -> int:
 def _sweep_rotations(grid: int) -> tuple[list[str], np.ndarray]:
     """The swept deltas as CSV fields and their rotations, (grid, 3, 2, 2)."""
     deltas = np.linspace(0.0, math.pi / 2.0, grid)
-    rotations = spin_rotations(default_geometry().rotation_axes(), deltas)
+    rotations = spin_rotations(ROTATION_AXES, deltas)
     return [f"{d:.12g}" for d in deltas.tolist()], rotations
 
 
@@ -233,9 +233,7 @@ def _scenario_from_args(args) -> BoostScenario:
         raise InputError(
             "boost needs either --delta or both --observer-speed and --particle-speed"
         )
-    return BoostScenario.from_speeds(
-        args.observer_speed, default_geometry(args.particle_speed)
-    )
+    return BoostScenario.from_speeds(args.observer_speed, args.particle_speed)
 
 
 def cmd_boost(args) -> int:

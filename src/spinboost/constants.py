@@ -3,9 +3,9 @@
 Basis conventions used across the package
 -----------------------------------------
 Spin:     index 0 = |up> (sigma_z eigenvalue +1), index 1 = |down>.
-Momentum: index 0 = p_A, 1 = p_B, 2 = p_C (three fixed magnitude-equal
-          momenta; the default geometry puts them in the x-y plane at
-          azimuths 0, 120 and 240 degrees with the boost along +z).
+Momentum: index 0 = p_A, 1 = p_B, 2 = p_C (three magnitude-equal
+          momenta, fixed in the x-y plane at azimuths 0, 120 and 240
+          degrees, with the observer boosted along +z).
 Composite factor order: (mom1, spin1, mom2, spin2, mom3, spin3), shape
 (3,2,3,2,3,2), flattened big-endian, so the amplitude of
 |m1 s1 m2 s2 m3 s3> sits at ((((m1*2+s1)*3+m2)*2+s2)*3+m3)*2+s3.
@@ -41,4 +41,3 @@ PERMUTATION_SIGNS = (1, -1, 1, -1, 1, -1)
 ID2 = np.eye(2, dtype=np.complex128)
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128)
-PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)

@@ -1,18 +1,20 @@
 """Relativistic kinematics: rapidities, Wigner rotation angles, spin rotations.
 
-The physical setup: three particles with equal-magnitude momenta along
-fixed directions (default: coplanar at azimuths 0/120/240 degrees), seen
-by an observer boosted along an axis perpendicular to that plane
-(default +z).  Composing the observer boost with a particle boost is
-not a pure boost — the spin of each particle picks up a momentum-
+The physical setup is fixed: three particles with equal-magnitude momenta
+coplanar at azimuths 0/120/240 degrees, seen by an observer boosted along
+the normal to that plane (+z), so a boost is fully described by its
+Wigner angle delta.  Composing the observer boost with a particle boost
+is not a pure boost: the spin of each particle picks up a momentum-
 dependent rotation (Wigner rotation) about the axis perpendicular to
-both boosts.
-"""
+both boosts.  ROTATION_AXES holds those axes.  For another geometry,
+pass spin_rotations(rotation_axis(b, dirs), deltas) to
+boost.boosted_amplitudes or boost.boosted_spin_terms, which take
+rotations directly."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -105,91 +107,49 @@ def spin_rotations(axes: np.ndarray, deltas) -> np.ndarray:
     return u
 
 
-def _unit_rows(arr: np.ndarray, what: str) -> np.ndarray:
-    arr = np.asarray(arr, dtype=float)
-    norms = np.linalg.norm(arr, axis=-1)
-    if not np.all(norms >= _AXIS_DEGENERATE):
-        raise InputError(f"{what} must be nonzero")
-    return arr / norms[..., None]
-
-
 def default_directions() -> np.ndarray:
     """Unit momentum directions at azimuths 0, 120, 240 degrees in the x-y plane."""
     az = np.array([0.0, 2.0 * math.pi / 3.0, 4.0 * math.pi / 3.0])
     return np.stack([np.cos(az), np.sin(az), np.zeros(3)], axis=1)
 
 
-@dataclass(frozen=True)
-class MomentumGeometry:
-    """Momentum directions (one unit row per label A/B/C), particle speed,
-    and the observer's boost axis."""
-
-    particle_speed: float
-    directions: np.ndarray = field(default_factory=default_directions)
-    boost_axis: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.0, 1.0]))
-
-    def __post_init__(self):
-        if not 0.0 <= self.particle_speed < 1.0:
-            raise InputError(
-                f"particle speed must lie in [0, 1), got {self.particle_speed}"
-            )
-        dirs = _unit_rows(self.directions, "momentum directions")
-        if dirs.shape != (3, 3):
-            raise ShapeError(f"directions must be (3, 3), got {dirs.shape}")
-        axis = _unit_rows(self.boost_axis, "boost axis").reshape(3)
-        object.__setattr__(self, "directions", dirs)
-        object.__setattr__(self, "boost_axis", axis)
-
-    def rotation_axes(self) -> np.ndarray:
-        """Per-label Wigner rotation axes, shape (3, 3)."""
-        return rotation_axis(self.boost_axis, self.directions)
-
-
-def default_geometry(particle_speed: float = 0.8) -> MomentumGeometry:
-    """The standard coplanar three-momentum geometry with boost along +z."""
-    return MomentumGeometry(particle_speed=particle_speed)
+# The per-label Wigner rotation axes of the fixed geometry, shape (3, 3).
+ROTATION_AXES = rotation_axis(np.array([0.0, 0.0, 1.0]), default_directions())
+ROTATION_AXES.flags.writeable = False
 
 
 @dataclass(frozen=True)
 class BoostScenario:
-    """A fixed Wigner angle plus the per-label rotation axes it acts about.
+    """A Wigner angle delta in [0, pi/2]; every label rotates by delta about
+    its row of ROTATION_AXES.
 
     Build from physical speeds (from_speeds) or directly from the angle
     (from_angle), which is how the sweep commands parameterize boosts.
     """
 
     delta: float
-    axes: np.ndarray
 
     def __post_init__(self):
         if not 0.0 <= self.delta <= math.pi / 2.0:
             raise InputError(f"delta must lie in [0, pi/2], got {self.delta}")
-        axes = _unit_rows(self.axes, "rotation axes")
-        if axes.shape != (3, 3):
-            raise ShapeError(f"axes must be (3, 3), got {axes.shape}")
-        object.__setattr__(self, "axes", axes)
 
     @classmethod
     def from_speeds(
-        cls, observer_speed: float, geometry: MomentumGeometry | None = None
+        cls, observer_speed: float, particle_speed: float = 0.8
     ) -> "BoostScenario":
-        if geometry is None:
-            geometry = default_geometry()
-        delta = wigner_angle(
-            rapidity(observer_speed), rapidity(geometry.particle_speed)
-        )
-        return cls(delta=delta, axes=geometry.rotation_axes())
+        if not 0.0 <= particle_speed < 1.0:  # NaN fails too
+            raise InputError(
+                f"particle speed must lie in [0, 1), got {particle_speed}"
+            )
+        return cls(wigner_angle(rapidity(observer_speed), rapidity(particle_speed)))
 
     @classmethod
-    def from_angle(
-        cls, delta: float, geometry: MomentumGeometry | None = None
-    ) -> "BoostScenario":
-        geo = geometry if geometry is not None else default_geometry()
-        return cls(delta=float(delta), axes=geo.rotation_axes())
+    def from_angle(cls, delta: float) -> "BoostScenario":
+        return cls(float(delta))
 
     def rotations(self) -> np.ndarray:
         """The rotations of all three labels, shape (3, 2, 2)."""
-        return spin_rotations(self.axes, self.delta)
+        return spin_rotations(ROTATION_AXES, self.delta)
 
 
 def momentum_label_index(label: int | str) -> int:

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from spinboost import (
+    ROTATION_AXES,
     BoostScenario,
     CompositeState,
     MixedState,
@@ -241,9 +242,8 @@ def test_einsum_boost_matches_unitary_matrix():
     assert worst < 1e-13
     # one call over a (G, 3, 2, 2) sweep matches every angle's matrix
     deltas = np.linspace(0.0, math.pi / 2, 6)
-    axes = BoostScenario.from_angle(0.0).axes
     v = haar_vec(216, rng)
-    swept = boosted_amplitudes(v, spin_rotations(axes, deltas))
+    swept = boosted_amplitudes(v, spin_rotations(ROTATION_AXES, deltas))
     assert swept.shape == (6, 216)
     for g, delta in enumerate(deltas):
         expected = build_boost_unitary(BoostScenario.from_angle(delta)).matrix @ v
@@ -260,8 +260,7 @@ def test_permutation_amplitudes_batch_matches_single_points():
     spin = haar_vec(8, rng)
     state = compose(permutation_momentum(coeffs), spin)
     deltas = np.linspace(0.0, math.pi / 2, 5)
-    axes = BoostScenario.from_angle(0.0).axes
-    chi = boosted_spin_terms(state, spin_rotations(axes, deltas))
+    chi = boosted_spin_terms(state, spin_rotations(ROTATION_AXES, deltas))
     assert chi.shape == (5, 5, 8)
     for g, delta in enumerate(deltas):
         sc = BoostScenario.from_angle(delta)

@@ -40,7 +40,7 @@ from spinboost.classcheck import (
     soundness_suite,
 )
 from spinboost.constants import COMPOSITE_DIMS, ID2, PAULI_X
-from spinboost.kinematics import default_geometry, spin_rotations
+from spinboost.kinematics import ROTATION_AXES, spin_rotations
 from spinboost.linalg import (
     apply_local,
     hermitian_eigen,
@@ -552,9 +552,8 @@ def _mixed_batch(rng):
                basis_momentum("AAB"), haar_state(27, rng), haar_state(27, rng)]
     spins = haar_state(8, rng, (4,))
     vectors = np.array([compose(m, s).vector for m, s in zip(momenta, spins)])
-    axes = default_geometry().rotation_axes()
-    scenarios = [BoostScenario(d, axes) for d in rng.uniform(0.0, math.pi / 2, 4)]
-    rotations = spin_rotations(axes, [sc.delta for sc in scenarios])
+    scenarios = [BoostScenario(d) for d in rng.uniform(0.0, math.pi / 2, 4)]
+    rotations = spin_rotations(ROTATION_AXES, [sc.delta for sc in scenarios])
     rhos = np.array([boost_pure(CompositeState(v), sc).spin_density()
                      for v, sc in zip(vectors, scenarios)])
     return spins, vectors, rotations, rhos, scenarios
@@ -596,12 +595,11 @@ def test_batched_verification_fails_only_broken_items():
     rng = np.random.default_rng(41)
     spins = haar_state(8, rng, (4,))
     vectors = np.array([compose(haar_state(27, rng), s).vector for s in spins])
-    axes = default_geometry().rotation_axes()
     deltas = rng.uniform(0.0, math.pi / 2, 4)
-    rotations = spin_rotations(axes, deltas)
+    rotations = spin_rotations(ROTATION_AXES, deltas)
     honest = boost._spin_ensembles(vectors, rotations)
     rhos = np.array([
-        boost_pure(CompositeState(v), BoostScenario(d, axes)).spin_density()
+        boost_pure(CompositeState(v), BoostScenario(d)).spin_density()
         for v, d in zip(vectors, deltas)
     ])
     base, other, lone = haar_state(8, rng, (3,))
@@ -641,11 +639,10 @@ def _condition2_reference(trials, seed):
     # condition2_suite as it read with one certificate per trial: the same
     # draws, each boosted, reduced, certified and verified alone
     rng = np.random.default_rng(seed)
-    axes = default_geometry().rotation_axes()
     reports = []
     for _ in range(trials):
         momentum, spin = haar_state(27, rng), haar_state(8, rng)
-        sc = BoostScenario(rng.uniform(0.0, math.pi / 2.0), axes)
+        sc = BoostScenario(rng.uniform(0.0, math.pi / 2.0))
         state = compose(momentum, spin)
         cert = ClassCertificate(spin, composite_spin_ensemble(state, sc))
         reports.append(verify_certificate(cert, boost_pure(state, sc).spin_density()))

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from spinboost import (
+    ROTATION_AXES,
     BoostScenario,
     MixedState,
     NumericError,
@@ -221,7 +222,7 @@ def test_scan_fig2_surface_matches_closed_form(variant, capsys):
         "product": np.eye(6)[0],
         ",".join(repr(complex(c)) for c in custom): custom,
     }
-    rotations = spin_rotations(BoostScenario.from_angle(0.0).axes, deltas)
+    rotations = spin_rotations(ROTATION_AXES, deltas)
     for spec, coeffs in momenta.items():
         code, out, _ = run(
             ["scan", "fig2", "--momentum", spec, "--variant", variant], capsys
@@ -490,6 +491,23 @@ def test_boost_command_delta_excludes_speeds(speeds, tmp_path, capsys):
         ["boost", str(src), "--delta", "0.3", *speeds, "--out", str(dst)], capsys
     )
     assert code == 2 and out == "" and "--delta" in err
+    assert not dst.exists()
+
+
+@pytest.mark.parametrize("observer, particle, message", [
+    ("0.6", "1.0", "particle speed must lie in [0, 1), got 1.0"),
+    ("0.6", "nan", "particle speed must lie in [0, 1), got nan"),
+    ("1.5", "-0.1", "particle speed must lie in [0, 1), got -0.1"),  # both bad
+    ("1.0", "0.8", "speed must lie in [0, 1), got 1.0"),
+])
+def test_boost_command_rejects_bad_speeds(observer, particle, message, tmp_path,
+                                          capsys):
+    # the particle speed is checked before the observer speed
+    src, dst = tmp_path / "in.json", tmp_path / "o.json"
+    write_state(compose(antisymmetric_momentum(), ghz_state()), src)
+    argv = ["boost", str(src), "--observer-speed", observer,
+            "--particle-speed", particle, "--out", str(dst)]
+    assert run(argv, capsys) == (2, "", f"error: {message}\n")
     assert not dst.exists()
 
 

@@ -8,11 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinboost import (
+    ROTATION_AXES,
     BoostScenario,
     InputError,
-    MomentumGeometry,
     ShapeError,
-    default_geometry,
     rapidity,
     rotation_axis,
     spin_rotation,
@@ -123,11 +122,12 @@ def test_rotation_axis_rows_match_single_vector_formula():
     assert axes.shape == (4, 5, 3)
     ref = [[_rotation_axis_reference(b, q) for q in row] for row in p]
     np.testing.assert_array_equal(axes, ref)
-    geo = default_geometry()
+    z = np.array([0.0, 0.0, 1.0])
     np.testing.assert_array_equal(
-        geo.rotation_axes(),
-        [_rotation_axis_reference(geo.boost_axis, d) for d in geo.directions],
+        ROTATION_AXES, [_rotation_axis_reference(z, d) for d in default_directions()]
     )
+    with pytest.raises(ValueError):  # the module constant is read-only
+        ROTATION_AXES[0, 0] = 1.0
     # one degenerate or non-finite row fails the whole batch
     for bad in (-4.0 * b, [np.nan, 0.0, 0.0]):
         q = p.copy()
@@ -168,32 +168,23 @@ def test_default_directions_planar_trine():
     np.testing.assert_allclose(dirs.sum(axis=0), 0.0, atol=1e-12)
 
 
-def test_default_geometry_axes():
-    geo = default_geometry(0.8)
-    axes = geo.rotation_axes()
+def test_rotation_axes_are_planar_trine():
+    axes = ROTATION_AXES
+    dirs = default_directions()
     assert axes.shape == (3, 3)
     np.testing.assert_allclose(np.linalg.norm(axes, axis=1), 1.0, atol=1e-13)
-    # each axis is orthogonal to the boost direction and its momentum
+    # each axis is orthogonal to the +z boost direction and its momentum
     for i in range(3):
-        assert abs(axes[i] @ geo.boost_axis) < 1e-13
-        assert abs(axes[i] @ geo.directions[i]) < 1e-13
+        assert abs(axes[i, 2]) < 1e-13
+        assert abs(axes[i] @ dirs[i]) < 1e-13
     # pairwise 120 degrees, like the momenta themselves
     for i in range(3):
         j = (i + 1) % 3
         assert abs(axes[i] @ axes[j] - math.cos(2 * math.pi / 3)) < 1e-12
 
 
-def test_geometry_normalizes_input():
-    geo = MomentumGeometry(
-        particle_speed=0.5,
-        directions=3.0 * default_directions(),
-        boost_axis=np.array([0.0, 0.0, 5.0]),
-    )
-    assert abs(np.linalg.norm(geo.boost_axis) - 1.0) < 1e-14
-    np.testing.assert_allclose(np.linalg.norm(geo.directions, axis=1), 1.0, atol=1e-14)
-    # NaN compares false against the degeneracy threshold; it must not pass
-    with pytest.raises(InputError):
-        MomentumGeometry(particle_speed=0.5, boost_axis=np.array([0.0, 0.0, np.nan]))
+def test_spin_rotation_rejects_nonfinite_input():
+    # NaN compares false against the unit-norm tolerance; it must not pass
     with pytest.raises(InputError):
         spin_rotation(np.array([np.nan, 0.0, 0.0]), 0.3)
     for delta in (math.nan, math.inf):
@@ -202,10 +193,10 @@ def test_geometry_normalizes_input():
 
 
 def test_scenario_from_speeds_matches_angle():
-    sc = BoostScenario.from_speeds(0.8, default_geometry(0.8))
+    sc = BoostScenario.from_speeds(0.8)  # particle speed defaults to 0.8
     assert abs(sc.delta - DELTA_08) < 1e-15
+    assert BoostScenario.from_speeds(0.8, 0.8) == sc
     sc2 = BoostScenario.from_angle(DELTA_08)
-    np.testing.assert_allclose(sc.axes, sc2.axes, atol=1e-15)
     np.testing.assert_allclose(sc.rotations(), sc2.rotations(), atol=1e-15)
 
 
@@ -222,7 +213,7 @@ def test_scenario_rotation_labels():
     sc = BoostScenario.from_angle(0.4)
     rot = sc.rotations()
     for i in range(3):  # label i rotates about axis i by delta
-        np.testing.assert_array_equal(rot[i], spin_rotation(sc.axes[i], sc.delta))
+        np.testing.assert_array_equal(rot[i], spin_rotation(ROTATION_AXES[i], sc.delta))
     # labels 'A'-'C' name indices 0-2, and any other label is rejected
     for letters, indices in (("ABC", (0, 1, 2)), ("CAB", (2, 0, 1))):
         np.testing.assert_array_equal(
