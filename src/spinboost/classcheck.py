@@ -5,15 +5,17 @@ invariance: the three-tangle and every m-concurrence are unchanged when
 each factor is rotated by an independent Haar unitary — and a boost of a
 separable-momentum state acts exactly like such a rotation on the spins;
 one batched call checks all states, each with its own seeded stream of
-trials.  condition2_suite, ensemble certificates: the reduced spin state
-a boost produces decomposes into weighted terms U_k |phi><phi| U_k^H
-with *local* U_k (three 2x2 factors), so every term stays in the
+trials, and 2x2 Haar factors are closed-form (QR only for d >= 3).
+condition2_suite, ensemble certificates: the reduced spin state a boost
+produces decomposes into weighted terms U_k |phi><phi| U_k^H with
+*local* U_k (three 2x2 factors), so every term stays in the
 local-unitary class of the unboosted spin state; verification checks
-every factor's unitarity and every base vector against the base state,
-the reconstructed density and the terms' LU invariants, for a batch of
-certificates in one pass.  soundness_suite: the GHZ witness is
-nonpositive on random biseparable mixtures.  All sampling is driven by
-numpy's seeded Generator, so every check is reproducible from its seed."""
+every factor's unitarity (a closed-form defect, no matmul) and every
+base vector against the base state, the reconstructed density and the
+terms' LU invariants, for a batch of certificates in one pass.
+soundness_suite: the GHZ witness is nonpositive on random biseparable
+mixtures.  All sampling is driven by numpy's seeded Generator, so every
+check is reproducible from its seed."""
 
 from __future__ import annotations
 
@@ -60,13 +62,24 @@ def haar_state(dim: int, rng, batch: tuple[int, ...] = ()) -> np.ndarray:
     return v / row_norms(v)[..., None]
 
 
-def _haar_unitary_qr(g: np.ndarray) -> np.ndarray:
-    # Orthonormalize a stack of complex Gaussian matrices (..., d, d);
-    # fixing the phases of R's diagonal makes each Q exactly Haar on U(d)
-    # (Mezzadri, Notices AMS 54, 592 (2007)).
-    q, r = np.linalg.qr(g)
-    d = np.diagonal(r, axis1=-2, axis2=-1)
-    return q * (d / np.abs(d))[..., None, :]
+def _haar_unitary(g: np.ndarray) -> np.ndarray:
+    # Orthonormalize a stack of complex Gaussian matrices (..., d, d): the Q
+    # of G = QR with R's diagonal made positive is exactly Haar on U(d)
+    # (Mezzadri, Notices AMS 54, 592 (2007)).  For d = 2 that Q is closed-
+    # form: column a/|a| for G's first column a, then (-conj a1, conj a0)/|a|
+    # times det G/|det G|, the phase that makes R's second pivot positive.
+    if g.shape[-1] != 2:
+        q, r = np.linalg.qr(g)
+        d = np.diagonal(r, axis1=-2, axis2=-1)
+        return q * (d / np.abs(d))[..., None, :]
+    # 1-d entry arrays even for one matrix: numpy's complex scalar
+    # arithmetic rounds differently from its array loops
+    a0, b0, a1, b1 = g.reshape(-1, 4).T
+    det = a0 * b1 - a1 * b0
+    phase = det / np.abs(det)
+    q = np.stack([a0, -a1.conj() * phase, a1, a0.conj() * phase], axis=-1)
+    norm = np.sqrt(a0.real**2 + a0.imag**2 + a1.real**2 + a1.imag**2)
+    return (q / norm[:, None]).reshape(g.shape)
 
 
 def _haar_factors(dims: Sequence[int], rngs: Sequence, trials: int) -> list[np.ndarray]:
@@ -74,7 +87,8 @@ def _haar_factors(dims: Sequence[int], rngs: Sequence, trials: int) -> list[np.n
     # Each generator draws one (2, sum d_i^2) row of normals per trial (real
     # then imaginary parts, factor by factor), so trial t is row t of its
     # stream however the trials are split into calls.  Every factor of one
-    # dimension, over all generators and trials, goes through one stacked QR.
+    # dimension, over all generators and trials, is orthonormalized in one
+    # call: closed-form for d = 2, one stacked QR for d >= 3.
     dims = tuple(int(d) for d in dims)
     if any(d < 2 for d in dims):
         raise InputError(f"factor dimensions must be >= 2, got {dims}")
@@ -86,7 +100,7 @@ def _haar_factors(dims: Sequence[int], rngs: Sequence, trials: int) -> list[np.n
     stacks = {}
     for d in set(dims):
         same = [b.reshape(z.shape[:2] + (d, d)) for b, e in zip(blocks, dims) if e == d]
-        stacks[d] = iter(np.moveaxis(_haar_unitary_qr(np.stack(same, axis=2)), 2, 0))
+        stacks[d] = iter(np.moveaxis(_haar_unitary(np.stack(same, axis=2)), 2, 0))
     return [next(stacks[d]) for d in dims]
 
 
@@ -316,10 +330,12 @@ def verify_certificate(
     diff = _mixture(np.sqrt(ens.weights)[..., None] * psi) - rho
     rec_err = row_norms(diff.reshape(batch + (SPIN_DIM * SPIN_DIM,)))
 
-    f = ens.rotations
-    unitarity = np.linalg.norm(
-        f @ np.swapaxes(f.conj(), -1, -2) - np.eye(2), axis=(-2, -1)
-    ).max(axis=-1)
+    # ||f f^H - I||_F of each factor [[a, b], [c, d]] from its entries
+    a, b, c, d = (ens.rotations[..., i, j] for i in (0, 1) for j in (0, 1))
+    e11 = np.abs(a)**2 + np.abs(b)**2 - 1.0
+    e22 = np.abs(c)**2 + np.abs(d)**2 - 1.0
+    e12 = a * c.conj() + b * d.conj()
+    unitarity = np.sqrt(e11**2 + e22**2 + 2.0 * np.abs(e12)**2).max(axis=-1)
     # one dot product per term, so no term's value depends on the others
     rows = ens.base_vectors[..., None, :]
     overlap = (rows @ base.conj()[..., None, :, None])[..., 0, 0]

@@ -26,13 +26,7 @@ from .boost import boost_mixed, boost_pure, boosted_amplitudes, boosted_spin_ter
 from .classcheck import condition1_suite, condition2_suite, soundness_suite
 from .constants import SPIN_DIM, SPIN_DIMS
 from .errors import InputError, NumericError, SpinboostError
-from .kinematics import (
-    ROTATION_AXES,
-    BoostScenario,
-    rapidity,
-    spin_rotations,
-    wigner_angle,
-)
+from .kinematics import ROTATION_AXES, BoostScenario, spin_rotations
 from .linalg import projector, purity_unchecked, require_density
 from .measures import ghz_witness, m_concurrences_pure, witness_from_amplitudes
 from .states import (
@@ -105,7 +99,7 @@ def _write_lines(lines, out: str | None) -> None:
 
 
 def cmd_wigner(args) -> int:
-    delta = wigner_angle(rapidity(args.observer_speed), rapidity(args.particle_speed))
+    delta = BoostScenario.from_speeds(args.observer_speed, args.particle_speed).delta
     print(f"delta_rad {_fmt(delta)}")
     print(f"delta_deg {_fmt(math.degrees(delta))}")
     return 0

@@ -25,11 +25,12 @@ from .linalg import kron, row_norms
 _AXIS_DEGENERATE = 1e-12
 
 
-def rapidity(speed: float) -> float:
-    """atanh(speed) for a speed in [0, 1) (units of c)."""
+def rapidity(speed: float, name: str = "speed") -> float:
+    """atanh(speed) for a speed in [0, 1) (units of c); `name` says which
+    speed an error is about."""
     speed = float(speed)
-    if not 0.0 <= speed < 1.0:
-        raise InputError(f"speed must lie in [0, 1), got {speed}")
+    if not 0.0 <= speed < 1.0:  # NaN fails too
+        raise InputError(f"{name} must lie in [0, 1), got {speed}")
     return math.atanh(speed)
 
 
@@ -137,11 +138,8 @@ class BoostScenario:
     def from_speeds(
         cls, observer_speed: float, particle_speed: float = 0.8
     ) -> "BoostScenario":
-        if not 0.0 <= particle_speed < 1.0:  # NaN fails too
-            raise InputError(
-                f"particle speed must lie in [0, 1), got {particle_speed}"
-            )
-        return cls(wigner_angle(rapidity(observer_speed), rapidity(particle_speed)))
+        xi = rapidity(particle_speed, "particle speed")  # checked first
+        return cls(wigner_angle(rapidity(observer_speed, "observer speed"), xi))
 
     @classmethod
     def from_angle(cls, delta: float) -> "BoostScenario":

@@ -33,7 +33,7 @@ from spinboost.classcheck import (
     SPIN_BIPARTITIONS,
     _all_partitions,
     _haar_factors,
-    _haar_unitary_qr,
+    _haar_unitary,
     condition1_suite,
     condition2_suite,
     single_qubit_spectra,
@@ -73,11 +73,12 @@ def test_haar_state_normalized_and_uniform_mean():
 
 
 @pytest.mark.parametrize("dim", [2, 3])
-def test_haar_unitary_qr_moments(dim):
+def test_haar_unitary_moments(dim):
+    # dim 2 exercises the closed form, dim 3 the stacked QR
     rng = np.random.default_rng(22)
     n = 4000
     shape = (n, dim, dim)
-    us = _haar_unitary_qr(rng.normal(size=shape) + 1j * rng.normal(size=shape))
+    us = _haar_unitary(rng.normal(size=shape) + 1j * rng.normal(size=shape))
     gram = us[:50] @ us[:50].conj().transpose(0, 2, 1)
     np.testing.assert_allclose(gram, np.broadcast_to(np.eye(dim), gram.shape),
                                atol=1e-12)
@@ -90,6 +91,61 @@ def test_haar_unitary_qr_moments(dim):
     fourth = np.abs(us) ** 4
     se = fourth.std(axis=0) / math.sqrt(n)
     assert np.all(np.abs(fourth.mean(axis=0) - 2.0 / (dim * (dim + 1))) < 4.0 * se)
+
+
+def _qr_oracle(g):
+    # the phase-fixed Q of G = QR, straight from LAPACK
+    q, r = np.linalg.qr(g)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
+
+
+def _suite_gaussians(dims, trials=100):
+    # the complex Gaussians condition1_suite draws: trial rows of
+    # default_rng(7 + 1000 i) for its 12 states, split factor by factor
+    g = np.stack([np.random.default_rng(7 + 1000 * i).standard_normal(
+        (trials, 2, sum(d * d for d in dims))) for i in range(12)])
+    z = g[:, :, 0] + 1j * g[:, :, 1]
+    ends = np.cumsum([0] + [d * d for d in dims])
+    return [z[..., ends[i]:ends[i + 1]].reshape(z.shape[:2] + (d, d))
+            for i, d in enumerate(dims)]
+
+
+def test_haar_unitary_2x2_closed_form_matches_qr():
+    # Both Qs carry roundoff of a few eps * cond(G).  The suite's draws
+    # (cond <= 176) agree within 1e-13.  Of 10^4 fresh draws one has cond
+    # 912, where LAPACK's Q is 1.4e-13 from the exact Q (the closed form's
+    # is 1e-14 in extended precision), so fresh draws may differ by
+    # 4 eps cond(G) where that exceeds 1e-13.
+    fresh = np.random.default_rng(21).normal(size=(2, 10**4, 2, 2))
+    fresh = fresh[0] + 1j * fresh[1]
+    suite = _suite_gaussians((2, 2, 2))
+    for g in suite + [fresh]:
+        q = _haar_unitary(g)
+        err = np.abs(q - _qr_oracle(g)).max(axis=(-2, -1))
+        bound = 1e-13 if g is not fresh else np.maximum(
+            1e-13, 4 * np.finfo(float).eps * np.linalg.cond(g))
+        assert np.all(err <= bound)
+        defect = q @ np.swapaxes(q.conj(), -1, -2) - np.eye(2)
+        assert np.linalg.norm(defect, axis=(-2, -1)).max() <= 1e-14
+    # and the drawn factors are exactly these, trial t from row t
+    rngs = [np.random.default_rng(7 + 1000 * i) for i in range(12)]
+    for f, g in zip(_haar_factors((2, 2, 2), rngs, 100), suite):
+        np.testing.assert_array_equal(f, _haar_unitary(g))
+
+
+def test_haar_factors_3x3_are_the_stacked_qr():
+    # factors of dimension 3 still come from one stacked QR, bit for bit
+    dims = COMPOSITE_DIMS
+    rngs = [np.random.default_rng(7 + 1000 * i) for i in range(12)]
+    factors = _haar_factors(dims, rngs, 100)
+    gauss = _suite_gaussians(dims)
+    threes = _qr_oracle(np.stack([g for g, d in zip(gauss, dims) if d == 3], axis=2))
+    for k, f in enumerate(f for f, d in zip(factors, dims) if d == 3):
+        np.testing.assert_array_equal(f, threes[:, :, k])
+    for f, g, d in zip(factors, gauss, dims):
+        if d == 2:
+            np.testing.assert_allclose(f, _qr_oracle(g), rtol=0, atol=1e-13)
 
 
 def test_haar_factors_structure():
@@ -113,11 +169,11 @@ def test_haar_factors_structure():
 def _trial_factors(dims, seed, trials):
     # Reference draw: one (trials, 2, sum d_i^2) block of normals from
     # default_rng(seed); factor i of trial t is its d_i^2 entries at
-    # factor i's offset, orthonormalized by its own QR.
+    # factor i's offset, orthonormalized on its own.
     g = np.random.default_rng(seed).normal(size=(trials, 2, sum(d * d for d in dims)))
     z = g[:, 0] + 1j * g[:, 1]
     ends = np.cumsum([0] + [d * d for d in dims])
-    return [[_haar_unitary_qr(z[t, ends[i]:ends[i + 1]].reshape(d, d))
+    return [[_haar_unitary(z[t, ends[i]:ends[i + 1]].reshape(d, d))
              for i, d in enumerate(dims)] for t in range(trials)]
 
 
@@ -480,6 +536,39 @@ def test_certificate_rejects_nonunitary_factor():
     assert not rep.passed
     assert rep.failing_terms == (0,)
     assert rep.max_unitarity_error > 0.1
+
+
+def _one_factor_certificates(f):
+    # one report per 2x2 factor in f (n, 2, 2): a one-term certificate of
+    # |000> rotated by f (x) I (x) I, so its unitarity error is f's alone
+    n = len(f)
+    rotations = np.tile(ID2.astype(complex), (n, 1, 3, 1, 1))
+    rotations[:, 0, 0] = f
+    base = np.tile(np.eye(8, dtype=complex)[0], (n, 1))
+    ens = SpinEnsemble(np.ones((n, 1)), rotations, base[:, None])
+    return verify_certificate(ClassCertificate(base, ens), ens.mix())
+
+
+def test_unitarity_error_matches_matmul_norm():
+    # the closed-form defect equals ||f f^H - I||_F from a matrix product
+    rng = np.random.default_rng(34)
+    haar = _haar_factors((2,), [rng], 300)[0][0]
+    g = rng.normal(size=(2, 300, 2, 2))
+    for f in (haar, g[0] + 1j * g[1], (1 + 1e-6) * haar):
+        expected = np.linalg.norm(f @ np.swapaxes(f.conj(), -1, -2) - np.eye(2),
+                                  axis=(-2, -1))
+        got = np.array([r.max_unitarity_error for r in _one_factor_certificates(f)])
+        assert np.all(np.abs(got - expected) <= np.maximum(1e-15, 1e-12 * expected))
+    assert 1e-6 < got.min()  # the scaled unitaries are told apart
+
+
+def test_nan_factor_fails_its_term():
+    f = _haar_factors((2,), [np.random.default_rng(35)], 2)[0][0]
+    f[1, 0, 1] = np.nan
+    good, bad = _one_factor_certificates(f)
+    assert good.passed and good.max_unitarity_error < 1e-14
+    assert not bad.passed and bad.failing_terms == (0,)
+    assert math.isnan(bad.max_unitarity_error)
 
 
 def test_certificate_rejects_lu_equivalent_base_vector():

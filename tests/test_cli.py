@@ -25,7 +25,7 @@ from spinboost import (
     w_state,
     write_state,
 )
-from spinboost import classcheck, cli
+from spinboost import classcheck, cli, kinematics
 from spinboost.measures import witness_from_amplitudes
 from spinboost.linalg import projector
 
@@ -494,15 +494,25 @@ def test_boost_command_delta_excludes_speeds(speeds, tmp_path, capsys):
     assert not dst.exists()
 
 
-@pytest.mark.parametrize("observer, particle, message", [
+# (observer, particle, message): the particle speed is checked first
+BAD_SPEEDS = [
     ("0.6", "1.0", "particle speed must lie in [0, 1), got 1.0"),
     ("0.6", "nan", "particle speed must lie in [0, 1), got nan"),
     ("1.5", "-0.1", "particle speed must lie in [0, 1), got -0.1"),  # both bad
-    ("1.0", "0.8", "speed must lie in [0, 1), got 1.0"),
-])
+    ("1.0", "0.8", "observer speed must lie in [0, 1), got 1.0"),
+    ("nan", "0.8", "observer speed must lie in [0, 1), got nan"),
+]
+
+
+@pytest.mark.parametrize("observer, particle, message", BAD_SPEEDS)
+def test_wigner_names_the_bad_speed(observer, particle, message, capsys):
+    argv = ["wigner", "--observer-speed", observer, "--particle-speed", particle]
+    assert run(argv, capsys) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("observer, particle, message", BAD_SPEEDS)
 def test_boost_command_rejects_bad_speeds(observer, particle, message, tmp_path,
                                           capsys):
-    # the particle speed is checked before the observer speed
     src, dst = tmp_path / "in.json", tmp_path / "o.json"
     write_state(compose(antisymmetric_momentum(), ghz_state()), src)
     argv = ["boost", str(src), "--observer-speed", observer,
@@ -637,7 +647,7 @@ def test_numeric_error_maps_to_exit_three(monkeypatch, capsys):
     def boom(*args, **kwargs):
         raise NumericError("did not converge")
 
-    monkeypatch.setattr(cli, "wigner_angle", boom)
+    monkeypatch.setattr(kinematics, "wigner_angle", boom)
     code, _, err = run(
         ["wigner", "--observer-speed", "0.5", "--particle-speed", "0.5"], capsys
     )
