@@ -10,12 +10,12 @@ about that label's axis.  Two equivalent routes are provided:
   tensor (linalg.apply_local), batched over boost angles and mixture
   members; build_boost_unitary assembles the full 216x216 unitary from
   the same blocks as the brute-force reference it is tested against;
-* boosted_spin_terms / composite_spin_ensemble — the mixture the reduced
-  spin state collapses to: expand the state over the 27 momentum basis
-  kets, each carrying its own spin row and the local rotation of its
-  label assignment.  A permutation momentum state is the special case
-  whose nonzero kets are the six label assignments; a MixedState
-  contributes the kets of every member.
+* boosted_spin_terms / composite_spin_ensemble — the terms whose
+  mixture, summed by states._mixture, is the reduced spin state: expand
+  the state over the 27 momentum basis kets, each carrying its own spin
+  row and the local rotation of its label assignment.  A permutation
+  momentum state is the special case whose nonzero kets are the six
+  label assignments; a MixedState contributes the kets of every member.
 
 Both routes rotate amplitudes factor by factor; no 8x8 product of
 rotations is formed.  The mixture route also yields a SpinEnsemble: the
@@ -40,6 +40,7 @@ from .linalg import apply_local, kron
 from .states import (
     CompositeState,
     MixedState,
+    _mixture,
     _momentum_spin_rows,
     _state_rows,
     compose,
@@ -99,11 +100,6 @@ class SpinEnsemble:
     def mix(self) -> np.ndarray:
         """The (..., 8, 8) densities sum_k w_k U_k |phi_k><phi_k| U_k^H."""
         return _mixture(np.sqrt(self.weights)[..., None] * self.amplitudes())
-
-
-def _mixture(chi: np.ndarray) -> np.ndarray:
-    # sum_k |chi_k><chi_k| for unnormalized terms chi of shape (..., K, 8)
-    return np.einsum("...ki,...kj->...ij", chi, chi.conj())
 
 
 def _rotate_kets(factors: np.ndarray, rows: np.ndarray) -> np.ndarray:

@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .boost import SpinEnsemble, _mixture, _spin_ensembles, boosted_amplitudes
+from .boost import SpinEnsemble, _spin_ensembles, boosted_amplitudes
 from .constants import ATOL_ALGEBRA, ATOL_PHYSICS, SPIN_DIM, SPIN_DIMS
 from .errors import InputError, ShapeError, ValidationError
 from .kinematics import ROTATION_AXES, spin_rotations
@@ -38,6 +38,7 @@ from .measures import (
 )
 from .states import (
     PartitionSpec,
+    _mixture,
     _momentum_spin_rows,
     _product_rows,
     bipartition,
@@ -141,8 +142,7 @@ def sample_biseparable(
     weights = rng.dirichlet(np.ones(n_terms))
     cuts = (rng.integers(0, 3, size=n_terms) if spec is None
             else np.full(n_terms, min(spec.parts, key=len)[0]))
-    chi = _biseparable_terms(cuts, weights, rng)
-    return chi.T @ chi.conj()
+    return _mixture(_biseparable_terms(cuts, weights, rng))
 
 
 def _all_partitions(n: int) -> list[PartitionSpec]:
@@ -407,8 +407,7 @@ def condition2_suite(trials: int = 50, seed: int = 7) -> tuple[bool, list[str]]:
         momenta, spins, deltas = (np.array(column) for column in zip(*draws))
         vectors = _product_rows(momenta, spins)
         rotations = spin_rotations(ROTATION_AXES, deltas)
-        m = _momentum_spin_rows(boosted_amplitudes(vectors, rotations))
-        rhos = np.swapaxes(m, -1, -2) @ m.conj()
+        rhos = _mixture(_momentum_spin_rows(boosted_amplitudes(vectors, rotations)))
         ensembles = _spin_ensembles(vectors, rotations)
         reports += verify_certificate(ClassCertificate(spins, ensembles), rhos)
     lines = [f"FAIL scenario {i}: {rep}" for i, rep in enumerate(reports) if not rep]

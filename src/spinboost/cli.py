@@ -28,7 +28,15 @@ from .constants import SPIN_DIM, SPIN_DIMS
 from .errors import InputError, NumericError, SpinboostError
 from .kinematics import ROTATION_AXES, BoostScenario, spin_rotations
 from .linalg import projector, purity_unchecked, require_density
-from .measures import ghz_witness, m_concurrences_pure, witness_from_amplitudes
+from .measures import (
+    WITNESS_PATHS,
+    WITNESS_VARIANTS,
+    _amplitude_entries,
+    _matrix_entries,
+    _witness,
+    ghz_witness,
+    m_concurrences_pure,
+)
 from .states import (
     CompositeState,
     MixedState,
@@ -68,10 +76,6 @@ def _fmt(x: float) -> str:
     if x == 0.0:
         x = 0.0  # normalize -0.0
     return format(float(x), ".12g")
-
-
-def _variant_key(name: str) -> str:
-    return name.replace("-", "_")
 
 
 def _momentum_coeffs(spec: str) -> np.ndarray:
@@ -126,13 +130,14 @@ def _scan_fig2(args, grid: int) -> list[str]:
         boosted_spin_terms(compose(momentum, basis), rotations)
         for basis in np.eye(SPIN_DIM)[[0, 7]]
     )
-    variant = _variant_key(args.variant or "symmetric")
+    variant = (args.variant or "symmetric").replace("-", "_")
     lines = ["alpha,delta,witness,gme_bound"]
     for alpha in alphas:
         spin = ghz_alpha(alpha)
         chi = spin[0] * up + spin[7] * down
-        values = witness_from_amplitudes(chi, variant)
-        bounds = witness_from_amplitudes(chi) if variant != "symmetric" else values
+        sums = _amplitude_entries(chi)  # one reduction serves both variants
+        values = _witness(*sums, variant)[0]
+        bounds = values if variant == "symmetric" else _witness(*sums, "symmetric")[0]
         # + 0.0 prints -0.0 as 0; fmax, like max(0.0, x), maps NaN to 0
         bounds = np.fmax(bounds, 0.0) + 0.0
         rows = zip(deltas, (values + 0.0).tolist(), bounds.tolist())
@@ -188,29 +193,17 @@ def cmd_witness(args) -> int:
     rho = _spin_density_of(state)
     if rho is not state:  # read_state has already checked a matrix file
         require_density(rho)
-    reports = {
-        (path, variant): ghz_witness(rho, path=path, variant=variant, validate=False)
-        for path in ("matrix_elements", "pauli_settings")
-        for variant in ("symmetric", "as_printed")
-    }
-    main_report = reports[("matrix_elements", _variant_key(args.variant))]
-    path_dev = max(
-        abs(
-            reports[("matrix_elements", v)].value
-            - reports[("pauli_settings", v)].value
-        )
-        for v in ("symmetric", "as_printed")
-    )
-    print(f"value {_fmt(main_report.value)}  (variant {args.variant})")
-    print(f"offdiag_term {_fmt(main_report.offdiag_term)}")
-    print(
-        "population_terms "
-        + " ".join(_fmt(t) for t in main_report.population_terms)
-    )
-    for v in ("symmetric", "as_printed"):
-        print(f"variant {v}: {_fmt(reports[('matrix_elements', v)].value)}")
+    matrix, pauli = (_matrix_entries(rho, path) for path in WITNESS_PATHS)  # once each
+    results = {v: _witness(*matrix, v) for v in WITNESS_VARIANTS}  # (value, terms)
+    value, terms = results[args.variant.replace("-", "_")]
+    path_dev = max(abs(results[v][0] - _witness(*pauli, v)[0]) for v in results)
+    print(f"value {_fmt(value)}  (variant {args.variant})")
+    print(f"offdiag_term {_fmt(matrix[1])}")
+    print("population_terms " + " ".join(_fmt(t) for t in terms))
+    for v in WITNESS_VARIANTS:
+        print(f"variant {v}: {_fmt(results[v][0])}")
     print(f"paths_max_deviation {_fmt(path_dev)}")
-    detected = reports[("matrix_elements", "symmetric")].value > 0.0
+    detected = results["symmetric"][0] > 0.0
     print(
         "verdict: genuine multipartite entanglement "
         + ("detected" if detected else "not detected")

@@ -5,8 +5,8 @@ operators are flat numpy arrays indexed big-endian in the factor order.
 apply_local rotates amplitudes factor by factor, kron(factors) @ amps
 without the product matrix, for batches of factors and amplitudes alike.
 Partial traces are single einsum contractions and Hermitian spectra come
-from LAPACK (numpy.linalg.eigh); the tests check both against
-independent identities rather than against numpy itself.
+from LAPACK (eigh; eigvalsh for the eigenvalues-only density check); the
+tests check both against identities rather than against numpy itself.
 """
 
 from __future__ import annotations
@@ -172,11 +172,12 @@ def is_density_matrix(rho: np.ndarray, atol: float = ATOL_PHYSICS) -> DensityChe
         raise ShapeError(f"expected a square matrix, got shape {rho.shape}")
     herm = frob(rho - dagger(rho))
     tr_err = abs(np.trace(rho) - 1.0)
+    min_eig = float("nan")
     if herm <= atol:
-        w, _ = hermitian_eigen((rho + dagger(rho)) / 2.0)
-        min_eig = float(w[-1])
-    else:
-        min_eig = float("nan")
+        try:  # eigenvalues only, ascending: no eigenvectors are formed
+            min_eig = float(np.linalg.eigvalsh((rho + dagger(rho)) / 2.0)[0])
+        except np.linalg.LinAlgError as exc:
+            raise NumericError(f"eigenvalue solver failed: {exc}") from exc
     ok = herm <= atol and tr_err <= atol and min_eig >= -atol
     return DensityCheck(bool(ok), float(herm), float(tr_err), min_eig)
 

@@ -15,10 +15,10 @@ so the reported value
 is nonpositive on every biseparable state and reaches 1 on the GHZ
 state.  Everything is measurable with nine local settings: the eight
 X/Y Pauli strings below determine Re rho07 and Im rho07, one
-computational-basis measurement determines the populations.  One kernel
-maps populations and 2|rho07| to the value for both routes; each route
-forms 2|rho07| itself, ghz_witness with math.hypot (from the matrix
-entries or the nine settings), witness_from_amplitudes with np.abs.
+computational-basis measurement determines the populations.  Each route
+forms these entries once for both variants, ghz_witness with math.hypot
+(from the matrix or the nine settings), witness_from_amplitudes with
+np.abs; one kernel maps them to the value of either variant.
 
 variant="as_printed" replaces the third pairing by sqrt(rho_44 rho_44)
 = rho_44.  It is kept for comparison but is NOT sound as a witness: for
@@ -94,9 +94,9 @@ class WitnessReport:
 
 
 def _witness(pops, offdiag, variant: str):
-    # Populations (..., 8) and 2|rho07| (...) to the value and the three
-    # population terms.  Callers form 2|rho07|: math.hypot and np.abs can
-    # differ in the last bit, and each route keeps its own.
+    # Populations (..., 8) and 2|rho07| (...) to one variant's value and
+    # three population terms.  Each route forms its own 2|rho07|: math.hypot
+    # and np.abs can differ in the last bit.
     if variant not in WITNESS_VARIANTS:
         raise InputError(
             f"unknown variant {variant!r}, expected one of {WITNESS_VARIANTS}"
@@ -127,7 +127,13 @@ def ghz_witness(
         raise InputError(f"unknown path {path!r}, expected one of {WITNESS_PATHS}")
     if validate:
         require_density(rho)
+    pops, offdiag = _matrix_entries(rho, path)
+    value, terms = _witness(pops, offdiag, variant)
+    return WitnessReport(float(value), offdiag, tuple(float(t) for t in terms))
 
+
+def _matrix_entries(rho: np.ndarray, path: str) -> tuple[np.ndarray, float]:
+    # Populations (8,) and 2|rho07| of an 8x8 density read along `path`
     if path == "pauli_settings":
         means = np.trace(rho @ _SETTINGS, axis1=-2, axis2=-1).real
         re2 = 0.25 * sum(means[:4])  # = 2 Re rho07, summed left to right
@@ -137,10 +143,7 @@ def ghz_witness(
         re2 = 2.0 * rho[0, 7].real
         im2 = 2.0 * rho[0, 7].imag
         pops = rho.diagonal().real
-
-    offdiag = math.hypot(re2, im2)  # = 2 |rho07|
-    value, terms = _witness(pops, offdiag, variant)
-    return WitnessReport(float(value), offdiag, tuple(float(t) for t in terms))
+    return pops, math.hypot(re2, im2)  # = 2 |rho07|
 
 
 def witness_from_amplitudes(psi, variant: str = "symmetric") -> np.ndarray:
@@ -152,10 +155,15 @@ def witness_from_amplitudes(psi, variant: str = "symmetric") -> np.ndarray:
     come straight from the amplitudes, so no 8x8 matrix is formed and the
     value keeps the conditioning described in the module docstring.
     """
+    return _witness(*_amplitude_entries(psi), variant)[0]
+
+
+def _amplitude_entries(psi) -> tuple[np.ndarray, np.ndarray]:
+    # Populations (..., 8) and 2|rho07| (...) of the mixtures of terms (..., K, 8)
     psi = np.asarray(psi, dtype=np.complex128)
     pops = np.sum(psi.real**2 + psi.imag**2, axis=-2)
     rho07 = np.sum(psi[..., 0] * psi[..., 7].conj(), axis=-1)
-    return _witness(pops, 2.0 * np.abs(rho07), variant)[0]
+    return pops, 2.0 * np.abs(rho07)
 
 
 def gme_lower_bound(rho: np.ndarray, validate: bool = True) -> float:

@@ -78,6 +78,11 @@ def _momentum_spin_rows(vec: np.ndarray) -> np.ndarray:
     return t.reshape(batch + (MOMENTUM_DIM, SPIN_DIM))
 
 
+def _mixture(chi: np.ndarray) -> np.ndarray:
+    # The package's one sum_k |chi_k><chi_k|, for unnormalized terms (..., K, 8)
+    return np.swapaxes(chi, -1, -2) @ chi.conj()
+
+
 def ghz_alpha(alpha: float) -> np.ndarray:
     """cos(alpha)|ddd> + sin(alpha)|uuu>; alpha = pi/4 is the familiar GHZ."""
     if not math.isfinite(alpha):
@@ -156,8 +161,7 @@ class CompositeState:
 
     def spin_density(self) -> np.ndarray:
         """Reduced 8x8 spin density matrix (momenta traced out)."""
-        m = self.momentum_spin_matrix()
-        return m.T @ m.conj()
+        return _mixture(self.momentum_spin_matrix())
 
 
 @dataclass(frozen=True)
@@ -178,8 +182,7 @@ class MixedState:
 
     def spin_density(self) -> np.ndarray:
         """Reduced 8x8 spin density sum_i q_i rho_i over the members."""
-        m = _momentum_spin_rows(self.vectors)  # (M, 27, 8)
-        rhos = np.swapaxes(m, -1, -2) @ m.conj()
+        rhos = _mixture(_momentum_spin_rows(self.vectors))  # (M, 8, 8)
         return np.sum(self.weights[:, None, None] * rhos, axis=0)
 
 

@@ -9,6 +9,7 @@ import pytest
 from spinboost import (
     ROTATION_AXES,
     BoostScenario,
+    CompositeState,
     MixedState,
     NumericError,
     antisymmetric_coeffs,
@@ -350,9 +351,10 @@ def test_witness_command_composite_file(tmp_path, capsys):
 
 
 def test_witness_command_validates_once(tmp_path, monkeypatch, capsys):
-    # one density check (one eigensolve) per request covers all four witness
-    # evaluations, for a composite state file and for a --spin-out matrix
-    from spinboost import linalg
+    # one density check per request covers all four witness values, and the
+    # (16, 8, 8) settings product runs once, for a composite state file and
+    # for a --spin-out matrix
+    from spinboost import linalg, measures
 
     src, dst, spin_dst = (tmp_path / n for n in ("comp.json", "o.json", "r.json"))
     write_state(compose(antisymmetric_momentum(), ghz_state()), src)
@@ -360,14 +362,75 @@ def test_witness_command_validates_once(tmp_path, monkeypatch, capsys):
                       "--spin-out", str(spin_dst)], capsys)
     assert code == 0
     calls = []
-    eigen = linalg.hermitian_eigen
+    check = linalg.is_density_matrix
     monkeypatch.setattr(
-        linalg, "hermitian_eigen", lambda h: calls.append(1) or eigen(h)
+        linalg, "is_density_matrix",
+        lambda rho, *a: calls.append("density") or check(rho, *a),
+    )
+
+    class CountedSettings(np.ndarray):
+        # rho @ settings reaches this before ndarray's own matmul
+        def __rmatmul__(self, other):
+            calls.append("settings")
+            return np.asarray(other) @ np.asarray(self)
+
+    monkeypatch.setattr(
+        measures, "_SETTINGS", measures._SETTINGS.view(CountedSettings)
     )
     for path in (src, spin_dst):
         calls.clear()
         assert run(["witness", str(path)], capsys)[0] == 0
-        assert len(calls) == 1, path.name
+        assert sorted(calls) == ["density", "settings"], path.name
+
+
+def _witness_oracle(rho, variant):
+    # cmd_witness's output as four separate ghz_witness calls compute it
+    fmt, paths = cli._fmt, ("matrix_elements", "pauli_settings")
+    reports = {  # per variant, the matrix_elements then the pauli_settings report
+        v: [ghz_witness(rho, path=p, variant=v, validate=False) for p in paths]
+        for v in ("symmetric", "as_printed")
+    }
+    main = reports[variant.replace("-", "_")][0]
+    dev = max(abs(matrix.value - pauli.value) for matrix, pauli in reports.values())
+    return [
+        f"value {fmt(main.value)}  (variant {variant})",
+        f"offdiag_term {fmt(main.offdiag_term)}",
+        "population_terms " + " ".join(fmt(t) for t in main.population_terms),
+        f"variant symmetric: {fmt(reports['symmetric'][0].value)}",
+        f"variant as_printed: {fmt(reports['as_printed'][0].value)}",
+        f"paths_max_deviation {fmt(dev)}",
+    ]
+
+
+@pytest.mark.parametrize("variant", ["symmetric", "as-printed"])
+def test_witness_command_matches_four_ghz_witness_calls(variant, tmp_path, capsys):
+    # each path's entries are formed once for both variants; the printed
+    # numbers equal those of one ghz_witness call per path and variant
+    rng = np.random.default_rng(17)
+    haar = [v / np.linalg.norm(v) for v in
+            rng.normal(size=(5, 216)) + 1j * rng.normal(size=(5, 216))]
+    spin = rng.normal(size=8) + 1j * rng.normal(size=8)
+    states = {
+        "comp": compose(antisymmetric_momentum(), ghz_state()),
+        "haar": CompositeState(haar[0]),
+        "mixed": MixedState(rng.dirichlet(np.ones(3)), np.array(haar[1:4])),
+        "bare": spin / np.linalg.norm(spin),
+    }
+    files = []
+    for name, state in states.items():
+        files.append(tmp_path / f"{name}.json")
+        write_state(state, files[-1])
+        if name != "bare":  # and the --spin-out matrix of its boost
+            files.append(tmp_path / f"{name}_r.json")
+            code, _, _ = run(["boost", str(files[-2]), "--delta", "1.1",
+                              "--out", str(tmp_path / f"{name}_b.json"),
+                              "--spin-out", str(files[-1])], capsys)
+            assert code == 0
+    for path in files:
+        rho = cli._spin_density_of(read_state(path))
+        code, out, _ = run(["witness", str(path), "--variant", variant], capsys)
+        assert code == 0
+        assert out.splitlines()[:6] == _witness_oracle(rho, variant), path.name
 
 
 def test_witness_command_rejects_non_density(tmp_path, monkeypatch, capsys):
@@ -652,6 +715,23 @@ def test_numeric_error_maps_to_exit_three(monkeypatch, capsys):
         ["wigner", "--observer-speed", "0.5", "--particle-speed", "0.5"], capsys
     )
     assert code == 3
+    assert "numeric failure" in err
+
+
+def test_witness_density_check_failure_exits_three(tmp_path, monkeypatch, capsys):
+    # LAPACK failing inside the density check of a matrix file is a numeric
+    # failure, not bad input
+    path = tmp_path / "r.json"
+    matrix = [[[0.125 * (i == j), 0.0] for j in range(8)] for i in range(8)]
+    path.write_text(json.dumps({"dims": [2, 2, 2], "matrix": matrix}))
+    assert run(["witness", str(path)], capsys)[0] == 0
+
+    def fail(_):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    code, out, err = run(["witness", str(path)], capsys)
+    assert (code, out) == (3, "")
     assert "numeric failure" in err
 
 

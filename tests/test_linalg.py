@@ -221,6 +221,31 @@ def test_hermitian_eigen_nonconvergence_raises(monkeypatch):
         hermitian_eigen(random_hermitian(8, rng))
 
 
+def test_density_check_nonconvergence_raises(monkeypatch):
+    # the density check's eigenvalue solver reports nonconvergence as
+    # LinAlgError too; callers see NumericError
+    def fail(_):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    rng = np.random.default_rng(3)
+    with pytest.raises(NumericError):
+        is_density_matrix(random_density(8, rng))
+
+
+def test_density_check_takes_eigenvalues_only(monkeypatch):
+    # min_eigenvalue is hermitian_eigen's smallest eigenvalue, from a solver
+    # that forms no eigenvectors: numpy.linalg.eigh is never called
+    rng = np.random.default_rng(41)
+    rhos = [random_density(d, rng, rank) for d in (2, 5, 8) for rank in (1, 2, d)]
+    expected = [hermitian_eigen(rho)[0][-1] for rho in rhos]
+    monkeypatch.setattr(np.linalg, "eigh", None)
+    for rho, w_min in zip(rhos, expected):
+        check = is_density_matrix(rho)
+        assert check
+        assert abs(check.min_eigenvalue - w_min) <= 1e-12
+
+
 def test_density_checks():
     rng = np.random.default_rng(31)
     rho = random_density(5, rng)

@@ -156,6 +156,44 @@ def test_momentum_spin_matrix_consistency():
     np.testing.assert_allclose(m @ m.conj().T, rho_m, atol=1e-14)
 
 
+def test_every_spin_density_is_the_one_mixture_kernel():
+    # each site that sums sum_k |chi_k><chi_k| equals states._mixture of its
+    # own terms bit for bit, and boost and classcheck keep no mixture of
+    # their own
+    from spinboost import boost, classcheck, states
+    from spinboost.boost import boosted_spin_density_fast, boosted_spin_terms
+    from spinboost.kinematics import BoostScenario
+
+    mixture = states._mixture
+    for module in (boost, classcheck):
+        assert getattr(module, "_mixture", mixture) is mixture, module.__name__
+    rng = np.random.default_rng(21)
+    comp = CompositeState(haar_vec(216, rng))
+    assert np.array_equal(comp.spin_density(), mixture(comp.momentum_spin_matrix()))
+    weights = rng.dirichlet(np.ones(3))
+    vectors = np.array([haar_vec(216, rng) for _ in range(3)])
+    members = [mixture(CompositeState(v).momentum_spin_matrix()) for v in vectors]
+    assert np.array_equal(
+        MixedState(weights, vectors).spin_density(),
+        np.sum(weights[:, None, None] * np.array(members), axis=0),
+    )
+    coeffs, spin, sc = antisymmetric_coeffs(), haar_vec(8, rng), BoostScenario(0.7)
+    terms = boosted_spin_terms(
+        compose(permutation_momentum(coeffs), spin), sc.rotations()
+    )
+    assert np.array_equal(boosted_spin_density_fast(coeffs, spin, sc), mixture(terms))
+    ens = boost.composite_spin_ensemble(comp, sc)
+    assert np.array_equal(
+        ens.mix(), mixture(np.sqrt(ens.weights)[..., None] * ens.amplitudes())
+    )
+    # sample_biseparable's draws, replayed: weights, per-term cuts, terms
+    draws = np.random.default_rng(5)
+    weights = draws.dirichlet(np.ones(4))
+    cuts = draws.integers(0, 3, size=4)
+    terms = classcheck._biseparable_terms(cuts, weights, draws)
+    assert np.array_equal(classcheck.sample_biseparable(None, 4, 5), mixture(terms))
+
+
 def test_composite_state_validation():
     with pytest.raises(ShapeError):
         CompositeState(np.ones(8))
