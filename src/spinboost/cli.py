@@ -31,11 +31,10 @@ from .linalg import projector, purity_unchecked, require_density
 from .measures import (
     WITNESS_PATHS,
     WITNESS_VARIANTS,
-    _amplitude_entries,
-    _matrix_entries,
-    _witness,
+    _path_values,
     ghz_witness,
     m_concurrences_pure,
+    witness_from_amplitudes,
 )
 from .states import (
     CompositeState,
@@ -135,9 +134,8 @@ def _scan_fig2(args, grid: int) -> list[str]:
     for alpha in alphas:
         spin = ghz_alpha(alpha)
         chi = spin[0] * up + spin[7] * down
-        sums = _amplitude_entries(chi)  # one reduction serves both variants
-        values = _witness(*sums, variant)[0]
-        bounds = values if variant == "symmetric" else _witness(*sums, "symmetric")[0]
+        values = witness_from_amplitudes(chi, variant)
+        bounds = witness_from_amplitudes(chi) if variant != "symmetric" else values
         # + 0.0 prints -0.0 as 0; fmax, like max(0.0, x), maps NaN to 0
         bounds = np.fmax(bounds, 0.0) + 0.0
         rows = zip(deltas, (values + 0.0).tolist(), bounds.tolist())
@@ -193,17 +191,19 @@ def cmd_witness(args) -> int:
     rho = _spin_density_of(state)
     if rho is not state:  # read_state has already checked a matrix file
         require_density(rho)
-    matrix, pauli = (_matrix_entries(rho, path) for path in WITNESS_PATHS)  # once each
-    results = {v: _witness(*matrix, v) for v in WITNESS_VARIANTS}  # (value, terms)
-    value, terms = results[args.variant.replace("-", "_")]
-    path_dev = max(abs(results[v][0] - _witness(*pauli, v)[0]) for v in results)
-    print(f"value {_fmt(value)}  (variant {args.variant})")
-    print(f"offdiag_term {_fmt(matrix[1])}")
-    print("population_terms " + " ".join(_fmt(t) for t in terms))
+    matrix, pauli = (_path_values(rho, path) for path in WITNESS_PATHS)  # one read each
+    main_report = matrix[args.variant.replace("-", "_")]
+    path_dev = max(abs(matrix[v].value - pauli[v].value) for v in WITNESS_VARIANTS)
+    print(f"value {_fmt(main_report.value)}  (variant {args.variant})")
+    print(f"offdiag_term {_fmt(main_report.offdiag_term)}")
+    print(
+        "population_terms "
+        + " ".join(_fmt(t) for t in main_report.population_terms)
+    )
     for v in WITNESS_VARIANTS:
-        print(f"variant {v}: {_fmt(results[v][0])}")
+        print(f"variant {v}: {_fmt(matrix[v].value)}")
     print(f"paths_max_deviation {_fmt(path_dev)}")
-    detected = results["symmetric"][0] > 0.0
+    detected = matrix["symmetric"].value > 0.0
     print(
         "verdict: genuine multipartite entanglement "
         + ("detected" if detected else "not detected")

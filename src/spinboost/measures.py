@@ -15,10 +15,10 @@ so the reported value
 is nonpositive on every biseparable state and reaches 1 on the GHZ
 state.  Everything is measurable with nine local settings: the eight
 X/Y Pauli strings below determine Re rho07 and Im rho07, one
-computational-basis measurement determines the populations.  Each route
-forms these entries once for both variants, ghz_witness with math.hypot
-(from the matrix or the nine settings), witness_from_amplitudes with
-np.abs; one kernel maps them to the value of either variant.
+computational-basis measurement determines the populations.  One kernel
+maps populations and 2|rho07| to the value for both routes; each route
+forms 2|rho07| itself, ghz_witness with math.hypot (from the matrix
+entries or the nine settings), witness_from_amplitudes with np.abs.
 
 variant="as_printed" replaces the third pairing by sqrt(rho_44 rho_44)
 = rho_44.  It is kept for comparison but is NOT sound as a witness: for
@@ -94,9 +94,9 @@ class WitnessReport:
 
 
 def _witness(pops, offdiag, variant: str):
-    # Populations (..., 8) and 2|rho07| (...) to one variant's value and
-    # three population terms.  Each route forms its own 2|rho07|: math.hypot
-    # and np.abs can differ in the last bit.
+    # Populations (..., 8) and 2|rho07| (...) to the value and the three
+    # population terms.  Callers form 2|rho07|: math.hypot and np.abs can
+    # differ in the last bit, and each route keeps its own.
     if variant not in WITNESS_VARIANTS:
         raise InputError(
             f"unknown variant {variant!r}, expected one of {WITNESS_VARIANTS}"
@@ -127,13 +127,12 @@ def ghz_witness(
         raise InputError(f"unknown path {path!r}, expected one of {WITNESS_PATHS}")
     if validate:
         require_density(rho)
-    pops, offdiag = _matrix_entries(rho, path)
-    value, terms = _witness(pops, offdiag, variant)
-    return WitnessReport(float(value), offdiag, tuple(float(t) for t in terms))
+    return _path_values(rho, path, (variant,))[variant]
 
 
-def _matrix_entries(rho: np.ndarray, path: str) -> tuple[np.ndarray, float]:
-    # Populations (8,) and 2|rho07| of an 8x8 density read along `path`
+def _path_values(rho, path, variants=WITNESS_VARIANTS) -> dict[str, WitnessReport]:
+    # Populations and 2|rho07| read once along `path` (one settings product
+    # at most), then the WitnessReport of each of `variants`
     if path == "pauli_settings":
         means = np.trace(rho @ _SETTINGS, axis1=-2, axis2=-1).real
         re2 = 0.25 * sum(means[:4])  # = 2 Re rho07, summed left to right
@@ -143,7 +142,13 @@ def _matrix_entries(rho: np.ndarray, path: str) -> tuple[np.ndarray, float]:
         re2 = 2.0 * rho[0, 7].real
         im2 = 2.0 * rho[0, 7].imag
         pops = rho.diagonal().real
-    return pops, math.hypot(re2, im2)  # = 2 |rho07|
+    offdiag = math.hypot(re2, im2)  # = 2 |rho07|
+    reports = {}
+    for variant in variants:
+        value, terms = _witness(pops, offdiag, variant)
+        terms = tuple(float(t) for t in terms)
+        reports[variant] = WitnessReport(float(value), offdiag, terms)
+    return reports
 
 
 def witness_from_amplitudes(psi, variant: str = "symmetric") -> np.ndarray:
@@ -155,15 +160,10 @@ def witness_from_amplitudes(psi, variant: str = "symmetric") -> np.ndarray:
     come straight from the amplitudes, so no 8x8 matrix is formed and the
     value keeps the conditioning described in the module docstring.
     """
-    return _witness(*_amplitude_entries(psi), variant)[0]
-
-
-def _amplitude_entries(psi) -> tuple[np.ndarray, np.ndarray]:
-    # Populations (..., 8) and 2|rho07| (...) of the mixtures of terms (..., K, 8)
     psi = np.asarray(psi, dtype=np.complex128)
     pops = np.sum(psi.real**2 + psi.imag**2, axis=-2)
     rho07 = np.sum(psi[..., 0] * psi[..., 7].conj(), axis=-1)
-    return pops, 2.0 * np.abs(rho07)
+    return _witness(pops, 2.0 * np.abs(rho07), variant)[0]
 
 
 def gme_lower_bound(rho: np.ndarray, validate: bool = True) -> float:
