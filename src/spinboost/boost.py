@@ -33,10 +33,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import ATOL_PHYSICS, COMPOSITE_DIM, MOMENTUM_DIM, SPIN_DIM, SPIN_DIMS
+from .constants import COMPOSITE_DIM, MOMENTUM_DIM, SPIN_DIM, SPIN_DIMS
 from .errors import ShapeError, ValidationError
 from .kinematics import BoostScenario
-from .linalg import apply_local, kron
+from .linalg import _is_unit, apply_local, kron
 from .states import (
     CompositeState,
     MixedState,
@@ -85,8 +85,7 @@ class SpinEnsemble:
         if w.size == 0 or (r.shape, vecs.shape) != (w.shape + (3, 2, 2),
                                                     w.shape + (SPIN_DIM,)):
             raise ShapeError("ensemble arrays are empty or inconsistent")
-        total = w.sum(axis=-1)  # NaN fails both checks
-        if not (np.all(w >= 0.0) and np.all(np.abs(total - 1.0) <= ATOL_PHYSICS)):
+        if not (np.all(w >= 0.0) and np.all(_is_unit(w.sum(axis=-1)))):  # NaN fails
             raise ValidationError("ensemble weights must be nonnegative and "
                                   "sum to 1 per item")
         object.__setattr__(self, "weights", w)

@@ -27,7 +27,7 @@ from .classcheck import condition1_suite, condition2_suite, soundness_suite
 from .constants import SPIN_DIM, SPIN_DIMS
 from .errors import InputError, NumericError, SpinboostError
 from .kinematics import ROTATION_AXES, BoostScenario, spin_rotations
-from .linalg import projector, purity_unchecked, require_density
+from .linalg import projector, purity_unchecked
 from .measures import (
     WITNESS_PATHS,
     WITNESS_VARIANTS,
@@ -188,9 +188,7 @@ def _spin_density_of(state) -> np.ndarray:
 
 def cmd_witness(args) -> int:
     state = read_state(args.state)
-    rho = _spin_density_of(state)
-    if rho is not state:  # read_state has already checked a matrix file
-        require_density(rho)
+    rho = _spin_density_of(state)  # read_state checked the file: rho is valid
     matrix, pauli = (_path_values(rho, path) for path in WITNESS_PATHS)  # one read each
     main_report = matrix[args.variant.replace("-", "_")]
     path_dev = max(abs(matrix[v].value - pauli[v].value) for v in WITNESS_VARIANTS)

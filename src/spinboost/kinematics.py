@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import ATOL_PHYSICS, MOMENTUM_LABELS
+from .constants import MOMENTUM_LABELS
 from .errors import InputError, ShapeError
-from .linalg import kron, row_norms
+from .linalg import _is_unit, kron, row_norms
 
 _AXIS_DEGENERATE = 1e-12
 
@@ -81,7 +81,7 @@ def spin_rotation(axis: np.ndarray, delta: float) -> np.ndarray:
     U = cos(delta/2) I - i sin(delta/2) (axis . sigma); det U = 1.
     """
     n = np.asarray(axis, dtype=float).reshape(3)
-    if not abs(np.linalg.norm(n) - 1.0) <= ATOL_PHYSICS:
+    if not _is_unit(n @ n):
         raise InputError("rotation axis must be a unit vector")
     if not math.isfinite(delta):
         raise InputError(f"rotation angle must be finite, got {delta}")

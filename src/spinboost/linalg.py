@@ -130,6 +130,21 @@ def partial_trace(
     return out.reshape(dk, dk)
 
 
+def _is_unit(x) -> np.ndarray:
+    """|x - 1| <= ATOL_PHYSICS elementwise, NaN failing: the one unit rule,
+    for |psi|^2 of a state row, a density's trace or a weight sum."""
+    return np.abs(np.asarray(x) - 1.0) <= ATOL_PHYSICS
+
+
+def _hermiticity_defect(h: np.ndarray) -> float:
+    # ||h - h^H||_F of a square matrix, the one Hermiticity test (each caller
+    # sets its threshold); inf - inf is NaN, which fails it without a warning
+    if h.ndim != 2 or h.shape[0] != h.shape[1]:
+        raise ShapeError(f"expected a square matrix, got shape {h.shape}")
+    with np.errstate(invalid="ignore"):
+        return frob(h - dagger(h))
+
+
 def hermitian_eigen(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix (LAPACK via numpy.linalg.eigh).
 
@@ -139,11 +154,7 @@ def hermitian_eigen(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     NumericError if LAPACK fails to converge.
     """
     h = np.asarray(h, dtype=np.complex128)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ShapeError(f"expected a square matrix, got shape {h.shape}")
-    with np.errstate(invalid="ignore"):  # inf - inf is NaN, which fails
-        asymmetry = frob(h - dagger(h))
-    if not asymmetry <= HERMITIAN_ATOL * max(1.0, frob(h)):
+    if not _hermiticity_defect(h) <= HERMITIAN_ATOL * max(1.0, frob(h)):
         raise ValidationError("matrix is not Hermitian within tolerance")
     try:
         w, v = np.linalg.eigh((h + dagger(h)) / 2.0)
@@ -165,26 +176,26 @@ class DensityCheck:
         return self.ok
 
 
-def is_density_matrix(rho: np.ndarray, atol: float = ATOL_PHYSICS) -> DensityCheck:
-    """Check Hermiticity, unit trace and positivity within `atol`."""
+def is_density_matrix(rho: np.ndarray) -> DensityCheck:
+    """Check Hermiticity, unit trace (_is_unit) and positivity within
+    ATOL_PHYSICS.  A non-finite entry fails the check without a warning."""
     rho = np.asarray(rho, dtype=np.complex128)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise ShapeError(f"expected a square matrix, got shape {rho.shape}")
-    herm = frob(rho - dagger(rho))
-    tr_err = abs(np.trace(rho) - 1.0)
+    herm = _hermiticity_defect(rho)
+    with np.errstate(invalid="ignore"):  # inf - inf on the diagonal is NaN
+        trace = np.trace(rho)
     min_eig = float("nan")
-    if herm <= atol:
+    if herm <= ATOL_PHYSICS:
         try:  # eigenvalues only, ascending: no eigenvectors are formed
             min_eig = float(np.linalg.eigvalsh((rho + dagger(rho)) / 2.0)[0])
         except np.linalg.LinAlgError as exc:
             raise NumericError(f"eigenvalue solver failed: {exc}") from exc
-    ok = herm <= atol and tr_err <= atol and min_eig >= -atol
-    return DensityCheck(bool(ok), float(herm), float(tr_err), min_eig)
+    ok = herm <= ATOL_PHYSICS and _is_unit(trace) and min_eig >= -ATOL_PHYSICS
+    return DensityCheck(bool(ok), herm, float(abs(trace - 1.0)), min_eig)
 
 
-def require_density(rho: np.ndarray, atol: float = ATOL_PHYSICS) -> None:
+def require_density(rho: np.ndarray) -> None:
     """Raise ValidationError unless `rho` passes is_density_matrix."""
-    check = is_density_matrix(rho, atol)
+    check = is_density_matrix(rho)
     if not check:
         raise ValidationError(f"not a density matrix: {check}")
 

@@ -9,10 +9,11 @@ State files are JSON.  A pure state is
     {"dims": [3,2,3,2,3,2], "amps": [[re, im], ...]}   (216 amplitudes)
 and a mixed state is
     {"ensemble": [{"weight": w, "amps": [...]}, ...]}
-with positive weights summing to one.  dims [2,2,2] with 8 amplitudes is
-also accepted for bare three-spin states, and dims [2,2,2] with an 8x8
-"matrix" of [re, im] pairs for spin density matrices (as `boost
---spin-out` writes them); both are used by the witness command.
+with positive weights q_i and trace sum_i q_i |psi_i|^2 equal to one.
+dims [2,2,2] with 8 amplitudes is also accepted for bare three-spin
+states, and dims [2,2,2] with an 8x8 "matrix" of [re, im] pairs for spin
+density matrices (as `boost --spin-out` writes them); both are used by
+the witness command.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from typing import Iterable, Sequence, Union
 import numpy as np
 
 from .constants import (
-    ATOL_PHYSICS,
     COMPOSITE_DIM,
     COMPOSITE_DIMS,
     MOMENTUM_DIM,
@@ -39,35 +39,23 @@ from .constants import (
     SPIN_FACTORS,
 )
 from .errors import InputError, ShapeError, StateFileError, ValidationError
-from .linalg import require_density
+from .linalg import _is_unit, require_density, row_norms
 
 
 def _state_rows(vec, dim: int, what: str) -> np.ndarray:
-    """Amplitudes of shape (..., dim) as a complex array, every row normalized."""
+    """Amplitudes (..., dim) as a complex array; each row's |psi|^2 passes _is_unit."""
     v = np.asarray(vec, dtype=np.complex128)
     if v.ndim == 0 or v.shape[-1] != dim:
         raise ShapeError(f"{what} must have {dim} amplitudes, got shape {v.shape}")
-    norms = np.linalg.norm(v, axis=-1)
-    if not np.all(np.abs(norms - 1.0) <= ATOL_PHYSICS):  # NaN fails too
-        worst = norms.flat[np.argmax(np.abs(norms - 1.0))]
-        raise ValidationError(f"{what} is not normalized: |psi| = {worst}")
+    sq = row_norms(v) ** 2
+    if not np.all(_is_unit(sq)):  # NaN fails too
+        worst = sq.flat[np.argmax(np.abs(sq - 1.0))]
+        raise ValidationError(f"{what} is not normalized: |psi|^2 = {worst}")
     return v
 
 
 def _as_state_vector(vec, dim: int, what: str) -> np.ndarray:
     return _state_rows(np.ravel(vec), dim, what)
-
-
-def _mixture_weights(weights, what: str) -> np.ndarray:
-    """Mixture weights as a float array: nonempty, positive, summing to one."""
-    w = np.asarray(weights, dtype=float).ravel()
-    if w.size == 0:
-        raise ShapeError(f"{what} needs at least one weight")
-    if not np.all(w > 0.0):  # NaN fails too
-        raise ValidationError(f"{what} weights must be positive")
-    if not abs(w.sum() - 1.0) <= ATOL_PHYSICS:
-        raise ValidationError(f"{what} weights sum to {w.sum()}, not 1")
-    return w
 
 
 def _momentum_spin_rows(vec: np.ndarray) -> np.ndarray:
@@ -120,7 +108,7 @@ def permutation_momentum(coeffs: Sequence[complex]) -> np.ndarray:
     c = np.asarray(coeffs, dtype=np.complex128).ravel()
     if c.size != 6:
         raise ShapeError(f"expected 6 permutation coefficients, got {c.size}")
-    if not abs(np.linalg.norm(c) - 1.0) <= ATOL_PHYSICS:
+    if not _is_unit(np.vdot(c, c).real):
         raise ValidationError("permutation coefficients are not normalized")
     v = np.zeros(MOMENTUM_DIM, dtype=np.complex128)
     for ci, perm in zip(c, PERMUTATIONS):
@@ -166,17 +154,22 @@ class CompositeState:
 
 @dataclass(frozen=True)
 class MixedState:
-    """Convex mixture of composite pure states: weights q_i of shape (M,)
-    and member amplitudes as one (M, 216) array, every row normalized."""
+    """Convex mixture of composite pure states: positive weights q_i (M,),
+    normalized member rows (M, 216) and unit trace sum_i q_i |psi_i|^2."""
 
     weights: np.ndarray
     vectors: np.ndarray
 
     def __post_init__(self):
-        w = _mixture_weights(self.weights, "mixture")
+        w = np.asarray(self.weights, dtype=float).ravel()
+        if not np.all(w > 0.0):  # NaN fails too
+            raise ValidationError("mixture weights must be positive")
         v = _state_rows(self.vectors, COMPOSITE_DIM, "mixture member")
         if v.shape != (w.size, COMPOSITE_DIM):
             raise ShapeError(f"{w.size} mixture weights but vectors of shape {v.shape}")
+        trace = float(w @ row_norms(v) ** 2)  # the trace of spin_density()
+        if not _is_unit(trace):  # and so, with positive weights, nonempty
+            raise ValidationError(f"mixture weights q_i|psi_i|^2 sum to {trace}, not 1")
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "vectors", v)
 

@@ -13,7 +13,6 @@ from spinboost import (
     InputError,
     ShapeError,
     SpinEnsemble,
-    ValidationError,
     check_condition1,
     compose,
     composite_spin_ensemble,
@@ -473,9 +472,17 @@ def test_forged_certificate_fails():
     assert rep.reconstruction_error > 0.1
 
 
+def _as_batch_of_one(cert):
+    ens = cert.ensemble
+    return ClassCertificate(cert.base_state[None], SpinEnsemble(
+        ens.weights[None], ens.rotations[None], ens.base_vectors[None]))
+
+
 def test_nan_base_state_certificate_fails():
     # NaN compares false against every tolerance, so a NaN base state
-    # must be caught by the normalization check, not pass verification
+    # must be caught by the normalization check, not pass verification;
+    # a single certificate is a batch of one, so it fails with the report
+    # its batch item gets (repr: NaN fields compare unequal)
     rng = np.random.default_rng(31)
     spin = haar_state(8, rng)
     state = compose(haar_state(27, rng), spin)
@@ -483,13 +490,16 @@ def test_nan_base_state_certificate_fails():
     rho = boost_pure(state, sc).spin_density()
     honest = composite_spin_ensemble(state, sc)
     assert verify_certificate(ClassCertificate(spin, honest), rho).passed
-    with pytest.raises(ValidationError):
-        verify_certificate(ClassCertificate(np.full(8, np.nan), honest), rho)
     nan_term = SpinEnsemble(
         honest.weights, honest.rotations, np.full_like(honest.base_vectors, np.nan)
     )
-    with pytest.raises(ValidationError):  # rotated terms are not normalized
-        verify_certificate(ClassCertificate(spin, nan_term), rho)
+    for cert in (ClassCertificate(np.full(8, np.nan), honest),
+                 ClassCertificate(spin, nan_term)):  # rotated terms not normalized
+        alone = verify_certificate(cert, rho)
+        assert not alone.passed
+        assert alone.failing_terms == tuple(range(honest.weights.size))
+        assert repr([alone]) == repr(verify_certificate(_as_batch_of_one(cert),
+                                                        rho[None]))
 
 
 def test_single_qubit_spectra_match_eigensolver():
@@ -715,9 +725,10 @@ def test_batched_verification_fails_only_broken_items():
                                                 rhos[t])
     assert reports[2].failing_terms == tuple(range(27))  # NaN base state
     assert math.isnan(reports[2].max_base_deviation)
-    with pytest.raises(ValidationError):  # ... which alone still raises
-        verify_certificate(ClassCertificate(bases[2], SpinEnsemble(
-            honest.weights[2], honest.rotations[2], honest.base_vectors[2])), rhos[2])
+    alone = verify_certificate(ClassCertificate(bases[2], SpinEnsemble(
+        honest.weights[2], honest.rotations[2], honest.base_vectors[2])), rhos[2])
+    assert not alone.passed  # ... and alone fails with the same report
+    assert repr(alone) == repr(reports[2])  # repr: NaN fields compare unequal
     assert reports[3].reconstruction_error > 0.1 and not reports[3].failing_terms
     assert reports[4].reconstruction_error > 0.1 and not reports[4].failing_terms
     assert math.isnan(reports[5].reconstruction_error)  # 0 * NaN in mix()

@@ -28,7 +28,6 @@ from spinboost import (
 )
 from spinboost import classcheck, cli, kinematics
 from spinboost.measures import witness_from_amplitudes
-from spinboost.linalg import projector
 
 
 def run(argv, capsys):
@@ -351,9 +350,9 @@ def test_witness_command_composite_file(tmp_path, capsys):
 
 
 def test_witness_command_validates_once(tmp_path, monkeypatch, capsys):
-    # one density check per request covers all four witness values, and the
-    # (16, 8, 8) settings product runs once, for a composite state file and
-    # for a --spin-out matrix
+    # a matrix file is checked once, on reading; the density of a state
+    # file is valid by construction and not checked again.  The (16, 8, 8)
+    # settings product runs once per request for either file
     from spinboost import linalg, measures
 
     src, dst, spin_dst = (tmp_path / n for n in ("comp.json", "o.json", "r.json"))
@@ -377,10 +376,10 @@ def test_witness_command_validates_once(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(
         measures, "_SETTINGS", measures._SETTINGS.view(CountedSettings)
     )
-    for path in (src, spin_dst):
+    for path, expected in ((src, ["settings"]), (spin_dst, ["density", "settings"])):
         calls.clear()
         assert run(["witness", str(path)], capsys)[0] == 0
-        assert sorted(calls) == ["density", "settings"], path.name
+        assert sorted(calls) == expected, path.name
 
 
 def _witness_oracle(rho, variant):
@@ -433,14 +432,59 @@ def test_witness_command_matches_four_ghz_witness_calls(variant, tmp_path, capsy
         assert out.splitlines()[:6] == _witness_oracle(rho, variant), path.name
 
 
-def test_witness_command_rejects_non_density(tmp_path, monkeypatch, capsys):
-    # state files always reduce to valid densities; force a defective one
-    path = tmp_path / "ghz.json"
-    write_state(ghz_state(), path)
-    monkeypatch.setattr(cli, "_spin_density_of", lambda state: 2 * projector(state))
-    code, _, err = run(["witness", str(path)], capsys)
-    assert code == 2
-    assert "not a density matrix" in err
+def _edge_documents(trace):
+    # State files whose density has the given trace: a composite, a
+    # two-member mixture with scaled members or with scaled weights, and a
+    # bare spin state
+    def pairs(v):
+        return [[z.real, z.imag] for z in np.asarray(v).tolist()]
+
+    scale = math.sqrt(trace)
+    comp = compose(antisymmetric_momentum(), ghz_state()).vector
+    other = compose(permutation_momentum(np.eye(6)[0]), w_state()).vector
+
+    def ensemble(weights, s):
+        return {"ensemble": [{"weight": w, "amps": pairs(s * v)}
+                             for w, v in zip(weights, (comp, other))]}
+
+    return {
+        "composite": {"dims": [3, 2, 3, 2, 3, 2], "amps": pairs(scale * comp)},
+        "mixed_members": ensemble((0.6, 0.4), scale),
+        "mixed_weights": ensemble((0.6 * trace, 0.4 * trace), 1.0),
+        "bare": {"dims": [2, 2, 2], "amps": pairs(scale * ghz_state())},
+    }
+
+
+@pytest.mark.parametrize("trace", [1 - 0.9e-9, 1 + 0.9e-9, 1 - 1.1e-9, 1 + 1.1e-9])
+def test_state_files_agree_at_the_unit_trace_edge(trace, tmp_path, capsys):
+    # reading, the witness, boost --spin-out and the witness of both boost
+    # outputs agree on every file: |psi|^2, a mixture's trace and a
+    # density's trace are held to one rule, |x - 1| <= 1e-9
+    from spinboost import StateFileError, composite_spin_ensemble, is_density_matrix
+
+    accepted = abs(trace - 1.0) < 1e-9
+    for name, doc in _edge_documents(trace).items():
+        path, out, spin_out = (tmp_path / f"{name}{s}.json" for s in ("", "_o", "_r"))
+        path.write_text(json.dumps(doc))
+        boost = ["boost", str(path), "--delta", "0.3", "--out", str(out),
+                 "--spin-out", str(spin_out)]
+        if not accepted:
+            with pytest.raises(StateFileError, match="not normalized|sum to"):
+                read_state(path)
+            for argv in (["witness", str(path)], boost):
+                code, stdout, err = run(argv, capsys)
+                assert (code, stdout) == (2, "") and str(path) in err, name
+            assert not out.exists() and not spin_out.exists()
+            continue
+        state = read_state(path)
+        assert is_density_matrix(cli._spin_density_of(state)), name
+        assert run(["witness", str(path)], capsys)[0] == 0, name
+        if name == "bare":  # no momenta to boost
+            continue
+        composite_spin_ensemble(state, BoostScenario(0.3))
+        assert run(boost, capsys)[0] == 0, name
+        witnessed = [run(["witness", str(p)], capsys) for p in (out, spin_out)]
+        assert witnessed[0][0] == 0 and witnessed[0] == witnessed[1], name
 
 
 def test_witness_command_missing_file(tmp_path, capsys):

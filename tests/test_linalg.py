@@ -259,6 +259,32 @@ def test_density_checks():
     assert not is_density_matrix(neg)  # negative eigenvalue
 
 
+def _non_finite_densities():
+    # 8x8 matrices, each a valid density but for one inf or NaN entry
+    # (inf - inf on a diagonal is NaN; an off-diagonal inf is not)
+    for i, j in ((0, 0), (3, 3), (0, 7), (5, 2)):
+        for bad in (np.inf, -np.inf, np.nan, complex(np.inf, np.inf)):
+            m = np.eye(8, dtype=np.complex128) / 8.0
+            m[i, j] = bad
+            yield m
+    yield np.diag([np.inf, -np.inf, 1, 0, 0, 0, 0, 0]).astype(np.complex128)
+    yield np.full((8, 8), np.inf)
+
+
+def test_density_check_rejects_non_finite_entries():
+    # each fails the check, or raises ValidationError, with no warning (the
+    # suite turns warnings into errors), whether the witness checks or not
+    from spinboost.measures import ghz_witness
+
+    for m in _non_finite_densities():
+        check = is_density_matrix(m)
+        assert not check and not check.ok
+        with pytest.raises(ValidationError, match="not a density matrix"):
+            require_density(m)
+        with pytest.raises(ValidationError, match="not a density matrix"):
+            ghz_witness(m)
+
+
 def test_purity_range_and_values():
     rng = np.random.default_rng(37)
     v = random_state(6, rng)
