@@ -56,10 +56,16 @@ CONDITION2_CHUNK = 64
 
 
 def haar_state(dim: int, rng, batch: tuple[int, ...] = ()) -> np.ndarray:
-    """Haar-random pure states, shape batch + (dim,): normalized Gaussians."""
+    """Haar-random pure states, shape batch + (dim,): normalized Gaussians.
+    A batched call draws all real parts, then all imaginary parts, so it is
+    not the stack of single calls: the suites draw their rows themselves."""
     rng = np.random.default_rng(rng)
     shape = tuple(batch) + (dim,)
-    v = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    return _unit_rows(rng.normal(size=shape), rng.normal(size=shape))
+
+
+def _unit_rows(re: np.ndarray, im: np.ndarray) -> np.ndarray:  # (re + i im) / norm
+    v = re + 1j * im
     return v / row_norms(v)[..., None]
 
 
@@ -378,7 +384,8 @@ def condition1_suite(trials: int = 100, seed: int = 7) -> tuple[bool, list[str]]
     Haar spin states, state i with seed + 1000 i.  Returns (passed, lines)."""
     rng = np.random.default_rng(seed)
     names = ["ghz", "w"] + [f"haar{i}" for i in range(10)]
-    spins = np.stack([ghz_state(), w_state()] + [haar_state(8, rng) for _ in range(10)])
+    g = rng.normal(size=(10, 2, 8))  # the draws of ten haar_state(8, rng) calls
+    spins = np.concatenate([np.stack([ghz_state(), w_state()]), _unit_rows(g[:, 0], g[:, 1])])
     seeds = [seed + 1000 * i for i in range(len(names))]
     reports = check_condition1(spins, SPIN_DIMS, trials=trials, seed=seeds)
     lines = [f"FAIL {name} (seed {s}): trials {rep.failing_trials[:5]}"
@@ -393,17 +400,17 @@ def condition1_suite(trials: int = 100, seed: int = 7) -> tuple[bool, list[str]]
 def condition2_suite(trials: int = 50, seed: int = 7) -> tuple[bool, list[str]]:
     """The certificate suite: boosts of Haar momentum (x) Haar spin states
     at uniform angles in [0, pi/2], drawn trial by trial from one
-    generator.  Each chunk of CONDITION2_CHUNK trials is boosted, reduced,
-    certified and verified as one batch, so only the reports grow with
-    `trials`.  Returns (passed, report lines)."""
+    generator.  Each chunk of CONDITION2_CHUNK trials is normalized,
+    boosted, reduced, certified and verified as one batch, so only the
+    reports grow with `trials`.  Returns (passed, report lines)."""
     rng = np.random.default_rng(seed)
     reports = []
     for start in range(0, trials, CONDITION2_CHUNK):
-        draws = [
-            (haar_state(27, rng), haar_state(8, rng), rng.uniform(0.0, math.pi / 2.0))
-            for _ in range(min(CONDITION2_CHUNK, trials - start))
-        ]
-        momenta, spins, deltas = (np.array(column) for column in zip(*draws))
+        draws = [(rng.normal(size=70), rng.uniform(0.0, math.pi / 2.0))
+                 for _ in range(min(CONDITION2_CHUNK, trials - start))]
+        g, deltas = (np.array(column) for column in zip(*draws))
+        # the Gaussians haar_state(27, rng) and then haar_state(8, rng) draw
+        momenta, spins = _unit_rows(g[:, :27], g[:, 27:54]), _unit_rows(g[:, 54:62], g[:, 62:])
         vectors = _product_rows(momenta, spins)
         rotations = spin_rotations(ROTATION_AXES, deltas)
         rhos = _mixture(_momentum_spin_rows(boosted_amplitudes(vectors, rotations)))

@@ -2,8 +2,8 @@
 
 Factor shapes are plain tuples of ints (e.g. (3,2,3,2,3,2)); states and
 operators are flat numpy arrays indexed big-endian in the factor order.
-apply_local rotates amplitudes factor by factor, kron(factors) @ amps
-without the product matrix, for batches of factors and amplitudes alike.
+apply_local computes kron(factors) @ amps factor by factor, elementwise
+for qubits and as stacked matmuls for d >= 3, over whole batches.
 Partial traces are single einsum contractions and Hermitian spectra come
 from LAPACK (eigh; eigvalsh for the eigenvalues-only density check); the
 tests check both against identities rather than against numpy itself.
@@ -57,10 +57,11 @@ def apply_local(
     Factor i, of shape (..., d_i, d_i), acts on tensor axis i of the
     amplitudes, of shape (..., prod dims).  The batch axes of the factors
     and the amplitudes broadcast; the result has shape (batch..., prod
-    dims).  Each factor is one stacked matmul, so a batch item equals its
-    batch-of-one call bit for bit.  Step i contracts the leading tensor
-    axis, which is axis i, and appends the result as the last axis, so
-    after every factor the axes are back in order and no step copies.
+    dims).  Qubit factors are elementwise arithmetic over the batch, not
+    one tiny gemm per item; d >= 3 is one stacked matmul.  Either way a
+    batch item equals its batch-of-one call bit for bit.  Step i contracts
+    the leading tensor axis (axis i) and appends the result as the last
+    axis, so after every factor the axes are back in order.
     """
     dims = tuple(int(d) for d in dims)
     fs = [np.asarray(f, dtype=np.complex128) for f in factors]
@@ -74,7 +75,12 @@ def apply_local(
     t = np.broadcast_to(a, batch + (n,))
     for f, d in zip(fs, dims):
         t = t.reshape(batch + (d, n // d))
-        t = (np.swapaxes(t, -1, -2) @ np.swapaxes(f, -1, -2)).reshape(batch + (n,))
+        if d == 2:  # out_j = f_j0 t_0 + f_j1 t_1 over the whole batch
+            t = np.stack([f[..., j, :1] * t[..., 0, :] + f[..., j, 1:] * t[..., 1, :]
+                          for j in (0, 1)], axis=-1)
+        else:
+            t = np.swapaxes(t, -1, -2) @ np.swapaxes(f, -1, -2)
+        t = t.reshape(batch + (n,))
     return t
 
 
@@ -83,7 +89,8 @@ def row_norms(v: np.ndarray) -> np.ndarray:
     of dot products np.linalg.norm takes for a single vector, so it equals
     np.linalg.norm of its row bit for bit, batched or not."""
     re, im = v.real[..., None, :], v.imag[..., None, :]
-    sq = re @ np.swapaxes(re, -1, -2) + im @ np.swapaxes(im, -1, -2)
+    with np.errstate(over="ignore"):  # a square past the float range is inf
+        sq = re @ np.swapaxes(re, -1, -2) + im @ np.swapaxes(im, -1, -2)
     return np.sqrt(sq[..., 0, 0])
 
 

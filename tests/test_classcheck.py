@@ -389,6 +389,23 @@ def test_condition1_chunks_do_not_change_reports(monkeypatch):
     assert any(t >= CONDITION1_CHUNK for rep in whole for t in rep.failing_trials)
 
 
+def test_condition1_suite_checks_ten_single_haar_draws(monkeypatch):
+    # the suite draws its ten Haar spins in one call; they must be exactly
+    # the states ten haar_state(8, rng) calls would give, after GHZ and W
+    seen = []
+
+    def spy(states, *args, **kwargs):
+        seen.append(states)
+        return check_condition1(states, *args, **kwargs)
+
+    monkeypatch.setattr(classcheck, "check_condition1", spy)
+    assert condition1_suite(trials=2, seed=123)[0]
+    rng = np.random.default_rng(123)
+    expected = np.stack([ghz_state(), w_state()] + [haar_state(8, rng) for _ in range(10)])
+    assert len(seen) == 1
+    np.testing.assert_array_equal(seen[0], expected)
+
+
 def test_condition1_suite_memory_does_not_grow_with_trials():
     condition1_suite(trials=2)
     tracemalloc.start()

@@ -81,15 +81,18 @@ def _random_matrices(rng, shape):
     return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
 
-@pytest.mark.parametrize("dims", [(3, 2, 4), (2, 2, 2)])
+@pytest.mark.parametrize("dims", [(3, 2, 4), (2, 2, 2), (2,), (2, 3)])
 @pytest.mark.parametrize(
     "factor_batch, amp_batch",
-    [((5,), ()), ((), (5,)), ((5, 1), (1, 4)), ((4,), (3, 4))],
-    ids=["factors", "amplitudes", "outer", "shared"],
+    [((5,), ()), ((), (5,)), ((5, 1), (1, 4)), ((4,), (3, 4)), ((61, 6), (6,))],
+    ids=["factors", "amplitudes", "outer", "shared", "fig2"],
 )
 def test_apply_local_matches_kron(dims, factor_batch, amp_batch):
     # factor i acts on tensor axis i; batch axes of factors and amplitudes
-    # broadcast, and each batch item equals its batch-of-one call exactly
+    # broadcast, and each batch item equals its batch-of-one call exactly.
+    # Qubit factors take the elementwise step, others the matmul step:
+    # (2,) runs the first alone, (2, 3) follows it with the second, and
+    # "fig2" is scan fig2's (61, 6) rotations on its 6 spin rows
     rng = np.random.default_rng(sum(dims) + len(factor_batch) + 3 * len(amp_batch))
     factors = [_random_matrices(rng, factor_batch + (d, d)) for d in dims]
     amps = _random_matrices(rng, amp_batch + (int(np.prod(dims)),))
@@ -102,7 +105,7 @@ def test_apply_local_matches_kron(dims, factor_batch, amp_batch):
         np.testing.assert_allclose(out[idx], kron(fs) @ a, atol=1e-13)
         np.testing.assert_array_equal(out[idx], apply_local(fs, a, dims))
     with pytest.raises(ShapeError):
-        apply_local(factors[:2], amps, dims)
+        apply_local(factors[:-1], amps, dims)
     with pytest.raises(ShapeError):
         apply_local(factors, amps[..., :-1], dims)
 

@@ -201,6 +201,9 @@ def test_composite_state_validation():
     v[0] = 2.0
     with pytest.raises(ValidationError):
         CompositeState(v)
+    v[0] = 1e200  # |psi|^2 overflows to inf, which fails without a warning
+    with pytest.raises(ValidationError, match="inf"):
+        CompositeState(v)
 
 
 def test_mixed_state_validation_and_density():
@@ -348,6 +351,13 @@ def test_state_file_diagnostics(tmp_path):
     # not normalized
     path.write_text(json.dumps({"dims": [2, 2, 2], "amps": [[1.0, 0.0]] * 8}))
     with pytest.raises(StateFileError, match="norm"):
+        read_state(path)
+
+    # a finite amplitude whose square overflows: not normalized, no warning
+    amps = [[0.0, 0.0]] * 8
+    amps[0] = [1e200, 0]
+    path.write_text(json.dumps({"dims": [2, 2, 2], "amps": amps}))
+    with pytest.raises(StateFileError, match=r"not normalized: \|psi\|\^2 = inf"):
         read_state(path)
 
     # a JSON integer beyond float range
