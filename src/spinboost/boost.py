@@ -10,21 +10,20 @@ about that label's axis.  Two equivalent routes are provided:
   tensor (linalg.apply_local), batched over boost angles and mixture
   members; build_boost_unitary assembles the full 216x216 unitary from
   the same blocks as the brute-force reference it is tested against;
-* boosted_spin_terms / composite_spin_ensemble — the terms whose
+* boosted_spin_terms — the one builder of the SpinEnsemble whose
   mixture, summed by states._mixture, is the reduced spin state: expand
   the state over the 27 momentum basis kets, each carrying its own spin
-  row and the local rotation of its label assignment.  A permutation
-  momentum state is the special case whose nonzero kets are the six
-  label assignments; a MixedState contributes the kets of every member.
+  row m_k and the local rotations of its label assignment.  A
+  permutation momentum state's nonzero kets are its six label
+  assignments; a MixedState contributes the kets of every member.
 
 Both routes rotate amplitudes factor by factor; no 8x8 product of
-rotations is formed.  The mixture route also yields a SpinEnsemble: the
-explicit list of (weight, three 2x2 rotations, base vector) terms whose
-mixture is the reduced spin state.  Because each term applies a *local*
-unitary to a pure spin state, the ensemble certifies that boosting
-cannot move a state between local-unitary entanglement classes.  Its
-arrays carry leading batch axes, so a batch of boosts is certified in one
-call; an item pads the kets only its neighbours carry with weight 0.
+rotations is formed.  The ensemble's terms chi_k = U_k m_k are also the
+certificate: each applies a *local* unitary to a multiple of one pure
+spin state, so boosting cannot move a state between local-unitary
+entanglement classes.  Its arrays carry leading batch axes that
+broadcast, so a batch of boosts is certified in one call; an item pads
+the kets only its neighbours carry with zero rows.
 """
 
 from __future__ import annotations
@@ -64,41 +63,42 @@ class BoostUnitary:
 
 @dataclass(frozen=True)
 class SpinEnsemble:
-    """Mixture certificates for reduced spin states, with batch axes (...).
+    """Boosted spin terms chi_k = U_k m_k, with batch axes (...).
 
-    Term k contributes weights[..., k] |psi_k><psi_k| with psi_k = U_k phi_k,
-    where U_k is the product of the three single-qubit rotations
-    rotations[..., k, :, :, :] and phi_k = base_vectors[..., k, :] (shapes
-    (..., K), (..., K, 3, 2, 2), (..., K, 8)).  U_k is local by construction.
-    Each item's weights are nonnegative and sum to one; a weight-0 term pads
-    an item to the batch's K and is left out of verification.
+    U_k is the product of the three single-qubit rotations
+    rotations[..., k, :, :, :] and m_k = rows[..., k, :] an unnormalized
+    spin row (shapes (..., K, 3, 2, 2) and (..., K, 8), batch axes
+    broadcast), so U_k is local by construction.  Each item's trace
+    sum_k |m_k|^2 passes the unit rule; a zero row pads an item to the
+    batch's K and is left out of verification.
     """
 
-    weights: np.ndarray
     rotations: np.ndarray
-    base_vectors: np.ndarray
+    rows: np.ndarray
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
         r = np.asarray(self.rotations, dtype=np.complex128)
-        vecs = np.asarray(self.base_vectors, dtype=np.complex128)
-        if w.size == 0 or (r.shape, vecs.shape) != (w.shape + (3, 2, 2),
-                                                    w.shape + (SPIN_DIM,)):
+        rows = np.asarray(self.rows, dtype=np.complex128)
+        if (rows.ndim < 2 or rows.size == 0 or rows.shape[-1] != SPIN_DIM
+                or r.shape[-4:] != rows.shape[-2:-1] + (3, 2, 2)):
             raise ShapeError("ensemble arrays are empty or inconsistent")
-        if not (np.all(w >= 0.0) and np.all(_is_unit(w.sum(axis=-1)))):  # NaN fails
-            raise ValidationError("ensemble weights must be nonnegative and "
-                                  "sum to 1 per item")
-        object.__setattr__(self, "weights", w)
+        try:
+            np.broadcast_shapes(rows.shape[:-2], r.shape[:-4])
+        except ValueError as exc:
+            raise ShapeError(f"ensemble batch axes do not broadcast: {exc}") from exc
+        trace = np.einsum("...ki,...ki->...", rows.conj(), rows).real
+        if not np.all(_is_unit(trace)):  # NaN and inf fail
+            raise ValidationError("ensemble rows must have trace 1 per item")
         object.__setattr__(self, "rotations", r)
-        object.__setattr__(self, "base_vectors", vecs)
+        object.__setattr__(self, "rows", rows)
 
-    def amplitudes(self) -> np.ndarray:
-        """The rotated term states psi_k = U_k phi_k, shape (..., K, 8)."""
-        return _rotate_kets(self.rotations, self.base_vectors)
+    def terms(self) -> np.ndarray:
+        """The boosted spin terms chi_k = U_k m_k, shape (..., K, 8)."""
+        return _rotate_kets(self.rotations, self.rows)
 
     def mix(self) -> np.ndarray:
-        """The (..., 8, 8) densities sum_k w_k U_k |phi_k><phi_k| U_k^H."""
-        return _mixture(np.sqrt(self.weights)[..., None] * self.amplitudes())
+        """The (..., 8, 8) densities sum_k |chi_k><chi_k|."""
+        return _mixture(self.terms())
 
 
 def _rotate_kets(factors: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -157,13 +157,12 @@ def boost_mixed(mixed: MixedState, scenario: BoostScenario) -> MixedState:
     )
 
 
-def _momentum_kets(state) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # Label assignments (K, 3), spin rows m_k (..., K, 8) and weights
-    # |m_k|^2 (..., K) of the momentum basis kets that carry amplitude in
-    # any item of a batch of pure states (..., 216); where a kept ket is
-    # negligible, its row and weight are exact zeros.  Member i of a
-    # mixture contributes its 27 rows scaled by sqrt(q_i), so its terms
-    # weigh q_i |m_k^i|^2; a mixture is one item.
+def _momentum_kets(state) -> tuple[np.ndarray, np.ndarray]:
+    # Label assignments (K, 3) and spin rows m_k (..., K, 8) of the momentum
+    # basis kets that carry amplitude in any item of a batch of pure states
+    # (..., 216); where a kept ket is negligible, its row is exact zeros.
+    # Member i of a mixture contributes its 27 rows scaled by sqrt(q_i), so
+    # its terms weigh q_i |m_k^i|^2; a mixture is one item.
     if isinstance(state, MixedState):
         m = np.sqrt(state.weights)[:, None, None] * _momentum_spin_rows(state.vectors)
         m = m.reshape(-1, SPIN_DIM)  # (M * 27, 8), rows are momentum kets
@@ -172,53 +171,39 @@ def _momentum_kets(state) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         vec = (state.vector if isinstance(state, CompositeState)
                else _state_rows(state, COMPOSITE_DIM, "composite state"))
         m, labels = _momentum_spin_rows(vec), _MOMENTUM_BASIS_LABELS
-    w = np.einsum("...ki,...ki->...k", m.conj(), m).real
-    carries = w > _NEGLIGIBLE_WEIGHT
-    keep = np.any(carries.reshape(-1, w.shape[-1]), axis=0)
-    carries = carries[..., keep]
-    rows = np.where(carries[..., None], m[..., keep, :], 0.0)
-    return labels[keep], rows, np.where(carries, w[..., keep], 0.0)
+    carries = np.einsum("...ki,...ki->...k", m.conj(), m).real > _NEGLIGIBLE_WEIGHT
+    keep = np.any(carries.reshape(-1, carries.shape[-1]), axis=0)
+    return labels[keep], np.where(carries[..., keep, None], m[..., keep, :], 0.0)
 
 
-def boosted_spin_terms(state, rotations: np.ndarray) -> np.ndarray:
-    """Unnormalized boosted spin terms chi_k = U(L_k) m_k, shape (..., K, 8).
+def boosted_spin_terms(state, rotations: np.ndarray) -> SpinEnsemble:
+    """The boosted spin terms chi_k = U(L_k) m_k of a state, as a SpinEnsemble.
 
     m_k is the spin row of the k-th momentum ket carrying amplitude (of
-    a CompositeState, or of every member of a MixedState) and U(L_k) the
-    product of the Wigner rotations of its label assignment
-    L_k.  `rotations` holds per-label rotations of shape (..., 3, 2, 2),
-    e.g. spin_rotations(axes, deltas) for a sweep.  The reduced boosted
-    spin density is sum_k |chi_k><chi_k|; its populations are
+    a CompositeState, of every member of a MixedState, or of each item of
+    amplitudes (..., 216)) and U(L_k) the product of the Wigner rotations
+    of its label assignment L_k.  `rotations` holds per-label rotations of
+    shape (..., 3, 2, 2), e.g. spin_rotations(axes, deltas) for a sweep;
+    its batch axes broadcast against the state's.  The reduced boosted
+    spin density is mix() = sum_k |chi_k><chi_k|; its populations are
     sum_k |chi_kj|^2, nonnegative by construction.
     """
-    labels, rows, _ = _momentum_kets(state)
-    return _rotate_kets(np.asarray(rotations)[..., labels, :, :], rows)
+    labels, rows = _momentum_kets(state)
+    return SpinEnsemble(np.asarray(rotations)[..., labels, :, :], rows)
 
 
 def boosted_spin_density_fast(coeffs, spin, scenario: BoostScenario) -> np.ndarray:
     """Reduced 8x8 spin density after the boost of the permutation momentum
     state sum_i c_i |Pi_i(A,B,C)> (x) |spin>, from its boosted spin terms."""
     state = compose(permutation_momentum(coeffs), spin)
-    return _mixture(boosted_spin_terms(state, scenario.rotations()))
-
-
-def _spin_ensembles(state, rotations: np.ndarray) -> SpinEnsemble:
-    # composite_spin_ensemble for a batch of pure states (..., 216) under
-    # per-item rotations (..., 3, 2, 2); padding keeps a zero base vector.
-    labels, rows, w = _momentum_kets(state)
-    norms = np.sqrt(np.where(w > 0.0, w, 1.0))
-    return SpinEnsemble(
-        weights=w,
-        rotations=np.asarray(rotations)[..., labels, :, :],
-        base_vectors=rows / norms[..., None],
-    )
+    return boosted_spin_terms(state, scenario.rotations()).mix()
 
 
 def composite_spin_ensemble(
     state: CompositeState | MixedState, scenario: BoostScenario
 ) -> SpinEnsemble:
-    """The mixture route as a certificate: term k has weight |m_k|^2, base
-    vector m_k / |m_k| and the rotations (U(m1), U(m2), U(m3)) of its
-    momentum ket |m1 m2 m3>.  For a mixture with weights q_i the terms
-    of member i weigh q_i |m_k^i|^2.  A batch of one of _spin_ensembles."""
-    return _spin_ensembles(state, scenario.rotations())
+    """The boosted spin terms of one boost, the certificate of its reduced
+    spin state: term k carries the spin row m_k and the rotations
+    (U(m1), U(m2), U(m3)) of its momentum ket |m1 m2 m3>.  For a mixture
+    with weights q_i the rows of member i are scaled by sqrt(q_i)."""
+    return boosted_spin_terms(state, scenario.rotations())

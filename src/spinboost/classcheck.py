@@ -7,12 +7,12 @@ separable-momentum state acts exactly like such a rotation on the spins;
 one batched call checks all states, each with its own seeded stream of
 trials, and 2x2 Haar factors are closed-form (QR only for d >= 3).
 condition2_suite, ensemble certificates: the reduced spin state a boost
-produces decomposes into weighted terms U_k |phi><phi| U_k^H with
-*local* U_k (three 2x2 factors), so every term stays in the
-local-unitary class of the unboosted spin state; verification checks
+produces is the mixture of its boosted spin terms U_k m_k, *local* U_k
+(three 2x2 factors) applied to multiples m_k of the unboosted spin state,
+so every term stays in its local-unitary class; verification checks
 every factor's unitarity (a closed-form defect, no matmul) and every
-base vector against the base state, the reconstructed density and the
-terms' LU invariants, for a batch of certificates in one pass.
+row against the base state, the reconstructed density and the terms'
+LU invariants, for a batch of certificates in one pass.
 soundness_suite: the GHZ witness is nonpositive on random biseparable
 mixtures.  All sampling is driven by numpy's seeded Generator, so every
 check is reproducible from its seed."""
@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .boost import SpinEnsemble, _spin_ensembles, boosted_amplitudes
+from .boost import SpinEnsemble, _rotate_kets, boosted_amplitudes, boosted_spin_terms
 from .constants import ATOL_ALGEBRA, ATOL_PHYSICS, SPIN_DIM, SPIN_DIMS
 from .errors import InputError, ShapeError
 from .kinematics import ROTATION_AXES, spin_rotations
@@ -249,7 +249,7 @@ def check_condition1(
 @dataclass(frozen=True)
 class ClassCertificate:
     """A SpinEnsemble together with the unboosted spin state it came from;
-    valid iff every ensemble base vector equals base_state."""
+    valid iff every nonzero row m_k is base_state up to phase and norm."""
 
     base_state: np.ndarray
     ensemble: SpinEnsemble
@@ -309,32 +309,35 @@ def verify_certificate(
     """Check boost certificates against the reduced spin densities they
     claim to decompose.
 
-    (a) the weighted terms must reconstruct `rho` within
-    `reconstruction_atol` (Frobenius); (b) every term must be a local
-    unitary applied to the base state: each of its three 2x2 factors f
-    unitary (||f f^H - I||_F), and base_vectors[k] equal to base_state up
-    to a global phase, all within ATOL_ALGEBRA; (c) every term's rotated pure
-    state must share the base state's LU invariants: single-qubit
-    reduction spectra and three-tangle within `invariant_atol`.  (b) is
-    what proves LU equivalence; (c) follows from it and is checked and
-    reported as well.
+    (a) the terms must reconstruct `rho` within `reconstruction_atol`
+    (Frobenius); (b) every term chi_k = U_k m_k must be a local unitary
+    applied to a multiple of the base state: each of its three 2x2
+    factors f unitary (||f f^H - I||_F), and its base vector m_k / |m_k|
+    equal to base_state up to a global phase, all within ATOL_ALGEBRA;
+    (c) every term's rotated pure state U_k m_k / |m_k| must share the
+    base state's LU invariants: single-qubit reduction spectra and
+    three-tangle within `invariant_atol`.  (b) is what proves LU
+    equivalence; (c) follows from it and is checked and reported as well.
 
     Batches of base_state (..., 8), ensemble and rho (..., 8, 8) are
     checked in one pass and give a list of reports in C order, each equal
     bit for bit to its item's report alone; a single certificate is a
-    batch of one.  Zero-weight padding terms are not checked.  A base
-    state or term whose |psi|^2 fails the unit rule fails its item.
+    batch of one; the batch axes of rows and rotations broadcast.  Zero
+    padding rows are not checked.  The rows passed the unit rule when the
+    ensemble was built, so only a base state can fail it here.
     """
     ens = cert.ensemble
-    batch = ens.weights.shape[:-1]
+    batch = np.broadcast_shapes(ens.rows.shape[:-2], ens.rotations.shape[:-4])
     base = np.asarray(cert.base_state, dtype=np.complex128)
     rho = np.asarray(rho, dtype=np.complex128)
     if base.shape != batch + (SPIN_DIM,) or rho.shape != batch + (SPIN_DIM,) * 2:
         raise ShapeError(f"base states {base.shape} and densities {rho.shape} "
                          f"do not match an ensemble of batch shape {batch}")
-    psi = ens.amplitudes()
-    # ens.mix(), from the rotated terms the invariants are checked on
-    diff = _mixture(np.sqrt(ens.weights)[..., None] * psi) - rho
+    w = np.einsum("...ki,...ki->...k", ens.rows.conj(), ens.rows).real
+    base_vectors = ens.rows / np.sqrt(np.where(w > 0.0, w, 1.0))[..., None]
+    psi = _rotate_kets(ens.rotations, base_vectors)
+    # sum_k w_k |psi_k><psi_k| = ens.mix(), from the terms the invariants are checked on
+    diff = _mixture(np.sqrt(w)[..., None] * psi) - rho
     rec_err = row_norms(diff.reshape(batch + (SPIN_DIM * SPIN_DIM,)))
 
     # ||f f^H - I||_F of each factor [[a, b], [c, d]] from its entries
@@ -344,11 +347,10 @@ def verify_certificate(
     e12 = a * c.conj() + b * d.conj()
     unitarity = np.sqrt(e11**2 + e22**2 + 2.0 * np.abs(e12)**2).max(axis=-1)
     # one dot product per term, so no term's value depends on the others
-    rows = ens.base_vectors[..., None, :]
-    overlap = (rows @ base.conj()[..., None, :, None])[..., 0, 0]
+    overlap = (base_vectors[..., None, :] @ base.conj()[..., None, :, None])[..., 0, 0]
     phase = np.exp(1j * np.angle(overlap))
     base_dev = np.linalg.norm(
-        ens.base_vectors - phase[..., None] * base[..., None, :], axis=-1
+        base_vectors - phase[..., None] * base[..., None, :], axis=-1
     )
 
     spec_dev = np.abs(single_qubit_spectra(psi)
@@ -357,14 +359,12 @@ def verify_certificate(
     tangle_dev = np.abs(_three_tangle_unchecked(psi)
                         - _three_tangle_unchecked(base)[..., None])
     base_ok = _is_unit(row_norms(base) ** 2)
-    term_ok = _is_unit(row_norms(psi) ** 2)
-    live = ens.weights > 0.0
+    live = w > 0.0
     good = (
         (spec_dev <= invariant_atol)
         & (tangle_dev <= invariant_atol)
         & (unitarity <= ATOL_ALGEBRA)
         & (base_dev <= ATOL_ALGEBRA)
-        & term_ok
         & base_ok[..., None]
     )  # NaN anywhere fails the term
     # per item, each check's worst live term (deviations are >= 0 or NaN)
@@ -414,7 +414,7 @@ def condition2_suite(trials: int = 50, seed: int = 7) -> tuple[bool, list[str]]:
         vectors = _product_rows(momenta, spins)
         rotations = spin_rotations(ROTATION_AXES, deltas)
         rhos = _mixture(_momentum_spin_rows(boosted_amplitudes(vectors, rotations)))
-        ensembles = _spin_ensembles(vectors, rotations)
+        ensembles = boosted_spin_terms(vectors, rotations)
         reports += verify_certificate(ClassCertificate(spins, ensembles), rhos)
     lines = [f"FAIL scenario {i}: {rep}" for i, rep in enumerate(reports) if not rep]
     worst_rec = max(r.reconstruction_error for r in reports)

@@ -126,7 +126,7 @@ def _scan_fig2(args, grid: int) -> list[str]:
     )
     deltas, rotations = _sweep_rotations(grid)
     up, down = (
-        boosted_spin_terms(compose(momentum, basis), rotations)
+        boosted_spin_terms(compose(momentum, basis), rotations).terms()
         for basis in np.eye(SPIN_DIM)[[0, 7]]
     )
     variant = (args.variant or "symmetric").replace("-", "_")

@@ -155,7 +155,7 @@ def witness_from_amplitudes(psi, variant: str = "symmetric") -> np.ndarray:
     """Witness values of the mixtures sum_k |chi_k><chi_k|, batched.
 
     `psi` holds unnormalized terms chi of shape (..., K, 8), the weights
-    folded in (e.g. boost.boosted_spin_terms); the result has shape (...).
+    folded in (e.g. boost.SpinEnsemble.terms()); the result has shape (...).
     Populations sum_k |chi_kj|^2 and rho07 = sum_k chi_k0 conj(chi_k7)
     come straight from the amplitudes, so no 8x8 matrix is formed and the
     value keeps the conditioning described in the module docstring.

@@ -316,7 +316,12 @@ def write_output(*outputs: tuple) -> None:
     """Write (path, text) pairs, the package's only way to write a file.
     Each text is staged in a new file next to its path and renamed onto it
     once all are written, so a failed write leaves no new or changed file
-    behind; an unwritable path raises InputError naming it (CLI exit 2)."""
+    behind; an unwritable path, or two paths naming one file, raises
+    InputError naming it (CLI exit 2)."""
+    real = [os.path.realpath(path) for path, _ in outputs]
+    twice = [path for (path, _), r in zip(outputs, real) if real.count(r) > 1]
+    if twice:  # one rename would replace the other's text
+        raise InputError(f"cannot write {' and '.join(twice)}: they name one file")
     staged = []  # (temporary, path) pairs not yet renamed
     try:
         for i, (path, text) in enumerate(outputs):

@@ -111,8 +111,8 @@ def test_fast_path_matches_brute_force_on_permutation_momenta():
 
 def test_permutation_ensemble_structure():
     # a permutation momentum state expands over its six label-assignment
-    # kets: term k has weight |c_k|^2, base vector spin times the phase
-    # of c_k, and the local unitary of its assignment
+    # kets: term k has the spin row c_k spin, so weight |c_k|^2, and the
+    # local unitary of its assignment
     rng = np.random.default_rng(3)
     coeffs = random_coeffs(rng)
     coeffs[4] = 0.0
@@ -124,15 +124,15 @@ def test_permutation_ensemble_structure():
     order = sorted(range(6), key=lambda i: 9 * PERMUTATIONS[i][0]
                    + 3 * PERMUTATIONS[i][1] + PERMUTATIONS[i][2])
     kept = [i for i in order if coeffs[i] != 0.0]
-    assert ens.weights.shape == (5,)
-    np.testing.assert_allclose(ens.weights.sum(), 1.0, atol=1e-13)
-    np.testing.assert_allclose(ens.weights, np.abs(coeffs[kept]) ** 2, atol=1e-13)
+    assert ens.rows.shape == (5, 8)
+    weights = np.linalg.norm(ens.rows, axis=-1) ** 2
+    np.testing.assert_allclose(weights.sum(), 1.0, atol=1e-13)
+    np.testing.assert_allclose(weights, np.abs(coeffs[kept]) ** 2, atol=1e-13)
     for k, i in enumerate(kept):
         u = kron(list(ens.rotations[k]))
         np.testing.assert_allclose(u @ u.conj().T, np.eye(8), atol=1e-13)
         np.testing.assert_array_equal(u, local_unitary(PERMUTATIONS[i], sc))
-        phase = coeffs[i] / abs(coeffs[i])
-        np.testing.assert_allclose(ens.base_vectors[k], phase * spin, atol=1e-14)
+        np.testing.assert_allclose(ens.rows[k], coeffs[i] * spin, atol=1e-14)
     np.testing.assert_allclose(
         ens.mix(), boosted_spin_density_fast(coeffs, spin, sc), atol=1e-13
     )
@@ -149,18 +149,18 @@ def test_composite_ensemble_matches_brute_force_general_momentum():
         ens = composite_spin_ensemble(state, sc)
         brute = boost_pure(state, sc).spin_density()
         worst = max(worst, np.abs(ens.mix() - brute).max())
-        assert abs(ens.weights.sum() - 1.0) < 1e-12
+        assert abs(np.linalg.norm(ens.rows) ** 2 - 1.0) < 1e-12
     assert worst < 1e-13
 
 
 def test_composite_ensemble_base_vectors_restore_input():
-    # every certificate term starts from the same unboosted spin state
+    # every certificate row is a multiple of the same unboosted spin state
     rng = np.random.default_rng(5)
     spin = haar_vec(8, rng)
     state = compose(haar_vec(27, rng), spin)
     ens = composite_spin_ensemble(state, BoostScenario.from_angle(0.8))
-    for vec in ens.base_vectors:
-        overlap = abs(np.vdot(vec, spin))
+    for row in ens.rows:
+        overlap = abs(np.vdot(row, spin)) / np.linalg.norm(row)
         assert abs(overlap - 1.0) < 1e-12  # equal up to global phase
 
 
@@ -185,46 +185,51 @@ def test_boost_mixed_linearity():
 
 
 def test_spin_ensemble_validation():
+    # the rows' trace sum_k |m_k|^2 must pass the unit rule, which NaN and
+    # inf fail; K must be nonzero and match between rows and rotations
     eye = np.broadcast_to(np.eye(2, dtype=np.complex128), (1, 3, 2, 2))
     vec = np.zeros((1, 8), dtype=np.complex128)
     vec[0, 0] = 1.0
-    SpinEnsemble(np.array([1.0]), eye, vec)
-    with pytest.raises(ValidationError):
-        SpinEnsemble(np.array([0.5]), eye, vec)  # weights sum != 1
-    with pytest.raises(ValidationError):
-        SpinEnsemble(np.array([-1.0, 2.0]), np.repeat(eye, 2, 0),
-                     np.repeat(vec, 2, 0))
+    SpinEnsemble(eye, vec)
+    for bad in (0.5, np.nan, np.inf, 1j * np.inf):
+        with pytest.raises(ValidationError):
+            SpinEnsemble(eye, np.where(vec != 0, bad, vec))  # trace != 1
     with pytest.raises(ShapeError):  # an 8x8 unitary is not three factors
-        SpinEnsemble(np.array([1.0]), np.eye(8, dtype=np.complex128)[None], vec)
-    with pytest.raises(ValidationError):  # NaN is neither positive nor 1
-        SpinEnsemble(np.array([np.nan]), eye, vec)
+        SpinEnsemble(np.eye(8, dtype=np.complex128)[None], vec)
+    with pytest.raises(ShapeError):  # two terms of rotations, one row
+        SpinEnsemble(np.repeat(eye, 2, 0), vec)
+    with pytest.raises(ShapeError):  # no terms at all
+        SpinEnsemble(eye[:0], vec[:0])
+    with pytest.raises(ShapeError):  # a row without its term axis
+        SpinEnsemble(eye[0], vec[0])
 
 
 def test_spin_ensemble_batch_validation():
-    # weights are checked per item: exact zeros pad an item, a negative,
-    # NaN or mis-summed weight in any one item is rejected
+    # the trace is checked per item: zero rows pad an item, a NaN or
+    # mis-normalized row in any one item is rejected; the batch axes of
+    # rows and rotations broadcast
     eye = np.broadcast_to(np.eye(2, dtype=np.complex128), (2, 2, 3, 2, 2))
     vec = np.zeros((2, 2, 8), dtype=np.complex128)
-    vec[..., 0] = 1.0
-    ens = SpinEnsemble(np.array([[1.0, 0.0], [0.5, 0.5]]), eye, vec)
-    assert ens.weights.shape == (2, 2) and ens.mix().shape == (2, 8, 8)
+    vec[0, 0, 0] = 1.0
+    vec[1, :, 0] = math.sqrt(0.5)
+    ens = SpinEnsemble(eye, vec)
+    assert ens.rows.shape == (2, 2, 8) and ens.mix().shape == (2, 8, 8)
     np.testing.assert_allclose(ens.mix()[0], ens.mix()[1], rtol=0, atol=1e-15)
-    for bad in ([[1.0, 0.0], [0.5, 0.6]], [[1.0, 0.0], [1.5, -0.5]],
-                [[1.0, 0.0], [np.nan, 1.0]]):
+    for bad in (0.8, np.nan):
+        rows = vec.copy()
+        rows[1, 1, 0] = bad
         with pytest.raises(ValidationError):
-            SpinEnsemble(np.array(bad), eye, vec)
-    with pytest.raises(ShapeError):  # one more item of rotations than weights
-        SpinEnsemble(np.array([[1.0, 0.0]]), eye, vec[:1])
+            SpinEnsemble(eye, rows)
+    assert SpinEnsemble(eye, vec[1]).mix().shape == (2, 8, 8)  # shared rows
+    with pytest.raises(ShapeError):  # three items of rows, two of rotations
+        SpinEnsemble(eye, np.concatenate([vec, vec[:1]]))
 
 
 def test_mix_is_weighted_sum_of_rotated_projectors():
     rng = np.random.default_rng(9)
     state = compose(haar_vec(27, rng), haar_vec(8, rng))
     ens = composite_spin_ensemble(state, BoostScenario.from_angle(1.2))
-    expected = sum(
-        w * projector(kron(list(r)) @ v)
-        for w, r, v in zip(ens.weights, ens.rotations, ens.base_vectors)
-    )
+    expected = sum(projector(kron(list(r)) @ m) for r, m in zip(ens.rotations, ens.rows))
     np.testing.assert_allclose(ens.mix(), expected, atol=1e-14)
 
 
@@ -260,11 +265,11 @@ def test_permutation_amplitudes_batch_matches_single_points():
     spin = haar_vec(8, rng)
     state = compose(permutation_momentum(coeffs), spin)
     deltas = np.linspace(0.0, math.pi / 2, 5)
-    chi = boosted_spin_terms(state, spin_rotations(ROTATION_AXES, deltas))
+    chi = boosted_spin_terms(state, spin_rotations(ROTATION_AXES, deltas)).terms()
     assert chi.shape == (5, 5, 8)
     for g, delta in enumerate(deltas):
         sc = BoostScenario.from_angle(delta)
-        chi1 = boosted_spin_terms(state, sc.rotations())
+        chi1 = boosted_spin_terms(state, sc.rotations()).terms()
         np.testing.assert_allclose(chi1, chi[g], atol=1e-15)
         rho = np.einsum("ki,kj->ij", chi1, chi1.conj())
         np.testing.assert_allclose(

@@ -13,6 +13,7 @@ from spinboost import (
     InputError,
     ShapeError,
     SpinEnsemble,
+    ValidationError,
     check_condition1,
     compose,
     composite_spin_ensemble,
@@ -472,18 +473,17 @@ def test_certificate_detects_foreign_base_state():
 
 
 def test_forged_certificate_fails():
-    # The forgery claims rho = |other><other| with base_vectors = base and
-    # U = I.  A certificate that carried its own projectors next to the
-    # base vectors could rebuild rho from the projectors and pass, which
-    # would certify other as LU-equivalent to base.  rho is rebuilt from
-    # the base vectors alone, so the claim must fail reconstruction.
+    # The forgery claims rho = |other><other| with rows = base and U = I.
+    # A certificate that carried its own projectors next to the rows could
+    # rebuild rho from the projectors and pass, which would certify other
+    # as LU-equivalent to base.  rho is rebuilt from the rows alone, so the
+    # claim must fail reconstruction.
     rng = np.random.default_rng(30)
     base, other = haar_state(8, rng), haar_state(8, rng)
     eye = np.broadcast_to(ID2, (1, 3, 2, 2))
     with pytest.raises(TypeError):
-        SpinEnsemble(np.array([1.0]), eye, bases=projector(other)[None],
-                     base_vectors=base[None])
-    forged = ClassCertificate(base, SpinEnsemble(np.array([1.0]), eye, base[None]))
+        SpinEnsemble(eye, bases=projector(other)[None], rows=base[None])
+    forged = ClassCertificate(base, SpinEnsemble(eye, base[None]))
     rep = verify_certificate(forged, projector(other))
     assert not rep.passed
     assert rep.reconstruction_error > 0.1
@@ -491,15 +491,16 @@ def test_forged_certificate_fails():
 
 def _as_batch_of_one(cert):
     ens = cert.ensemble
-    return ClassCertificate(cert.base_state[None], SpinEnsemble(
-        ens.weights[None], ens.rotations[None], ens.base_vectors[None]))
+    return ClassCertificate(cert.base_state[None],
+                            SpinEnsemble(ens.rotations[None], ens.rows[None]))
 
 
 def test_nan_base_state_certificate_fails():
     # NaN compares false against every tolerance, so a NaN base state
     # must be caught by the normalization check, not pass verification;
     # a single certificate is a batch of one, so it fails with the report
-    # its batch item gets (repr: NaN fields compare unequal)
+    # its batch item gets (repr: NaN fields compare unequal).  NaN rows
+    # fail the trace rule, so no such ensemble can be built.
     rng = np.random.default_rng(31)
     spin = haar_state(8, rng)
     state = compose(haar_state(27, rng), spin)
@@ -507,16 +508,14 @@ def test_nan_base_state_certificate_fails():
     rho = boost_pure(state, sc).spin_density()
     honest = composite_spin_ensemble(state, sc)
     assert verify_certificate(ClassCertificate(spin, honest), rho).passed
-    nan_term = SpinEnsemble(
-        honest.weights, honest.rotations, np.full_like(honest.base_vectors, np.nan)
-    )
-    for cert in (ClassCertificate(np.full(8, np.nan), honest),
-                 ClassCertificate(spin, nan_term)):  # rotated terms not normalized
-        alone = verify_certificate(cert, rho)
-        assert not alone.passed
-        assert alone.failing_terms == tuple(range(honest.weights.size))
-        assert repr([alone]) == repr(verify_certificate(_as_batch_of_one(cert),
-                                                        rho[None]))
+    with pytest.raises(ValidationError):
+        SpinEnsemble(honest.rotations, np.full_like(honest.rows, np.nan))
+    cert = ClassCertificate(np.full(8, np.nan), honest)
+    alone = verify_certificate(cert, rho)
+    assert not alone.passed
+    assert alone.failing_terms == tuple(range(len(honest.rows)))
+    assert repr([alone]) == repr(verify_certificate(_as_batch_of_one(cert),
+                                                    rho[None]))
 
 
 def test_single_qubit_spectra_match_eigensolver():
@@ -541,7 +540,7 @@ def test_single_qubit_spectra_match_eigensolver():
 
 
 def _single_term_certificate(base, factors, base_vector):
-    ens = SpinEnsemble(np.array([1.0]), np.array(factors)[None], base_vector[None])
+    ens = SpinEnsemble(np.array(factors)[None], base_vector[None])
     return ClassCertificate(base, ens), ens.mix()
 
 
@@ -572,7 +571,7 @@ def _one_factor_certificates(f):
     rotations = np.tile(ID2.astype(complex), (n, 1, 3, 1, 1))
     rotations[:, 0, 0] = f
     base = np.tile(np.eye(8, dtype=complex)[0], (n, 1))
-    ens = SpinEnsemble(np.ones((n, 1)), rotations, base[:, None])
+    ens = SpinEnsemble(rotations, base[:, None])
     return verify_certificate(ClassCertificate(base, ens), ens.mix())
 
 
@@ -599,7 +598,7 @@ def test_nan_factor_fails_its_term():
 
 
 def test_certificate_rejects_lu_equivalent_base_vector():
-    # base_vectors[0] = (X (x) I (x) I) base shares every LU invariant with
+    # rows[0] = (X (x) I (x) I) base shares every LU invariant with
     # base but is a different state, so the certificate proves nothing.
     rng = np.random.default_rng(33)
     base = haar_state(8, rng)
@@ -609,7 +608,7 @@ def test_certificate_rejects_lu_equivalent_base_vector():
     assert not rep.passed
     assert rep.max_base_deviation > 0.1
     assert max(rep.max_spectrum_deviation, rep.max_tangle_deviation) < 1e-12
-    # ... while a global phase on the base vector is fine
+    # ... while a global phase on the row is fine
     cert, rho = _single_term_certificate(base, [ID2, ID2, ID2], np.exp(0.3j) * base)
     assert verify_certificate(cert, rho).passed
 
@@ -678,25 +677,21 @@ def _mixed_batch(rng):
 def test_batched_certificates_equal_per_item_bit_for_bit():
     # the builder keeps every ket that carries amplitude in any item; an
     # item's own kets are its single certificate's terms, bit for bit, and
-    # the others are exact-zero padding, so mix() and every report equal
+    # the others are zero padding rows, so mix() and every report equal
     # the item's batch-of-one results bit for bit
     spins, vectors, rotations, rhos, scenarios = _mixed_batch(np.random.default_rng(40))
     for n, union in ((2, 7), (4, 27)):  # permutation + product: 6 + 1 kets
-        batched = boost._spin_ensembles(vectors[:n], rotations[:n])
-        assert batched.weights.shape == (n, union)
+        batched = boost.boosted_spin_terms(vectors[:n], rotations[:n])
+        assert batched.rows.shape == (n, union, 8)
         mixes = batched.mix()
         reports = verify_certificate(ClassCertificate(spins[:n], batched), rhos[:n])
         assert isinstance(reports, list) and len(reports) == n
         for t in range(n):
             single = composite_spin_ensemble(CompositeState(vectors[t]), scenarios[t])
-            live = batched.weights[t] > 0.0
-            assert live.sum() == single.weights.size == (6, 1, 27, 27)[t]
-            np.testing.assert_array_equal(batched.weights[t][live], single.weights)
+            live = np.any(batched.rows[t] != 0.0, axis=-1)
+            assert live.sum() == len(single.rows) == (6, 1, 27, 27)[t]
+            np.testing.assert_array_equal(batched.rows[t][live], single.rows)
             np.testing.assert_array_equal(batched.rotations[t][live], single.rotations)
-            np.testing.assert_array_equal(batched.base_vectors[t][live],
-                                          single.base_vectors)
-            assert np.all(batched.weights[t][~live] == 0.0)
-            assert np.all(batched.base_vectors[t][~live] == 0.0)
             np.testing.assert_array_equal(mixes[t], single.mix())
             alone = verify_certificate(ClassCertificate(spins[t], single), rhos[t])
             assert isinstance(alone, classcheck.CertificateReport) and alone.passed
@@ -704,31 +699,31 @@ def test_batched_certificates_equal_per_item_bit_for_bit():
 
 
 def test_batched_verification_fails_only_broken_items():
-    # one vectorized pass over six certificates: a forgery (base vectors
-    # = base, U = I, claiming |other><other|), a NaN base state, a wrong
-    # rho and a NaN in a zero-weight padding term each fail their own
-    # item; the two honest items pass with their single reports
+    # one vectorized pass over six certificates: a forgery (rows = base,
+    # U = I, claiming |other><other|), a NaN base state, a wrong rho and a
+    # NaN factor on a zero padding row each fail their own item; the two
+    # honest items pass with their single reports
     rng = np.random.default_rng(41)
     spins = haar_state(8, rng, (4,))
     vectors = np.array([compose(haar_state(27, rng), s).vector for s in spins])
     deltas = rng.uniform(0.0, math.pi / 2, 4)
     rotations = spin_rotations(ROTATION_AXES, deltas)
-    honest = boost._spin_ensembles(vectors, rotations)
+    honest = boost.boosted_spin_terms(vectors, rotations)
     rhos = np.array([
         boost_pure(CompositeState(v), BoostScenario(d)).spin_density()
         for v, d in zip(vectors, deltas)
     ])
     base, other, lone = haar_state(8, rng, (3,))
     eye = np.broadcast_to(ID2, (27, 3, 2, 2))
-    padded_w = np.eye(27)[0]
+    nan_pad = eye.copy()
+    nan_pad[5, 0, 0, 0] = np.nan
     forged_v = np.zeros((27, 8), dtype=np.complex128)
     forged_v[0] = base
-    nan_pad = forged_v.copy()
-    nan_pad[0], nan_pad[5] = lone, np.nan
+    lone_v = forged_v.copy()
+    lone_v[0] = lone
     ens = SpinEnsemble(
-        np.concatenate([honest.weights, [padded_w, padded_w]]),
-        np.concatenate([honest.rotations, [eye, eye]]),
-        np.concatenate([honest.base_vectors, [forged_v, nan_pad]]),
+        np.concatenate([honest.rotations, [eye, nan_pad]]),
+        np.concatenate([honest.rows, [forged_v, lone_v]]),
     )
     bases = np.stack([spins[0], spins[1], np.full(8, np.nan), spins[3], base, lone])
     rho_in = np.concatenate([rhos, [projector(other), projector(lone)]])
@@ -736,20 +731,40 @@ def test_batched_verification_fails_only_broken_items():
     reports = verify_certificate(ClassCertificate(bases, ens), rho_in)
     assert [r.passed for r in reports] == [True, True, False, False, False, False]
     for t in (0, 1):
-        single = SpinEnsemble(honest.weights[t], honest.rotations[t],
-                              honest.base_vectors[t])
+        single = SpinEnsemble(honest.rotations[t], honest.rows[t])
         assert reports[t] == verify_certificate(ClassCertificate(spins[t], single),
                                                 rhos[t])
     assert reports[2].failing_terms == tuple(range(27))  # NaN base state
     assert math.isnan(reports[2].max_base_deviation)
     alone = verify_certificate(ClassCertificate(bases[2], SpinEnsemble(
-        honest.weights[2], honest.rotations[2], honest.base_vectors[2])), rhos[2])
+        honest.rotations[2], honest.rows[2])), rhos[2])
     assert not alone.passed  # ... and alone fails with the same report
     assert repr(alone) == repr(reports[2])  # repr: NaN fields compare unequal
     assert reports[3].reconstruction_error > 0.1 and not reports[3].failing_terms
     assert reports[4].reconstruction_error > 0.1 and not reports[4].failing_terms
-    assert math.isnan(reports[5].reconstruction_error)  # 0 * NaN in mix()
+    assert math.isnan(reports[5].reconstruction_error)  # NaN * 0 in mix()
     assert not reports[5].failing_terms  # padding is not a checked term
+
+
+
+def test_swept_certificate_shares_rows_across_angles():
+    # one Haar product state under a sweep of G angles: the builder gives
+    # one (K, 8) set of rows and (G, K, 3, 2, 2) rotations, and every
+    # angle's mixture and report equal its single-angle certificate's
+    rng = np.random.default_rng(42)
+    spin = haar_state(8, rng)
+    state = compose(haar_state(27, rng), spin)
+    deltas = rng.uniform(0.0, math.pi / 2, 5)
+    swept = boost.boosted_spin_terms(state, spin_rotations(ROTATION_AXES, deltas))
+    assert swept.rows.shape == (27, 8) and swept.rotations.shape == (5, 27, 3, 2, 2)
+    mixes = swept.mix()
+    reports = verify_certificate(ClassCertificate(np.tile(spin, (5, 1)), swept), mixes)
+    for g, delta in enumerate(deltas):
+        single = composite_spin_ensemble(state, BoostScenario(delta))
+        rho = single.mix()
+        np.testing.assert_array_equal(mixes[g], rho)
+        alone = verify_certificate(ClassCertificate(spin, single), rho)
+        assert alone.passed and reports[g] == alone
 
 
 def _condition2_reference(trials, seed):
@@ -790,8 +805,8 @@ def test_condition2_suite_builds_and_verifies_once_per_chunk(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(classcheck, "_spin_ensembles",
-                        counted("build", classcheck._spin_ensembles))
+    monkeypatch.setattr(classcheck, "boosted_spin_terms",
+                        counted("build", classcheck.boosted_spin_terms))
     monkeypatch.setattr(classcheck, "verify_certificate",
                         counted("verify", classcheck.verify_certificate))
     assert condition2_suite()[0]

@@ -242,7 +242,9 @@ def test_scan_fig2_surface_matches_closed_form(variant, capsys):
         values = np.array(
             [
                 witness_from_amplitudes(
-                    boosted_spin_terms(compose(momentum, ghz_alpha(alpha)), rotations),
+                    boosted_spin_terms(
+                        compose(momentum, ghz_alpha(alpha)), rotations
+                    ).terms(),
                     variant.replace("-", "_"),
                 )
                 for alpha in alphas
@@ -674,6 +676,20 @@ def test_failed_boost_keeps_existing_out(tmp_path, capsys):
     assert code == 2 and "/nonexistent/y.json" in err
     assert dst.read_bytes() == b"earlier output\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["o.json", "s.json"]
+
+
+@pytest.mark.parametrize("spin_out", ["f.json", "./f.json", "{tmp}/f.json"])
+def test_boost_outputs_naming_one_file_are_bad_input(spin_out, tmp_path,
+                                                     monkeypatch, capsys):
+    # --out and --spin-out resolving to one file would keep only the spin
+    # matrix; the boost stops with exit 2 before it writes anything
+    monkeypatch.chdir(tmp_path)
+    write_state(compose(antisymmetric_momentum(), ghz_state()), "s.json")
+    code, out, err = run(["boost", "s.json", "--delta", "0.3", "--out", "f.json",
+                          "--spin-out", spin_out.format(tmp=tmp_path)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot write ") and "f.json" in err
+    assert [p.name for p in tmp_path.iterdir()] == ["s.json"]
 
 
 def test_write_state_bytes_are_json_dumps(tmp_path):

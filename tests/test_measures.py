@@ -435,7 +435,7 @@ def test_witness_from_amplitudes_matches_density_route():
         for alpha in rng.uniform(0.0, math.pi, 4):
             spin = ghz_alpha(alpha)
             state = compose(permutation_momentum(coeffs), spin)
-            chi = boosted_spin_terms(state, rotations)
+            chi = boosted_spin_terms(state, rotations).terms()
             for variant in ("symmetric", "as_printed"):
                 batched = witness_from_amplitudes(chi, variant)
                 assert batched.shape == deltas.shape

@@ -180,12 +180,10 @@ def test_every_spin_density_is_the_one_mixture_kernel():
     coeffs, spin, sc = antisymmetric_coeffs(), haar_vec(8, rng), BoostScenario(0.7)
     terms = boosted_spin_terms(
         compose(permutation_momentum(coeffs), spin), sc.rotations()
-    )
+    ).terms()
     assert np.array_equal(boosted_spin_density_fast(coeffs, spin, sc), mixture(terms))
     ens = boost.composite_spin_ensemble(comp, sc)
-    assert np.array_equal(
-        ens.mix(), mixture(np.sqrt(ens.weights)[..., None] * ens.amplitudes())
-    )
+    assert np.array_equal(ens.mix(), mixture(ens.terms()))
     # sample_biseparable's draws, replayed: weights, per-term cuts, terms
     draws = np.random.default_rng(5)
     weights = draws.dirichlet(np.ones(4))
