@@ -312,11 +312,11 @@ def verify_certificate(
     (a) the terms must reconstruct `rho` within `reconstruction_atol`
     (Frobenius); (b) every term chi_k = U_k m_k must be a local unitary
     applied to a multiple of the base state: each of its three 2x2
-    factors f unitary (||f f^H - I||_F), and its base vector m_k / |m_k|
-    equal to base_state up to a global phase, all within ATOL_ALGEBRA;
-    (c) every term's rotated pure state U_k m_k / |m_k| must share the
-    base state's LU invariants: single-qubit reduction spectra and
-    three-tangle within `invariant_atol`.  (b) is what proves LU
+    factors f unitary (||f f^H - I||_F), and m_k / |m_k| equal to the ray
+    base_state / |base_state| up to a global phase, all within
+    ATOL_ALGEBRA; (c) every term's rotated pure state U_k m_k / |m_k| must
+    share the base state's LU invariants: single-qubit reduction spectra
+    and three-tangle within `invariant_atol`.  (b) is what proves LU
     equivalence; (c) follows from it and is checked and reported as well.
 
     Batches of base_state (..., 8), ensemble and rho (..., 8, 8) are
@@ -346,6 +346,9 @@ def verify_certificate(
     e22 = np.abs(c)**2 + np.abs(d)**2 - 1.0
     e12 = a * c.conj() + b * d.conj()
     unitarity = np.sqrt(e11**2 + e22**2 + 2.0 * np.abs(e12)**2).max(axis=-1)
+    norm = row_norms(base)  # the unit rule accepted |base|: check against the ray
+    base_ok = _is_unit(norm**2)
+    base = base / np.where(norm > 0.0, norm, 1.0)[..., None]
     # one dot product per term, so no term's value depends on the others
     overlap = (base_vectors[..., None, :] @ base.conj()[..., None, :, None])[..., 0, 0]
     phase = np.exp(1j * np.angle(overlap))
@@ -358,7 +361,6 @@ def verify_certificate(
     spec_dev = spec_dev.max(axis=(-2, -1))
     tangle_dev = np.abs(_three_tangle_unchecked(psi)
                         - _three_tangle_unchecked(base)[..., None])
-    base_ok = _is_unit(row_norms(base) ** 2)
     live = w > 0.0
     good = (
         (spec_dev <= invariant_atol)

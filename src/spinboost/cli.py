@@ -68,13 +68,14 @@ SUITES = {
     "condition2": condition2_suite,
     "soundness": soundness_suite,
 }
+# Amplitudes per block of fig2 alpha rows (128 KB of complex128): a whole
+# grid at once is slower than row by row, and larger blocks raise peak RSS.
+FIG2_BLOCK = 2**13
 
 
 def _fmt(x: float) -> str:
     """12-significant-digit decimal rendering (stable across runs)."""
-    if x == 0.0:
-        x = 0.0  # normalize -0.0
-    return format(float(x), ".12g")
+    return format(float(x) + 0.0, ".12g")  # + 0.0 prints -0.0 as 0
 
 
 def _momentum_coeffs(spec: str) -> np.ndarray:
@@ -93,14 +94,6 @@ def _momentum_coeffs(spec: str) -> np.ndarray:
     return np.asarray(parts, dtype=np.complex128)
 
 
-def _write_lines(lines, out: str | None) -> None:
-    text = "\n".join(lines) + "\n"
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        write_output((out, text))
-
-
 def cmd_wigner(args) -> int:
     delta = BoostScenario.from_speeds(args.observer_speed, args.particle_speed).delta
     print(f"delta_rad {_fmt(delta)}")
@@ -115,11 +108,11 @@ def _sweep_rotations(grid: int) -> tuple[list[str], np.ndarray]:
     return [f"{d:.12g}" for d in deltas.tolist()], rotations
 
 
-def _scan_fig2(args, grid: int) -> list[str]:
+def _scan_fig2(args, grid: int) -> str:
     # The boosted spin terms are linear in the spin state and
     # ghz_alpha(alpha) = sin(alpha)|uuu> + cos(alpha)|ddd>, so the terms of
-    # |uuu> and |ddd> are built once per scan, (grid, K, 8) each; every
-    # alpha row combines them and takes the witness directly.
+    # |uuu> and |ddd> are built once per scan, (grid, K, 8) each; each block
+    # of alpha rows combines them and takes the witness directly.
     momentum = permutation_momentum(_momentum_coeffs(args.momentum))
     alphas = (
         [args.alpha] if args.alpha is not None else np.linspace(0.0, math.pi, grid)
@@ -129,22 +122,26 @@ def _scan_fig2(args, grid: int) -> list[str]:
         boosted_spin_terms(compose(momentum, basis), rotations).terms()
         for basis in np.eye(SPIN_DIM)[[0, 7]]
     )
+    spins = np.array([ghz_alpha(alpha) for alpha in alphas])[:, :, None, None, None]
     variant = (args.variant or "symmetric").replace("-", "_")
-    lines = ["alpha,delta,witness,gme_bound"]
-    for alpha in alphas:
-        spin = ghz_alpha(alpha)
-        chi = spin[0] * up + spin[7] * down
-        values = witness_from_amplitudes(chi, variant)
-        bounds = witness_from_amplitudes(chi) if variant != "symmetric" else values
-        # + 0.0 prints -0.0 as 0; fmax, like max(0.0, x), maps NaN to 0
-        bounds = np.fmax(bounds, 0.0) + 0.0
-        rows = zip(deltas, (values + 0.0).tolist(), bounds.tolist())
-        head = _fmt(alpha)
-        lines.extend(f"{head},{d},{v:.12g},{b:.12g}" for d, v, b in rows)
-    return lines
+    values = {v: np.empty((len(alphas), grid)) for v in (variant, "symmetric")}
+    step = max(1, FIG2_BLOCK // up.size)
+    for start in range(0, len(alphas), step):
+        rows = slice(start, start + step)
+        chi = spins[rows, 0] * up + spins[rows, 7] * down  # (rows, grid, K, 8)
+        for v, out in values.items():
+            out[rows] = witness_from_amplitudes(chi, v)
+    # the bound is the symmetric value; + 0.0 prints -0.0 as 0, and fmax,
+    # like max(0.0, x), maps NaN to 0
+    fields = [None] * (3 * len(alphas) * grid)
+    fields[0::3] = [head for head in map(_fmt, alphas) for _ in deltas]
+    fields[1::3] = (values[variant] + 0.0).ravel().tolist()
+    fields[2::3] = (np.fmax(values["symmetric"], 0.0) + 0.0).ravel().tolist()
+    row = "".join(f"%s,{d},%.12g,%.12g\n" for d in deltas)  # deltas baked in
+    return "alpha,delta,witness,gme_bound\n" + (row * len(alphas)) % tuple(fields)
 
 
-def _scan_fig3(args, grid: int) -> list[str]:
+def _scan_fig3(args, grid: int) -> str:
     momentum = permutation_momentum(_momentum_coeffs(args.momentum))
     if args.spin == "w":
         spin = w_state()
@@ -155,13 +152,9 @@ def _scan_fig3(args, grid: int) -> list[str]:
     catalog = "; ".join(f"{name}={spec}" for name, spec in FIG3_CATALOG)
     boosted = boosted_amplitudes(state, rotations)
     values = m_concurrences_pure(boosted, [spec for _, spec in FIG3_CATALOG])
-    lines = [f"# partitions: {catalog}", "delta,partition,m_concurrence"]
-    for delta, row in zip(deltas, (np.stack(values, axis=1) + 0.0).tolist()):
-        lines.extend(
-            f"{delta},{name},{value:.12g}"
-            for (name, _), value in zip(FIG3_CATALOG, row)
-        )
-    return lines
+    rows = "".join(f"{d},{name},%.12g\n" for d in deltas for name, _ in FIG3_CATALOG)
+    head = f"# partitions: {catalog}\ndelta,partition,m_concurrence\n"
+    return head + rows % tuple((np.stack(values, axis=1) + 0.0).ravel().tolist())
 
 
 def cmd_scan(args) -> int:
@@ -175,8 +168,11 @@ def cmd_scan(args) -> int:
         raise InputError("--variant does not apply to fig3, which has no witness")
     if args.spin == "w" and args.alpha is not None:
         raise InputError("--alpha does not apply to --spin w")
-    scan = _scan_fig2 if args.figure == "fig2" else _scan_fig3
-    _write_lines(scan(args, grid), args.out)
+    text = (_scan_fig2 if args.figure == "fig2" else _scan_fig3)(args, grid)
+    if args.out is None:
+        sys.stdout.write(text)
+    else:
+        write_output((args.out, text))
     return 0
 
 

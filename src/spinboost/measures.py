@@ -56,7 +56,7 @@ from .constants import (
     SPIN_DIMS,
 )
 from .errors import InputError, NumericError, ShapeError
-from .linalg import kron, require_density
+from .linalg import kron, require_density, row_norms
 from .states import CompositeState, PartitionSpec, _state_rows
 
 WITNESS_PATHS = ("matrix_elements", "pauli_settings")
@@ -252,12 +252,14 @@ def m_concurrences_pure(
     partition; invariant under per-factor unitaries.
 
     `state` is a CompositeState or amplitudes of shape (..., N), a batch
-    of states; every row must be normalized.  Returns one value per
-    partition: a float for a single state, an array of shape (...) for a
-    batch.
+    of states; every row must pass the unit rule and is measured as the
+    ray it spans.  Returns one value per partition: a float for a single
+    state, an array of shape (...) for a batch.
     """
     vec, dims = _batch_of_states(state, dims)
     tensor = vec.reshape((-1,) + dims)
+    # purities of the ray psi/|psi|, as the unit rule lets |psi|^2 miss 1
+    norm4 = (row_norms(vec).reshape(-1) ** 2) ** 2
     scratch = np.empty((3, tensor.size), dtype=np.complex128)
     purities, values = {}, []
     for spec in partitions:
@@ -270,7 +272,7 @@ def m_concurrences_pure(
             purities[keep] = _subset_purities(tensor, keep, scratch)
         m = spec.num_parts
         total = 2**m - 2
-        acc = 2.0 * sum(purities[keep] for keep in cuts)
+        acc = 2.0 * sum(purities[keep] for keep in cuts) / norm4
         value = 2.0 ** (1.0 - m / 2.0) * _sqrt_radicand(total - acc, total)
         values.append(_unbatch(value, vec.shape[:-1]))
     return values

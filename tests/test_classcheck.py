@@ -14,6 +14,7 @@ from spinboost import (
     ShapeError,
     SpinEnsemble,
     ValidationError,
+    antisymmetric_coeffs,
     check_condition1,
     compose,
     composite_spin_ensemble,
@@ -269,6 +270,19 @@ def test_condition1_passes_for_known_states():
         assert rep.failing_trials == ()
 
 
+# |psi|^2 the unit rule accepts, at and well inside its ATOL_PHYSICS edge
+EDGE_NORMS = (1 + 0.9e-9, 1 - 0.9e-9, 1 + 1e-11, 1 - 1e-11)
+
+
+@pytest.mark.parametrize("norm2", EDGE_NORMS)
+def test_condition1_passes_at_edge_norms(norm2):
+    rng = np.random.default_rng(42)
+    spins = np.stack([ghz_state(), w_state(), np.eye(8)[0], haar_state(8, rng)])
+    for rep in check_condition1(math.sqrt(norm2) * spins, (2, 2, 2), 50, 3):
+        assert rep.passed
+        assert max(rep.max_tangle_deviation, rep.max_concurrence_deviation) < 1e-12
+
+
 def test_condition1_rejects_fewer_than_one_trial():
     # zero trials would pass vacuously
     for trials in (0, -3):
@@ -447,6 +461,39 @@ def test_certificate_verifies_boosted_reduction():
     assert rep.max_tangle_deviation < 1e-12
     assert rep.max_unitarity_error < 1e-13
     assert rep.max_base_deviation < 1e-13
+
+
+@pytest.mark.parametrize("norm2", EDGE_NORMS)
+def test_certificate_passes_at_edge_norms(norm2):
+    # the terms are checked against base/|base|, so a base state the unit
+    # rule accepted verifies like a unit one
+    spin = math.sqrt(norm2) * haar_state(8, np.random.default_rng(40))
+    state = compose(permutation_momentum(antisymmetric_coeffs()), spin)
+    sc = BoostScenario.from_angle(0.7)
+    rho = boost_pure(state, sc).spin_density()
+    cert = ClassCertificate(spin, composite_spin_ensemble(state, sc))
+    rep = verify_certificate(cert, rho)
+    assert rep.passed and rep.failing_terms == ()
+    assert rep.max_base_deviation < 1e-13
+    assert max(rep.max_spectrum_deviation, rep.max_tangle_deviation) < 1e-12
+
+
+@pytest.mark.parametrize("norm2", EDGE_NORMS)
+def test_forgeries_fail_the_same_terms_at_edge_norms(norm2):
+    rng = np.random.default_rng(43)
+    base, other = haar_state(8, rng), haar_state(8, rng)
+    flipped = np.kron(np.kron(PAULI_X, ID2), ID2) @ base
+    forgeries = [  # (claimed base state, factors, row)
+        (base, [ID2, ID2, ID2], flipped),  # LU-equivalent row
+        (other, [ID2, ID2, ID2], base),  # foreign base state
+        (base, [np.diag([1.0, 0.5]), ID2, ID2], base),  # nonunitary factor
+    ]
+    for claimed, factors, row in forgeries:
+        unit = verify_certificate(*_single_term_certificate(claimed, factors, row))
+        cert, rho = _single_term_certificate(math.sqrt(norm2) * claimed, factors, row)
+        edge = verify_certificate(cert, rho)
+        assert not unit.passed and not edge.passed
+        assert edge.failing_terms == unit.failing_terms == (0,)
 
 
 def test_certificate_detects_wrong_density():

@@ -163,6 +163,48 @@ def test_scan_fig2_matches_per_point_witness(variant, capsys):
             assert abs(bound - max(0.0, symmetric)) < 1e-12
 
 
+def _fig2_row_by_row(coeffs, variant, grid, alpha=None):
+    # scan fig2 rendered one alpha row at a time, from public functions: one
+    # witness_from_amplitudes call per alpha and one f-string per cell
+    momentum = permutation_momentum(coeffs)
+    deltas = np.linspace(0.0, math.pi / 2.0, grid)
+    rotations = spin_rotations(ROTATION_AXES, deltas)
+    up, down = (boosted_spin_terms(compose(momentum, basis), rotations).terms()
+                for basis in np.eye(8)[[0, 7]])
+    lines = ["alpha,delta,witness,gme_bound"]
+    for a in [alpha] if alpha is not None else np.linspace(0.0, math.pi, grid):
+        spin = ghz_alpha(a)
+        chi = spin[0] * up + spin[7] * down
+        values = witness_from_amplitudes(chi, variant) + 0.0
+        bounds = np.fmax(witness_from_amplitudes(chi), 0.0) + 0.0
+        rows = zip(deltas.tolist(), values.tolist(), bounds.tolist())
+        lines += [f"{a:.12g},{d:.12g},{v:.12g},{b:.12g}" for d, v, b in rows]
+    return "\n".join(lines) + "\n"
+
+
+FIG2_MOMENTA = {
+    "antisymmetric": antisymmetric_coeffs(),
+    "product": np.eye(6)[0],
+    "0.6,0,0.48+0.64j,0,0,0": np.array([0.6, 0, 0.48 + 0.64j, 0, 0, 0]),
+}
+
+
+@pytest.mark.parametrize("spec", list(FIG2_MOMENTA))
+@pytest.mark.parametrize("variant", ["symmetric", "as-printed"])
+@pytest.mark.parametrize(
+    "sweep", [["--grid", "61"], ["--grid", "2"], ["--alpha", "0.3"]]
+)
+def test_scan_fig2_bytes_match_row_by_row_rendering(spec, variant, sweep, capsys):
+    # the alpha-row blocks and the one %-template per scan change no byte
+    coeffs = FIG2_MOMENTA[spec]
+    grid = int(sweep[1]) if sweep[0] == "--grid" else 61
+    alpha = float(sweep[1]) if sweep[0] == "--alpha" else None
+    code, out, _ = run(["scan", "fig2", "--momentum", spec, "--variant", variant]
+                       + sweep, capsys)
+    assert code == 0
+    assert out == _fig2_row_by_row(coeffs, variant.replace("-", "_"), grid, alpha)
+
+
 def _fig2_closed_form(alpha, delta):
     """The fig2 witness in closed form: (W_symmetric, W_as_printed).
 

@@ -188,6 +188,30 @@ def test_m_concurrence_vanishes_on_products():
     assert m_concurrence_pure(vec, bipartition((1,), 3)) > 0.9
 
 
+# |psi|^2 the unit rule accepts, at and well inside its ATOL_PHYSICS edge
+EDGE_NORMS = (1 + 0.9e-9, 1 - 0.9e-9, 1 + 1e-11, 1 - 1e-11)
+
+
+@pytest.mark.parametrize("norm2", EDGE_NORMS)
+def test_m_concurrence_measures_the_ray_at_edge_norms(norm2):
+    # Purities scale as |psi|^4; a radicand that assumed |psi| = 1 went
+    # negative (NumericError) above 1 and read about 7e-5 on products below.
+    rng = np.random.default_rng(41)
+    scale = math.sqrt(norm2)
+    qubits = rng.normal(size=(20, 3, 2)) + 1j * rng.normal(size=(20, 3, 2))
+    qubits /= np.linalg.norm(qubits, axis=-1, keepdims=True)
+    spins = np.array([np.kron(np.kron(a, b), c) for a, b, c in qubits])
+    spins = np.concatenate([np.eye(8)[:1], spins])  # |uuu> first
+    values = m_concurrences_pure(scale * spins, _all_partitions(3))
+    assert all(np.all(v == 0.0) for v in values)
+    labels = permutation_momentum(np.eye(6)[0])
+    composite = np.array([compose(labels, spin).vector for spin in spins[:5]])
+    values = m_concurrences_pure(scale * composite, [s for _, s in FIG3_CATALOG])
+    assert all(np.all(v == 0.0) for v in values)
+    ghz = m_concurrence_pure(scale * ghz_state(), singletons_partition(3))
+    assert abs(ghz - SQRT_3_2) < 1e-12
+
+
 def test_m_concurrence_two_qubit_closed_form():
     # across a single cut of two qubits the measure reduces to the
     # standard concurrence 2 |ad - bc|
