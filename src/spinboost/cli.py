@@ -31,6 +31,7 @@ from .linalg import projector, purity_unchecked
 from .measures import (
     WITNESS_PATHS,
     WITNESS_VARIANTS,
+    _gme_bound,
     _path_values,
     ghz_witness,
     m_concurrences_pure,
@@ -131,12 +132,11 @@ def _scan_fig2(args, grid: int) -> str:
         chi = spins[rows, 0] * up + spins[rows, 7] * down  # (rows, grid, K, 8)
         for v, out in values.items():
             out[rows] = witness_from_amplitudes(chi, v)
-    # the bound is the symmetric value; + 0.0 prints -0.0 as 0, and fmax,
-    # like max(0.0, x), maps NaN to 0
+    # + 0.0 prints -0.0 as 0; gme_bound always takes the symmetric value
     fields = [None] * (3 * len(alphas) * grid)
     fields[0::3] = [head for head in map(_fmt, alphas) for _ in deltas]
     fields[1::3] = (values[variant] + 0.0).ravel().tolist()
-    fields[2::3] = (np.fmax(values["symmetric"], 0.0) + 0.0).ravel().tolist()
+    fields[2::3] = _gme_bound(values["symmetric"]).ravel().tolist()
     row = "".join(f"%s,{d},%.12g,%.12g\n" for d in deltas)  # deltas baked in
     return "alpha,delta,witness,gme_bound\n" + (row * len(alphas)) % tuple(fields)
 
@@ -197,11 +197,9 @@ def cmd_witness(args) -> int:
     for v in WITNESS_VARIANTS:
         print(f"variant {v}: {_fmt(matrix[v].value)}")
     print(f"paths_max_deviation {_fmt(path_dev)}")
-    detected = matrix["symmetric"].value > 0.0
-    print(
-        "verdict: genuine multipartite entanglement "
-        + ("detected" if detected else "not detected")
-    )
+    detected = _gme_bound(matrix["symmetric"].value)  # nonzero iff positive
+    print(f"verdict: genuine multipartite entanglement "
+          f"{'detected' if detected else 'not detected'}")
     return 0
 
 

@@ -16,9 +16,9 @@ is nonpositive on every biseparable state and reaches 1 on the GHZ
 state.  Everything is measurable with nine local settings: the eight
 X/Y Pauli strings below determine Re rho07 and Im rho07, one
 computational-basis measurement determines the populations.  One kernel
-maps populations and 2|rho07| to the value for both routes; each route
-forms 2|rho07| itself, ghz_witness with math.hypot (from the matrix
-entries or the nine settings), witness_from_amplitudes with np.abs.
+maps populations and the complex 2 rho07 to the value for every route
+(matrix entries, the nine settings, amplitudes) and is the one place
+2|rho07| is formed; _gme_bound is the one GME rule, max(0, value).
 
 variant="as_printed" replaces the third pairing by sqrt(rho_44 rho_44)
 = rho_44.  It is kept for comparison but is NOT sound as a witness: for
@@ -93,10 +93,9 @@ class WitnessReport:
     population_terms: tuple[float, float, float]
 
 
-def _witness(pops, offdiag, variant: str):
-    # Populations (..., 8) and 2|rho07| (...) to the value and the three
-    # population terms.  Callers form 2|rho07|: math.hypot and np.abs can
-    # differ in the last bit, and each route keeps its own.
+def _witness(pops, coherence, variant: str):
+    # Populations (..., 8) and the complex 2 rho07 (...) to the value,
+    # 2|rho07| and the three population terms.
     if variant not in WITNESS_VARIANTS:
         raise InputError(
             f"unknown variant {variant!r}, expected one of {WITNESS_VARIANTS}"
@@ -104,7 +103,13 @@ def _witness(pops, offdiag, variant: str):
     # populations may dip an epsilon below zero on valid densities
     pops = np.maximum(pops, 0.0)
     terms = [2.0 * np.sqrt(pops[..., i] * pops[..., j]) for i, j in _POP_PAIRS[variant]]
-    return offdiag - sum(terms), terms
+    offdiag = np.abs(coherence)
+    return offdiag - sum(terms), offdiag, terms
+
+
+def _gme_bound(values):
+    # The GME rule max(0, value), elementwise; NaN and -0.0 map to +0.0.
+    return np.fmax(values, 0.0) + 0.0
 
 
 def ghz_witness(
@@ -131,23 +136,20 @@ def ghz_witness(
 
 
 def _path_values(rho, path, variants=WITNESS_VARIANTS) -> dict[str, WitnessReport]:
-    # Populations and 2|rho07| read once along `path` (one settings product
+    # Populations and 2 rho07 read once along `path` (one settings product
     # at most), then the WitnessReport of each of `variants`
     if path == "pauli_settings":
         means = np.trace(rho @ _SETTINGS, axis1=-2, axis2=-1).real
         re2 = 0.25 * sum(means[:4])  # = 2 Re rho07, summed left to right
         im2 = 0.25 * sum(means[4:8])  # = 2 Im rho07
-        pops = means[8:]
+        pops, coherence = means[8:], complex(re2, im2)
     else:
-        re2 = 2.0 * rho[0, 7].real
-        im2 = 2.0 * rho[0, 7].imag
-        pops = rho.diagonal().real
-    offdiag = math.hypot(re2, im2)  # = 2 |rho07|
+        pops, coherence = rho.diagonal().real, 2.0 * rho[0, 7]
     reports = {}
     for variant in variants:
-        value, terms = _witness(pops, offdiag, variant)
+        value, offdiag, terms = _witness(pops, coherence, variant)
         terms = tuple(float(t) for t in terms)
-        reports[variant] = WitnessReport(float(value), offdiag, terms)
+        reports[variant] = WitnessReport(float(value), float(offdiag), terms)
     return reports
 
 
@@ -163,7 +165,7 @@ def witness_from_amplitudes(psi, variant: str = "symmetric") -> np.ndarray:
     psi = np.asarray(psi, dtype=np.complex128)
     pops = np.sum(psi.real**2 + psi.imag**2, axis=-2)
     rho07 = np.sum(psi[..., 0] * psi[..., 7].conj(), axis=-1)
-    return _witness(pops, 2.0 * np.abs(rho07), variant)[0]
+    return _witness(pops, 2.0 * rho07, variant)[0]
 
 
 def gme_lower_bound(rho: np.ndarray, validate: bool = True) -> float:
@@ -171,7 +173,7 @@ def gme_lower_bound(rho: np.ndarray, validate: bool = True) -> float:
     entanglement, tight (= 1) on the GHZ state.  Uses the sound symmetric
     variant only."""
     report = ghz_witness(rho, variant="symmetric", validate=validate)
-    return max(0.0, report.value)
+    return float(_gme_bound(report.value))
 
 
 def _subset_purities(tensor: np.ndarray, keep: tuple[int, ...], scratch) -> np.ndarray:
@@ -210,12 +212,11 @@ def _sqrt_radicand(x, total: int = 0):
 
 
 def _batch_of_states(state, dims: Sequence[int] | None):
-    # Amplitudes as an array (..., N) plus the factor dims, inferred from
-    # N when not given; every row must be normalized.
-    vec = np.asarray(
-        state.vector if isinstance(state, CompositeState) else state,
-        dtype=np.complex128,
-    )
+    # Amplitudes (..., N), the factor dims (inferred from N when not given)
+    # and each row's |psi|^4, shape (...): the unit rule lets |psi|^2 miss
+    # 1, and the degree-4 measures divide by |psi|^4 to measure the ray.
+    vec = np.asarray(state.vector if isinstance(state, CompositeState) else state,
+                     dtype=np.complex128)
     if vec.ndim == 0:
         raise ShapeError("a state needs at least one amplitude axis")
     if dims is None:
@@ -228,7 +229,8 @@ def _batch_of_states(state, dims: Sequence[int] | None):
                 f"cannot infer factor dims for a state of size {vec.shape[-1]}"
             )
     dims = tuple(int(d) for d in dims)
-    return _state_rows(vec, int(np.prod(dims)), "state"), dims
+    vec = _state_rows(vec, int(np.prod(dims)), "state")
+    return vec, dims, (row_norms(vec) ** 2) ** 2
 
 
 def _unbatch(values: np.ndarray, batch_shape: tuple[int, ...]):
@@ -256,10 +258,8 @@ def m_concurrences_pure(
     ray it spans.  Returns one value per partition: a float for a single
     state, an array of shape (...) for a batch.
     """
-    vec, dims = _batch_of_states(state, dims)
+    vec, dims, norm4 = _batch_of_states(state, dims)
     tensor = vec.reshape((-1,) + dims)
-    # purities of the ray psi/|psi|, as the unit rule lets |psi|^2 miss 1
-    norm4 = (row_norms(vec).reshape(-1) ** 2) ** 2
     scratch = np.empty((3, tensor.size), dtype=np.complex128)
     purities, values = {}, []
     for spec in partitions:
@@ -272,7 +272,7 @@ def m_concurrences_pure(
             purities[keep] = _subset_purities(tensor, keep, scratch)
         m = spec.num_parts
         total = 2**m - 2
-        acc = 2.0 * sum(purities[keep] for keep in cuts) / norm4
+        acc = 2.0 * sum(purities[keep] for keep in cuts) / norm4.reshape(-1)
         value = 2.0 ** (1.0 - m / 2.0) * _sqrt_radicand(total - acc, total)
         values.append(_unbatch(value, vec.shape[:-1]))
     return values
@@ -288,11 +288,11 @@ def m_concurrence_pure(state, partition: PartitionSpec,
 def three_tangle(state):
     """Residual three-qubit tangle of pure spin states (degree-4
     polynomial invariant); 1 on GHZ, 0 on W and on any product state,
-    unchanged by local unitaries.  Takes amplitudes of shape (..., 8) and
-    returns a float for a single state, an array of shape (...) for a
-    batch."""
-    vec, _ = _batch_of_states(state, SPIN_DIMS)
-    return _unbatch(_three_tangle_unchecked(vec).ravel(), vec.shape[:-1])
+    unchanged by local unitaries.  Takes amplitudes of shape (..., 8),
+    each row measured as the ray it spans, and returns a float for a
+    single state, an array of shape (...) for a batch."""
+    vec, _, norm4 = _batch_of_states(state, SPIN_DIMS)
+    return _unbatch((_three_tangle_unchecked(vec) / norm4).ravel(), vec.shape[:-1])
 
 
 def _three_tangle_unchecked(vec: np.ndarray) -> np.ndarray:

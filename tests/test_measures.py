@@ -40,7 +40,7 @@ from spinboost.cli import FIG3_CATALOG
 from spinboost.constants import COMPOSITE_DIMS
 from spinboost.boost import boost_pure, build_boost_unitary
 from spinboost.linalg import apply_local, partial_trace, projector
-from spinboost.measures import _sqrt_radicand
+from spinboost.measures import _gme_bound, _sqrt_radicand
 from spinboost.errors import NumericError
 
 SQRT_3_2 = math.sqrt(1.5)  # singletons m-concurrence of the GHZ state
@@ -166,6 +166,23 @@ def test_gme_lower_bound_clamps_at_zero():
     val = ghz_witness(rho).value
     bound = gme_lower_bound(rho)
     assert bound == max(0.0, val)
+    for rho in (projector(ghz_state()), projector(w_state()), rho):
+        assert gme_lower_bound(rho) == _gme_bound(ghz_witness(rho).value)
+
+
+def test_gme_bound_edge_cases():
+    # the one GME rule: NaN and -0.0 give +0.0, positives pass unchanged
+    assert _gme_bound(float("nan")) == 0.0
+    zero = _gme_bound(-0.0)
+    assert zero == 0.0 and math.copysign(1.0, zero) == 1.0
+    assert _gme_bound(-1e-17) == 0.0
+    assert _gme_bound(5e-17) == 5e-17
+    assert _gme_bound(1.0) == 1.0
+    values = np.array([np.nan, -0.0, -1e-17, 5e-17, 1.0])
+    bounds = _gme_bound(values)
+    assert isinstance(bounds, np.ndarray) and bounds.shape == values.shape
+    assert bounds.tolist() == [0.0, 0.0, 0.0, 5e-17, 1.0]
+    assert not np.any(np.signbit(bounds))
 
 
 def test_m_concurrence_frozen_three_qubit_values():
@@ -210,6 +227,10 @@ def test_m_concurrence_measures_the_ray_at_edge_norms(norm2):
     assert all(np.all(v == 0.0) for v in values)
     ghz = m_concurrence_pure(scale * ghz_state(), singletons_partition(3))
     assert abs(ghz - SQRT_3_2) < 1e-12
+    # the three-tangle is degree 4 too: |psi|^4 off 1 read 1 +- 1.8e-9 on GHZ
+    assert abs(three_tangle(scale * ghz_state()) - 1.0) < 1e-12
+    assert three_tangle(scale * w_state()) == 0.0
+    assert np.all(np.abs(three_tangle(scale * spins)) < 1e-15)
 
 
 def test_m_concurrence_two_qubit_closed_form():
