@@ -40,6 +40,7 @@ inherits the conditioning of the matrix it is given.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -176,31 +177,48 @@ def gme_lower_bound(rho: np.ndarray, validate: bool = True) -> float:
     return float(_gme_bound(report.value))
 
 
-def _subset_purities(tensor: np.ndarray, keep: tuple[int, ...], scratch) -> np.ndarray:
-    # Purity of the reduction of each pure state in the batch onto `keep`:
-    # tensor has shape (B, *dims) and scratch, reused for every subset, is
-    # (3, B*N) complex, so no amplitude-sized array is allocated here.  With
-    # the cut oriented so the kept side is the smaller, the amplitudes are
-    # copied once as (B, kept, rest), conjugated, and Tr rho^2 is the
-    # squared Frobenius norm of the Gram matrix M M^H.
+def _subset_purities(tensor: np.ndarray, cuts, scratch) -> dict:
+    # Purities of each batch state's reductions onto each cut's smaller
+    # side; scratch, (3, B*N) complex, is reused, so no amplitude-sized array
+    # is allocated.  A Gram product M M^H costs about the same at any size,
+    # so one is made per root, the largest (then first) subset of dimension
+    # <= sqrt(N) holding a side, and each side inside it is a partial trace
+    # of its rho; a root depends on its side alone, so a purity is the same
+    # arithmetic in any call.  Tr rho^2 is rho's squared Frobenius norm.
     b, dims = tensor.shape[0], tensor.shape[1:]
-    n = math.prod(dims)
-    rest = tuple(i for i in range(len(dims)) if i not in keep)
-    dk = math.prod(dims[i] for i in keep)
-    if dk * dk > n:
-        keep, rest, dk = rest, keep, n // dk
-    order = keep + rest
-    mat = scratch[0].reshape(b, dk, n // dk)
-    np.copyto(mat.reshape((b,) + tuple(dims[i] for i in order)),
-              tensor.transpose((0,) + tuple(1 + i for i in order)))
-    mat_c = np.conjugate(mat, out=scratch[1].reshape(mat.shape))
-    gram = scratch[2, : b * dk * dk].reshape(b, 1, dk * dk)  # flattened per state
-    np.matmul(mat, mat_c.transpose(0, 2, 1), out=gram.reshape(b, dk, dk))
-    gram_c = np.conjugate(gram, out=scratch[1, : gram.size].reshape(gram.shape))
-    # a stacked (1, n) @ (n, 1) product runs numpy's dot, the same
-    # arithmetic as np.vdot, so a batch reproduces one-state results bit
-    # for bit (an einsum reduction would reorder the sum)
-    return (gram_c @ gram.transpose(0, 2, 1))[:, 0, 0].real
+    n, factors = math.prod(dims), range(len(dims))
+    size = {s: math.prod(dims[i] for i in s)
+            for k in factors for s in itertools.combinations(factors, k + 1)}
+    sides = {keep: keep if size[keep] ** 2 <= n else
+             tuple(i for i in factors if i not in keep) for keep in cuts}
+    roots = sorted((s for s in size if size[s] ** 2 <= n), key=lambda s: (-size[s], s))
+    root_of = {side: next(r for r in roots if set(side) <= set(r))
+               for side in set(sides.values())}
+    purities = {}
+    for root in set(root_of.values()):
+        order, dk = root + tuple(i for i in factors if i not in root), size[root]
+        mat = scratch[0].reshape(b, dk, n // dk)
+        np.copyto(mat.reshape((b,) + tuple(dims[i] for i in order)),
+                  tensor.transpose((0,) + tuple(1 + i for i in order)))
+        mat_c = np.conjugate(mat, out=scratch[1].reshape(mat.shape))
+        rho = scratch[2, : b * dk * dk].reshape(b, dk, dk)
+        np.matmul(mat, mat_c.transpose(0, 2, 1), out=rho)
+        for side in (side for side in root_of if root_of[side] == root):
+            if side == root:
+                red = rho
+            else:  # a traced factor i labels row and column alike
+                red = scratch[0, : b * size[side] ** 2]
+                np.einsum(rho.reshape((b,) + tuple(dims[i] for i in root) * 2),
+                          [..., *root, *(i + len(dims) if i in side else i for i in root)],
+                          [..., *side, *(i + len(dims) for i in side)],
+                          out=red.reshape((b,) + tuple(dims[i] for i in side) * 2))
+            flat = red.reshape(b, 1, size[side] ** 2)
+            flat_c = np.conjugate(flat, out=scratch[1, : flat.size].reshape(flat.shape))
+            # a stacked (1, n) @ (n, 1) product runs numpy's dot, the same
+            # arithmetic as np.vdot, so a batch reproduces one-state results
+            # bit for bit (an einsum reduction would reorder the sum)
+            purities[side] = (flat_c @ flat.transpose(0, 2, 1))[:, 0, 0].real
+    return {keep: purities[side] for keep, side in sides.items()}
 
 
 def _sqrt_radicand(x, total: int = 0):
@@ -249,7 +267,8 @@ def m_concurrences_pure(
     over the 2^m - 2 reductions onto proper nonempty unions of parts.  A
     pure state's reductions onto complementary unions share their purity,
     so only the 2^(m-1) - 1 unions holding factor 0 are evaluated, twice,
-    and each such union once per call, whichever partitions share it.
+    each once per call whichever partitions share it: one Gram product per
+    root union, and a partial trace of its reduction for each union inside.
     Vanishes iff the state is a product across some split of the
     partition; invariant under per-factor unitaries.
 
@@ -260,16 +279,17 @@ def m_concurrences_pure(
     """
     vec, dims, norm4 = _batch_of_states(state, dims)
     tensor = vec.reshape((-1,) + dims)
-    scratch = np.empty((3, tensor.size), dtype=np.complex128)
-    purities, values = {}, []
     for spec in partitions:
         if spec.num_factors != len(dims):
             raise ShapeError(
                 f"partition covers {spec.num_factors} factors, state has {len(dims)}"
             )
-        cuts = [keep for keep in spec.proper_subsets() if 0 in keep]
-        for keep in set(cuts) - purities.keys():
-            purities[keep] = _subset_purities(tensor, keep, scratch)
+    per_spec = [[keep for keep in spec.proper_subsets() if 0 in keep]
+                for spec in partitions]
+    scratch = np.empty((3, tensor.size), dtype=np.complex128)
+    purities = _subset_purities(tensor, set().union(*per_spec), scratch)
+    values = []
+    for spec, cuts in zip(partitions, per_spec):
         m = spec.num_parts
         total = 2**m - 2
         acc = 2.0 * sum(purities[keep] for keep in cuts) / norm4.reshape(-1)

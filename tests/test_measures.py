@@ -327,7 +327,7 @@ def test_batched_measures_match_per_row_loop():
                 assert got.shape == batch_shape
                 want = [m_concurrence_pure(row, spec, dims) for row in rows]
                 assert all(isinstance(x, float) for x in want)
-                np.testing.assert_allclose(got.ravel(), want, rtol=0, atol=1e-13)
+                assert np.array_equal(got.ravel(), want)
             if dims == (2, 2, 2):
                 got = three_tangle(batch)
                 assert got.shape == batch_shape
@@ -373,21 +373,35 @@ def _full_sum_m_concurrence(vec, spec, dims):
 
 def test_m_concurrence_complement_pairs_match_full_sum():
     # complementary reductions of a pure state share their purity, so
-    # summing one subset per complementary pair and doubling is exact
+    # summing one subset per complementary pair and doubling is exact; so
+    # is a side's purity taken from a partial trace of its root's reduction,
+    # whether all partitions are asked for at once (the catalog's sides
+    # share 13 roots) or one at a time (particle_partition() alone: its
+    # sides (0, 1), (2, 3), (4, 5) lie in roots that are no side of the
+    # call).  (2, 2, 2, 2) has pairs with dk^2 == N, and every side of
+    # (2, 3, 4) is its own root.
     rng = np.random.default_rng(19)
     boosted = boost_pure(
         compose(antisymmetric_momentum(), ghz_state()), BoostScenario.from_angle(0.9)
     )
-    composites = [haar_state(216, rng), haar_state(216, rng), boosted.vector]
-    for _, spec in FIG3_CATALOG:
-        for vec in composites:
-            ref = _full_sum_m_concurrence(vec, spec, COMPOSITE_DIMS)
-            assert abs(m_concurrence_pure(vec, spec) - ref) < 1e-13
-    spins = [haar_state(8, rng), ghz_state(), w_state(), np.eye(8)[0]]
-    for spec in _all_partitions(3):
-        for vec in spins:
-            ref = _full_sum_m_concurrence(vec, spec, (2, 2, 2))
-            assert abs(m_concurrence_pure(vec, spec) - ref) < 1e-13
+    ghz4 = np.zeros(16)
+    ghz4[[0, 15]] = math.sqrt(0.5)
+    cases = [
+        (COMPOSITE_DIMS, [spec for _, spec in FIG3_CATALOG],
+         [haar_state(216, rng), haar_state(216, rng), boosted.vector]),
+        ((2, 2, 2), _all_partitions(3),
+         [haar_state(8, rng), ghz_state(), w_state(), np.eye(8)[0]]),
+        ((2, 2, 2, 2), _all_partitions(4), [haar_state(16, rng), ghz4, np.eye(16)[5]]),
+        ((2, 3, 4), _all_partitions(3),
+         [haar_state(24, rng), haar_state(24, rng), np.eye(24)[7]]),
+    ]
+    for dims, specs, vecs in cases:
+        for vec in vecs:
+            together = m_concurrences_pure(vec, specs, dims)
+            for spec, got in zip(specs, together):
+                ref = _full_sum_m_concurrence(vec, spec, dims)
+                assert abs(got - ref) < 1e-13, (dims, spec)
+                assert abs(m_concurrence_pure(vec, spec, dims) - ref) < 1e-13, (dims, spec)
 
 
 def test_scan_fig3_matches_full_sum_on_brute_force_boost(capsys):
@@ -412,20 +426,27 @@ def test_scan_fig3_matches_full_sum_on_brute_force_boost(capsys):
 
 
 def test_m_concurrences_pure_evaluates_each_distinct_cut_once(monkeypatch):
-    # the fig3 catalog needs 38 subset purities but only 31 are distinct;
-    # the values are bit-identical in any partition order and equal the
-    # single-partition route
+    # the fig3 catalog needs 38 subset purities but only 31 are distinct,
+    # all taken in one _subset_purities call: 13 Gram products (9 roots of
+    # dimension 12, 3 of 9, 1 of 8) and a partial trace for each of the 18
+    # other sides.  The values are bit-identical in any partition order and
+    # equal the single-partition route
     rng = np.random.default_rng(23)
     batch = np.array([haar_state(216, rng) for _ in range(5)])
     specs = [spec for _, spec in FIG3_CATALOG]
-    calls = []
-    real = measures._subset_purities
-    monkeypatch.setattr(
-        measures, "_subset_purities", lambda *a: calls.append(a[1]) or real(*a)
-    )
+
+    def logged(real, log):
+        return lambda *a, **k: log.append(a) or real(*a, **k)
+
+    logs = {"_subset_purities": [], "matmul": [], "einsum": []}
+    for owner, name in ((measures, "_subset_purities"), (np, "matmul"), (np, "einsum")):
+        monkeypatch.setattr(owner, name, logged(getattr(owner, name), logs[name]))
     values = m_concurrences_pure(batch, specs)
-    assert len(calls) == len(set(calls)) == 31
-    assert all(0 in keep for keep in calls)
+    monkeypatch.undo()
+    [(_, cuts, _)] = logs["_subset_purities"]
+    assert len(cuts) == 31 and all(0 in keep for keep in cuts)
+    assert sorted(a[0].shape[1] for a in logs["matmul"]) == [8] + [9] * 3 + [12] * 9
+    assert len(logs["einsum"]) == 18
     reordered = m_concurrences_pure(batch, specs[::-1])[::-1]
     for spec, got, again in zip(specs, values, reordered):
         assert np.array_equal(got, again)
@@ -435,15 +456,16 @@ def test_m_concurrences_pure_evaluates_each_distinct_cut_once(monkeypatch):
 
 
 def test_m_concurrences_pure_allocates_scratch_once():
-    # a call allocates three amplitude-sized scratch buffers; every subset
-    # purity (kept side smaller or larger) writes only into them
+    # a call allocates three amplitude-sized scratch buffers; every root's
+    # Gram product and every partial trace writes only into them, whether
+    # the cut's side holding factor 0 is the smaller or the larger
     rng = np.random.default_rng(29)
     batch = np.array([haar_state(216, rng) for _ in range(121)])
     tensor = batch.reshape((-1,) + COMPOSITE_DIMS)
     scratch = np.empty((3, batch.size), dtype=np.complex128)
     specs = [spec for _, spec in FIG3_CATALOG]
     calls = [lambda: m_concurrences_pure(batch, specs)] + [
-        lambda keep=keep: measures._subset_purities(tensor, keep, scratch)
+        lambda keep=keep: measures._subset_purities(tensor, {keep}, scratch)
         for keep in ((0,), (0, 2, 4), (0, 1, 2, 4))
     ]
     peaks = []
