@@ -59,6 +59,8 @@ def haar_state(dim: int, rng, batch: tuple[int, ...] = ()) -> np.ndarray:
     """Haar-random pure states, shape batch + (dim,): normalized Gaussians.
     A batched call draws all real parts, then all imaginary parts, so it is
     not the stack of single calls: the suites draw their rows themselves."""
+    if dim < 1:
+        raise InputError(f"state dimension must be >= 1, got {dim}")
     rng = np.random.default_rng(rng)
     shape = tuple(batch) + (dim,)
     return _unit_rows(rng.normal(size=shape), rng.normal(size=shape))

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import sys
 
@@ -24,7 +23,7 @@ import numpy as np
 
 from .boost import boost_mixed, boost_pure, boosted_amplitudes, boosted_spin_terms
 from .classcheck import condition1_suite, condition2_suite, soundness_suite
-from .constants import SPIN_DIM, SPIN_DIMS
+from .constants import SPIN_DIM
 from .errors import InputError, NumericError, SpinboostError
 from .kinematics import ROTATION_AXES, BoostScenario, spin_rotations
 from .linalg import projector, purity_unchecked
@@ -40,7 +39,6 @@ from .measures import (
 from .states import (
     CompositeState,
     MixedState,
-    _amps_to_json,
     _state_text,
     antisymmetric_coeffs,
     bipartition,
@@ -229,8 +227,7 @@ def cmd_boost(args) -> int:
     rho = boosted.spin_density()
     outputs = [(args.out, _state_text(boosted))]
     if args.spin_out:
-        doc = {"dims": list(SPIN_DIMS), "matrix": _amps_to_json(rho)}
-        outputs.append((args.spin_out, json.dumps(doc) + "\n"))
+        outputs.append((args.spin_out, _state_text(rho)))
     write_output(*outputs)  # both files or neither
     print(f"delta_rad {_fmt(scenario.delta)}")
     print(f"spin_purity {_fmt(purity_unchecked(rho))}")

@@ -36,6 +36,9 @@ nonnegative by construction and keep an exact zero within eps^2, so the
 value stays within a few eps; witness_from_amplitudes evaluates the
 witness that way for whole sweeps.  ghz_witness on a density matrix
 inherits the conditioning of the matrix it is given.
+
+three_tangle keeps the batch axis last, so a lone state's psi_ijk are arrays,
+not numpy scalars: those round complex products differently from a batch.
 """
 
 from __future__ import annotations
@@ -306,34 +309,20 @@ def m_concurrence_pure(state, partition: PartitionSpec,
 
 
 def three_tangle(state):
-    """Residual three-qubit tangle of pure spin states (degree-4
-    polynomial invariant); 1 on GHZ, 0 on W and on any product state,
-    unchanged by local unitaries.  Takes amplitudes of shape (..., 8),
-    each row measured as the ray it spans, and returns a float for a
-    single state, an array of shape (...) for a batch."""
+    """Residual three-qubit tangle of pure spin states, 4|Det psi| with
+    Cayley's hyperdeterminant in slice form, (det(p_0 + p_1) - d_0 - d_1)^2
+    - 4 d_0 d_1 for p_k = psi_{ij k}, d_k = det p_k; 1 on GHZ, 0 on W and on
+    any product state, unchanged by local unitaries and qubit permutations.
+    Takes amplitudes (..., 8), each row measured as the ray it spans, and
+    returns a float for a single state, an array of shape (...) for a batch."""
     vec, _, norm4 = _batch_of_states(state, SPIN_DIMS)
     return _unbatch((_three_tangle_unchecked(vec) / norm4).ravel(), vec.shape[:-1])
 
 
 def _three_tangle_unchecked(vec: np.ndarray) -> np.ndarray:
     # three_tangle of amplitudes (..., 8) without the normalization check.
-    a = np.moveaxis(vec.reshape((-1, 2, 2, 2)), 0, -1)
-    d1 = (
-        a[0, 0, 0] ** 2 * a[1, 1, 1] ** 2
-        + a[0, 0, 1] ** 2 * a[1, 1, 0] ** 2
-        + a[0, 1, 0] ** 2 * a[1, 0, 1] ** 2
-        + a[1, 0, 0] ** 2 * a[0, 1, 1] ** 2
-    )
-    d2 = (
-        a[0, 0, 0] * a[1, 1, 1] * a[0, 1, 1] * a[1, 0, 0]
-        + a[0, 0, 0] * a[1, 1, 1] * a[1, 0, 1] * a[0, 1, 0]
-        + a[0, 0, 0] * a[1, 1, 1] * a[1, 1, 0] * a[0, 0, 1]
-        + a[0, 1, 1] * a[1, 0, 0] * a[1, 0, 1] * a[0, 1, 0]
-        + a[0, 1, 1] * a[1, 0, 0] * a[1, 1, 0] * a[0, 0, 1]
-        + a[1, 0, 1] * a[0, 1, 0] * a[1, 1, 0] * a[0, 0, 1]
-    )
-    d3 = (
-        a[0, 0, 0] * a[1, 1, 0] * a[1, 0, 1] * a[0, 1, 1]
-        + a[1, 1, 1] * a[0, 0, 1] * a[0, 1, 0] * a[1, 0, 0]
-    )
-    return (4.0 * np.abs(d1 - 2.0 * d2 + 4.0 * d3)).reshape(vec.shape[:-1])
+    a = np.moveaxis(vec.reshape((-1, 4, 2)), 0, -1)  # a[2i + j, k] = psi_ijk
+    d = a[0] * a[3] - a[1] * a[2]  # det p_0, det p_1
+    s = a[:, 0] + a[:, 1]  # p_0 + p_1
+    b = s[0] * s[3] - s[1] * s[2] - d[0] - d[1]
+    return (4.0 * np.abs(b * b - 4.0 * d[0] * d[1])).reshape(vec.shape[:-1])

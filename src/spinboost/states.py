@@ -12,8 +12,8 @@ and a mixed state is
 with positive weights q_i and trace sum_i q_i |psi_i|^2 equal to one.
 dims [2,2,2] with 8 amplitudes is also accepted for bare three-spin
 states, and dims [2,2,2] with an 8x8 "matrix" of [re, im] pairs for spin
-density matrices (as `boost --spin-out` writes them); both are used by
-the witness command.
+density matrices (as write_state and `boost --spin-out` write them);
+both are used by the witness command.
 """
 
 from __future__ import annotations
@@ -295,12 +295,14 @@ def _amps_from_json(raw, dim: int, where: str) -> np.ndarray:
 
 
 def _state_text(state: StateLike) -> str:
-    # The JSON text of a composite, mixed, or bare-spin state file.
+    # The JSON text of a composite, mixed, bare-spin or spin-density state file.
     if isinstance(state, CompositeState):
         doc = {"dims": list(COMPOSITE_DIMS), "amps": _amps_to_json(state.vector)}
     elif isinstance(state, MixedState):
         members = zip(state.weights.tolist(), _amps_to_json(state.vectors))
         doc = {"ensemble": [{"weight": w, "amps": amps} for w, amps in members]}
+    elif np.shape(state) == (SPIN_DIM, SPIN_DIM):  # a density; read_state validates it
+        doc = {"dims": list(SPIN_DIMS), "matrix": _amps_to_json(np.asarray(state))}
     else:
         v = _as_state_vector(state, SPIN_DIM, "spin state")
         doc = {"dims": list(SPIN_DIMS), "amps": _amps_to_json(v)}
@@ -308,7 +310,7 @@ def _state_text(state: StateLike) -> str:
 
 
 def write_state(state: StateLike, path) -> None:
-    """Serialize a composite, mixed, or bare-spin state to a JSON file."""
+    """Serialize a composite, mixed or bare-spin state or a spin density to JSON."""
     write_output((path, _state_text(state)))
 
 

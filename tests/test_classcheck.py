@@ -73,6 +73,12 @@ def test_haar_state_normalized_and_uniform_mean():
         np.testing.assert_allclose(mean_pops, 0.25, atol=0.03)
 
 
+def test_haar_state_rejects_empty_dimension():
+    for dim in (0, -1):
+        with pytest.raises(InputError, match="state dimension"):
+            haar_state(dim, np.random.default_rng(0))
+
+
 @pytest.mark.parametrize("dim", [2, 3])
 def test_haar_unitary_moments(dim):
     # dim 2 exercises the closed form, dim 3 the stacked QR

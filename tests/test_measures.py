@@ -230,7 +230,8 @@ def test_m_concurrence_measures_the_ray_at_edge_norms(norm2):
     # the three-tangle is degree 4 too: |psi|^4 off 1 read 1 +- 1.8e-9 on GHZ
     assert abs(three_tangle(scale * ghz_state()) - 1.0) < 1e-12
     assert three_tangle(scale * w_state()) == 0.0
-    assert np.all(np.abs(three_tangle(scale * spins)) < 1e-15)
+    # products have rank-one slices: the tangle reads eps^2, not eps
+    assert np.all(np.abs(three_tangle(scale * spins)) < 1e-28)
 
 
 def test_m_concurrence_two_qubit_closed_form():
@@ -290,12 +291,74 @@ def test_three_tangle_frozen_values():
 
 
 def test_three_tangle_vanishes_on_biseparable():
+    # qubit `cut` unentangled with the other two: for qubits 1 and 2 the
+    # slices psi_{ij k} have rank one and read eps^2, but qubit 3 is the
+    # slicing qubit and reads roundoff
     rng = np.random.default_rng(15)
-    for _ in range(10):
-        pair = haar_state(4, rng)
-        one = haar_state(2, rng)
-        vec = np.kron(one, pair)  # qubit 1 unentangled with 2,3
-        assert three_tangle(vec) < 1e-12
+    for cut, bound in ((0, 1e-28), (1, 1e-28), (2, 1e-14)):
+        for _ in range(10):
+            pair = haar_state(4, rng)
+            one = haar_state(2, rng)
+            vec = np.moveaxis(np.kron(one, pair).reshape(2, 2, 2), 0, cut).ravel()
+            assert three_tangle(vec) < bound
+
+
+def cayley_hyperdeterminant(a):
+    # Det psi for a[i, j, k] = psi_ijk as Cayley's 12 quartic products;
+    # entries may be arrays (a batch) or mpmath numbers
+    d1 = (
+        a[0, 0, 0] ** 2 * a[1, 1, 1] ** 2
+        + a[0, 0, 1] ** 2 * a[1, 1, 0] ** 2
+        + a[0, 1, 0] ** 2 * a[1, 0, 1] ** 2
+        + a[1, 0, 0] ** 2 * a[0, 1, 1] ** 2
+    )
+    d2 = (
+        a[0, 0, 0] * a[1, 1, 1] * a[0, 1, 1] * a[1, 0, 0]
+        + a[0, 0, 0] * a[1, 1, 1] * a[1, 0, 1] * a[0, 1, 0]
+        + a[0, 0, 0] * a[1, 1, 1] * a[1, 1, 0] * a[0, 0, 1]
+        + a[0, 1, 1] * a[1, 0, 0] * a[1, 0, 1] * a[0, 1, 0]
+        + a[0, 1, 1] * a[1, 0, 0] * a[1, 1, 0] * a[0, 0, 1]
+        + a[1, 0, 1] * a[0, 1, 0] * a[1, 1, 0] * a[0, 0, 1]
+    )
+    d3 = (
+        a[0, 0, 0] * a[1, 1, 0] * a[1, 0, 1] * a[0, 1, 1]
+        + a[1, 1, 1] * a[0, 0, 1] * a[0, 1, 0] * a[1, 0, 0]
+    )
+    return d1 - 2 * d2 + 4 * d3
+
+
+def cayley_tangle(rows):
+    # the three-tangle 4|Det psi| / |psi|^4 of rows (B, 8) from the oracle
+    det = cayley_hyperdeterminant(np.moveaxis(rows.reshape(-1, 2, 2, 2), 0, -1))
+    return 4.0 * np.abs(det) / np.sum(np.abs(rows) ** 2, axis=-1) ** 2
+
+
+def test_three_tangle_matches_cayley_polynomial():
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(24)
+    rows = np.array([haar_state(8, rng) for _ in range(200)])
+    got, want = three_tangle(rows), cayley_tangle(rows)
+    assert np.max(np.abs(got - want)) < 1e-14
+    with mpmath.workdps(50):  # exact amplitudes, 50-digit arithmetic
+        for row, kernel, oracle in zip(rows[:20], got, want):
+            a = np.array([mpmath.mpc(z.real, z.imag) for z in row.tolist()], dtype=object)
+            norm2 = sum(abs(z) ** 2 for z in a)
+            exact = 4 * abs(cayley_hyperdeterminant(a.reshape(2, 2, 2))) / norm2**2
+            assert abs(kernel - exact) < 1e-15 and abs(oracle - exact) < 1e-15
+    # single states (batch shape ()) are floats equal to their batch items
+    singles = [three_tangle(row) for row in rows[:20]]
+    assert all(isinstance(x, float) for x in singles)
+    assert np.array_equal(got[:20], singles)
+
+
+def test_three_tangle_is_qubit_permutation_invariant():
+    # the slice form singles out qubit 3, so the symmetry is not in the code
+    rng = np.random.default_rng(25)
+    states = haar_state(8, rng, (500,)).reshape(500, 2, 2, 2)
+    tau = three_tangle(states.reshape(500, 8))
+    for perm in itertools.permutations(range(3)):
+        permuted = states.transpose((0,) + tuple(1 + q for q in perm)).reshape(500, 8)
+        assert np.max(np.abs(three_tangle(permuted) - tau)) < 1e-14
 
 
 def test_three_tangle_local_unitary_invariant_and_bounded():
@@ -332,7 +395,7 @@ def test_batched_measures_match_per_row_loop():
                 got = three_tangle(batch)
                 assert got.shape == batch_shape
                 want = [three_tangle(row) for row in rows]
-                np.testing.assert_allclose(got.ravel(), want, rtol=0, atol=1e-13)
+                assert np.array_equal(got.ravel(), want)
 
 
 def test_batched_measures_reject_one_unnormalized_row():

@@ -316,6 +316,22 @@ def test_state_file_roundtrip_spin(tmp_path):
     np.testing.assert_allclose(back, w_state(), atol=0)
 
 
+def test_state_file_roundtrip_spin_density(tmp_path):
+    # write_state renders an 8x8 density as the boost --spin-out document,
+    # and read_state returns it bit for bit
+    rng = np.random.default_rng(8)
+    rho = compose(haar_vec(27, rng), haar_vec(8, rng)).spin_density()
+    path = tmp_path / "rho.json"
+    write_state(rho, path)
+    doc = {"dims": [2, 2, 2],
+           "matrix": [[[z.real, z.imag] for z in row] for row in rho.tolist()]}
+    assert path.read_text() == json.dumps(doc) + "\n"
+    back = read_state(path)
+    assert back.dtype == rho.dtype and np.array_equal(back, rho)
+    with pytest.raises(ShapeError):  # not 8x8, nor 8 amplitudes
+        write_state(np.eye(4) / 4.0, path)
+
+
 def test_state_file_diagnostics(tmp_path):
     path = tmp_path / "bad.json"
 
