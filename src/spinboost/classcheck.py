@@ -37,6 +37,7 @@ from .measures import (
     witness_from_amplitudes,
 )
 from .states import (
+    CompositeState,
     PartitionSpec,
     _mixture,
     _momentum_spin_rows,
@@ -198,16 +199,16 @@ def check_condition1(
     unitaries.
 
     Applies `trials` independent per-factor Haar rotations to each state
-    of amplitudes (..., N) and compares every invariant against the
-    unrotated state: the three-tangle (three-qubit states only) and the
-    m-concurrence for every partition (default: all partitions of the
-    factors).  `seed` is a nonnegative int or an int array of the batch
-    shape.  Each state draws its trials as consecutive rows of its own
-    default_rng(seed), so a trial index in `failing_trials` is the same
-    trial for any larger `trials`.  Chunks of CONDITION1_CHUNK trials are
-    rotated and evaluated for all states at once, so memory does not grow
-    with `trials`.  Returns one report for a single state, a list in C
-    order for a batch, each equal to the state's single call bit for bit.
+    of amplitudes (..., N), or to a CompositeState, and compares every
+    invariant against the unrotated state: the three-tangle (three-qubit
+    states only) and the m-concurrence for every partition (default: all
+    partitions of the factors).  `seed` is a nonnegative int or an int
+    array of the batch shape.  Each state draws its trials as consecutive
+    rows of its own default_rng(seed), so a trial index in `failing_trials`
+    is the same trial for any larger `trials`.  Chunks of CONDITION1_CHUNK
+    trials are rotated and evaluated for all states at once, so memory does
+    not grow with `trials`.  Returns one report for a single state, a list
+    in C order for a batch, each equal bit for bit to the state's single call.
     """
     seeds = np.asarray(seed, dtype=object)  # Python ints of any size
     if not all(isinstance(x, (int, np.integer)) and not isinstance(x, bool)
@@ -217,7 +218,8 @@ def check_condition1(
         raise InputError(f"trials must be at least 1, got {trials}")
     if any(s < 0 for s in seeds.flat):
         raise InputError(f"seed must be nonnegative, got {seed}")
-    vec = np.asarray(state, dtype=np.complex128)
+    vec = np.asarray(state.vector if isinstance(state, CompositeState) else state,
+                     dtype=np.complex128)
     dims = tuple(int(d) for d in dims)
     if vec.shape[-1:] != (math.prod(dims),):
         raise ShapeError(f"state shape {vec.shape} does not match dims {dims}")
@@ -283,16 +285,11 @@ def single_qubit_spectra(psi) -> np.ndarray:
     partial trace or eigensolver.
     """
     psi = np.asarray(psi, dtype=np.complex128)
-    batch = psi.shape[:-1]
-    t = psi.reshape(batch + (2, 2, 2))
-    # rows (qubit q up, qubit q down) against the other two qubits
-    rows = np.stack(
-        [
-            np.moveaxis(t, len(batch) + q, -3).reshape(batch + (2, 4))
-            for q in range(3)
-        ],
-        axis=-3,
-    )
+    if psi.shape[-1:] != (SPIN_DIM,):
+        raise ShapeError(f"spin amplitudes need shape (..., 8), got {psi.shape}")
+    # rows (qubit c up, qubit c down) against the other two, by _CUT_INDEX's
+    # inverse; np.take's C-contiguous copy sums a batch item like a lone state
+    rows = np.take(psi, np.argsort(_CUT_INDEX).reshape(3, 2, 4), axis=-1)
     up, down = rows[..., 0, :], rows[..., 1, :]
     a = np.sum(up.real**2 + up.imag**2, axis=-1)
     d = np.sum(down.real**2 + down.imag**2, axis=-1)

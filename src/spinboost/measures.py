@@ -14,11 +14,12 @@ so the reported value
 
 is nonpositive on every biseparable state and reaches 1 on the GHZ
 state.  Everything is measurable with nine local settings: the eight
-X/Y Pauli strings below determine Re rho07 and Im rho07, one
-computational-basis measurement determines the populations.  One kernel
-maps populations and the complex 2 rho07 to the value for every route
-(matrix entries, the nine settings, amplitudes) and is the one place
-2|rho07| is formed; _gme_bound is the one GME rule, max(0, value).
+X/Y Pauli strings below determine Re rho07 and Im rho07, and the
+computational-basis setting's outcome distribution is the populations,
+a density's diagonal on every path.  One kernel maps populations and
+the complex 2 rho07 to the value for every route (matrix entries, Pauli
+settings, amplitudes), the one place 2|rho07| is formed; _gme_bound is
+the one GME rule, max(0, value).
 
 variant="as_printed" replaces the third pairing by sqrt(rho_44 rho_44)
 = rho_44.  It is kept for comparison but is NOT sound as a witness: for
@@ -66,18 +67,16 @@ from .states import CompositeState, PartitionSpec, _state_rows
 WITNESS_PATHS = ("matrix_elements", "pauli_settings")
 WITNESS_VARIANTS = ("symmetric", "as_printed")
 
-# The nine local measurement settings as one (16, 8, 8) table of
-# observables: eight X/Y Pauli strings, signs folded in, give
-# 8 Re rho07 = <XXX> - <XYY> - <YXY> - <YYX> (rows 0-3) and
-# 8 Im rho07 = <YYY> - <XXY> - <YXX> - <XYX> (rows 4-7); one
-# computational-basis measurement gives the populations, from the
-# projectors |j><j| (rows 8-15).
+# Eight of the nine local measurement settings as one (8, 8, 8) table of
+# X/Y Pauli strings, signs folded in: 8 Re rho07 = <XXX> - <XYY> - <YXY>
+# - <YYX> (rows 0-3) and 8 Im rho07 = <YYY> - <XXY> - <YXX> - <XYX>
+# (rows 4-7).  The ninth, the computational-basis measurement, has the
+# outcome distribution rho_jj: the diagonal, read on both paths.
 _PAULI = {"X": PAULI_X, "Y": PAULI_Y}
 _SETTINGS = np.array(
     [sign * kron([_PAULI[c] for c in word]) for sign, word in zip(
         (1, -1, -1, -1, 1, -1, -1, -1),
         ("XXX", "XYY", "YXY", "YYX", "YYY", "XXY", "YXX", "XYX"))]
-    + [np.diag(e) for e in np.eye(SPIN_DIM)]
 )
 # Population index pairs in the flat spin basis: (uud, ddu), (udu, dud),
 # (duu, udd).  as_printed pairs the third as (duu, duu).
@@ -124,10 +123,10 @@ def ghz_witness(
 ) -> WitnessReport:
     """Evaluate the GHZ-type witness on an 8x8 spin density matrix.
 
-    path="matrix_elements" reads the coherence and populations straight
-    from the matrix; path="pauli_settings" reconstructs them from the
-    nine local measurement settings.  Both agree to 1e-10 on any valid
-    density matrix.
+    Both paths read the populations from the diagonal, the outcomes of the
+    computational-basis setting; path="matrix_elements" reads rho07 straight
+    from the matrix, path="pauli_settings" rebuilds it from the eight X/Y
+    Pauli settings.  Both values agree to 1e-10 on any valid density matrix.
     """
     rho = np.asarray(rho, dtype=np.complex128)
     if rho.shape != (SPIN_DIM, SPIN_DIM):
@@ -140,15 +139,12 @@ def ghz_witness(
 
 
 def _path_values(rho, path, variants=WITNESS_VARIANTS) -> dict[str, WitnessReport]:
-    # Populations and 2 rho07 read once along `path` (one settings product
-    # at most), then the WitnessReport of each of `variants`
-    if path == "pauli_settings":
+    # Populations (the diagonal) and 2 rho07 read once along `path` (one
+    # settings product at most), then the WitnessReport of each of `variants`
+    pops, coherence = rho.diagonal().real, 2.0 * rho[0, 7]
+    if path == "pauli_settings":  # 2 Re rho07 and 2 Im rho07, each summed left to right
         means = np.trace(rho @ _SETTINGS, axis1=-2, axis2=-1).real
-        re2 = 0.25 * sum(means[:4])  # = 2 Re rho07, summed left to right
-        im2 = 0.25 * sum(means[4:8])  # = 2 Im rho07
-        pops, coherence = means[8:], complex(re2, im2)
-    else:
-        pops, coherence = rho.diagonal().real, 2.0 * rho[0, 7]
+        coherence = complex(0.25 * sum(means[:4]), 0.25 * sum(means[4:]))
     reports = {}
     for variant in variants:
         value, offdiag, terms = _witness(pops, coherence, variant)
@@ -160,13 +156,15 @@ def _path_values(rho, path, variants=WITNESS_VARIANTS) -> dict[str, WitnessRepor
 def witness_from_amplitudes(psi, variant: str = "symmetric") -> np.ndarray:
     """Witness values of the mixtures sum_k |chi_k><chi_k|, batched.
 
-    `psi` holds unnormalized terms chi of shape (..., K, 8), the weights
+    `psi` holds K >= 1 unnormalized terms chi of shape (..., K, 8), the weights
     folded in (e.g. boost.SpinEnsemble.terms()); the result has shape (...).
     Populations sum_k |chi_kj|^2 and rho07 = sum_k chi_k0 conj(chi_k7)
     come straight from the amplitudes, so no 8x8 matrix is formed and the
     value keeps the conditioning described in the module docstring.
     """
     psi = np.asarray(psi, dtype=np.complex128)
+    if psi.ndim < 2 or psi.shape[-2] < 1 or psi.shape[-1] != SPIN_DIM:
+        raise ShapeError(f"witness terms need shape (..., K >= 1, 8), got {psi.shape}")
     pops = np.sum(psi.real**2 + psi.imag**2, axis=-2)
     rho07 = np.sum(psi[..., 0] * psi[..., 7].conj(), axis=-1)
     return _witness(pops, 2.0 * rho07, variant)[0]

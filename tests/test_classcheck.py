@@ -317,6 +317,12 @@ def test_condition1_rejects_non_integer_trials_and_seeds():
         check_condition1(ghz_state().reshape(2, 4), (2, 2, 2), trials=2, seed=1)
 
 
+def test_condition1_accepts_composite_state():
+    state = compose(basis_momentum((0, 1, 2)), haar_state(8, 26))
+    assert (check_condition1(state, COMPOSITE_DIMS, trials=3, seed=5)
+            == check_condition1(state.vector, COMPOSITE_DIMS, trials=3, seed=5))
+
+
 def test_condition1_reports_failures_at_impossible_tolerance():
     # at atol 1e-18 every roundoff fails a trial; the indices name trials,
     # so a shorter run reports exactly the failures among its trials
@@ -590,6 +596,19 @@ def test_single_qubit_spectra_match_eigensolver():
             w, _ = hermitian_eigen(partial_trace(projector(psi), (2, 2, 2), (q,)))
             np.testing.assert_allclose(spectra[q], w, rtol=0, atol=1e-12)
     np.testing.assert_allclose(single_qubit_spectra(ghz_state()), 0.5, atol=1e-15)
+    # every item of a batch, of any shape or stride, is its lone state's
+    # spectra bit for bit
+    big = haar_state(16, rng, (2, 3))
+    for batch in (np.array(states), haar_state(8, rng, (2, 3)), big[..., ::2],
+                  big[..., :8], big[0, 0, :8]):
+        got = single_qubit_spectra(batch)
+        assert got.shape == batch.shape[:-1] + (3, 2)
+        for index in np.ndindex(batch.shape[:-1]):
+            np.testing.assert_array_equal(got[index],
+                                          single_qubit_spectra(batch[index].copy()))
+    for bad in (np.ones(4), np.ones((2, 16))):  # only 8 amplitudes are a spin state
+        with pytest.raises(ShapeError):
+            single_qubit_spectra(bad)
 
 
 def _single_term_certificate(base, factors, base_vector):

@@ -99,9 +99,10 @@ def test_witness_paths_agree_on_random_densities():
     for _ in range(50):
         rho = random_density(8, rng, rank=int(rng.integers(1, 9)))
         for variant in ("symmetric", "as_printed"):
-            a = ghz_witness(rho, path="matrix_elements", variant=variant).value
-            b = ghz_witness(rho, path="pauli_settings", variant=variant).value
-            worst = max(worst, abs(a - b))
+            a = ghz_witness(rho, path="matrix_elements", variant=variant)
+            b = ghz_witness(rho, path="pauli_settings", variant=variant)
+            assert a.population_terms == b.population_terms  # both the diagonal
+            worst = max(worst, abs(a.value - b.value))
     assert worst < 1e-12
 
 
@@ -576,3 +577,11 @@ def test_witness_from_amplitudes_matches_density_route():
                     ref = ghz_witness(rho, variant=variant).value
                     worst = max(worst, abs(value - ref))
     assert worst < 1e-12
+
+
+def test_witness_from_amplitudes_rejects_misshaped_terms():
+    # a 1-D array, a last axis other than 8 and an empty ensemble (K = 0)
+    for bad in (np.eye(8)[0], np.ones((2, 4)), np.empty((0, 8))):
+        with pytest.raises(ShapeError):
+            witness_from_amplitudes(bad)
+    assert witness_from_amplitudes(np.empty((0, 3, 8))).shape == (0,)  # empty batch
