@@ -44,6 +44,7 @@ not numpy scalars: those round complex products differently from a batch.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -178,15 +179,21 @@ def gme_lower_bound(rho: np.ndarray, validate: bool = True) -> float:
     return float(_gme_bound(report.value))
 
 
-def _subset_purities(tensor: np.ndarray, cuts, scratch) -> dict:
-    # Purities of each batch state's reductions onto each cut's smaller
-    # side; scratch, (3, B*N) complex, is reused, so no amplitude-sized array
-    # is allocated.  A Gram product M M^H costs about the same at any size,
-    # so one is made per root, the largest (then first) subset of dimension
-    # <= sqrt(N) holding a side, and each side inside it is a partial trace
-    # of its rho; a root depends on its side alone, so a purity is the same
-    # arithmetic in any call.  Tr rho^2 is rho's squared Frobenius norm.
-    b, dims = tensor.shape[0], tensor.shape[1:]
+@functools.cache
+def _factor0_cuts(spec: PartitionSpec) -> tuple:  # a pure state's cuts, keyed by factor 0's side
+    return tuple(keep for keep in spec.proper_subsets() if 0 in keep)
+
+
+@functools.cache
+def _purity_plan(dims: tuple[int, ...], cuts: frozenset) -> tuple:
+    # _subset_purities' bookkeeping as tuples: (keep, key) pairs and, per
+    # root (the largest, then first, subset of dimension <= sqrt(N) holding
+    # a side), (axes, Gram shape, steps).  A step (src, dst, (a, d, c), key)
+    # traces d out of node src, shaped (a, d, c) * 2, into node dst: (start,
+    # stop) spans per item of the flat scratch.  A side's chain drops its
+    # root's other non-unit factors in ascending order, so a node of size s
+    # sits at [s^2, 2 s^2) of scratch[0] and, made depth first, outlives its
+    # subtree (all below s^2 / 2).
     n, factors = math.prod(dims), range(len(dims))
     size = {s: math.prod(dims[i] for i in s)
             for k in factors for s in itertools.combinations(factors, k + 1)}
@@ -195,31 +202,43 @@ def _subset_purities(tensor: np.ndarray, cuts, scratch) -> dict:
     roots = sorted((s for s in size if size[s] ** 2 <= n), key=lambda s: (-size[s], s))
     root_of = {side: next(r for r in roots if set(side) <= set(r))
                for side in set(sides.values())}
+    drops = {s: tuple(i for i in root_of[s] if i not in s and dims[i] > 1) for s in root_of}
+    plan = []
+    for root in sorted(set(root_of.values())):
+        loc = {(): (2 * n, 2 * n + size[root] ** 2)}
+        steps = [(None, loc[()], None, (root, ()))]
+        for path in sorted({d[:k] for s, d in drops.items() if root_of[s] == root
+                            for k in range(1, len(d) + 1)}):
+            a = math.prod(dims[i] for i in root if i < path[-1] and i not in path)
+            c = math.prod(dims[i] for i in root if i > path[-1])
+            loc[path] = ((a * c) ** 2, 2 * (a * c) ** 2)
+            steps.append((loc[path[:-1]], loc[path], (a, dims[path[-1]], c), (root, path)))
+        axes = (0, *(1 + i for i in sorted(factors, key=lambda i: i not in root)))
+        plan.append((axes, (size[root], n // size[root]), tuple(steps)))
+    return tuple((keep, (root_of[s], drops[s])) for keep, s in sides.items()), tuple(plan)
+
+
+def _subset_purities(tensor: np.ndarray, cuts, scratch) -> dict:
+    # Purities of each batch state's reductions onto each cut's smaller side,
+    # written only into scratch, (3, B*N) complex.  Root and chain depend on
+    # the side alone, so a purity is the same arithmetic in any call.
+    b, (keys, plan) = len(tensor), _purity_plan(tensor.shape[1:], frozenset(cuts))
+    def at(span, shape):
+        return scratch.reshape(-1)[b * span[0]: b * span[1]].reshape((b,) + shape)
     purities = {}
-    for root in set(root_of.values()):
-        order, dk = root + tuple(i for i in factors if i not in root), size[root]
-        mat = scratch[0].reshape(b, dk, n // dk)
-        np.copyto(mat.reshape((b,) + tuple(dims[i] for i in order)),
-                  tensor.transpose((0,) + tuple(1 + i for i in order)))
+    for axes, (dk, rest), steps in plan:
+        mat = scratch[0].reshape(b, dk, rest)
+        np.copyto(mat.reshape(tensor.transpose(axes).shape), tensor.transpose(axes))
         mat_c = np.conjugate(mat, out=scratch[1].reshape(mat.shape))
-        rho = scratch[2, : b * dk * dk].reshape(b, dk, dk)
-        np.matmul(mat, mat_c.transpose(0, 2, 1), out=rho)
-        for side in (side for side in root_of if root_of[side] == root):
-            if side == root:
-                red = rho
-            else:  # a traced factor i labels row and column alike
-                red = scratch[0, : b * size[side] ** 2]
-                np.einsum(rho.reshape((b,) + tuple(dims[i] for i in root) * 2),
-                          [..., *root, *(i + len(dims) if i in side else i for i in root)],
-                          [..., *side, *(i + len(dims) for i in side)],
-                          out=red.reshape((b,) + tuple(dims[i] for i in side) * 2))
-            flat = red.reshape(b, 1, size[side] ** 2)
-            flat_c = np.conjugate(flat, out=scratch[1, : flat.size].reshape(flat.shape))
-            # a stacked (1, n) @ (n, 1) product runs numpy's dot, the same
-            # arithmetic as np.vdot, so a batch reproduces one-state results
-            # bit for bit (an einsum reduction would reorder the sum)
-            purities[side] = (flat_c @ flat.transpose(0, 2, 1))[:, 0, 0].real
-    return {keep: purities[side] for keep, side in sides.items()}
+        np.matmul(mat, mat_c.transpose(0, 2, 1), out=at(steps[0][1], (dk, dk)))
+        for src, dst, adc, key in steps:
+            if src is not None:
+                np.einsum("...ijkljm->...iklm", at(src, adc * 2), out=at(dst, adc[::2] * 2))
+            # Tr rho^2: one real dot of rho's float view, numpy's dot per item
+            # for (1, n) @ (n, 1), so batch items keep their one-state bits
+            flat = at(dst, (1, dst[1] - dst[0])).view(np.float64)
+            purities[key] = (flat @ flat.transpose(0, 2, 1))[:, 0, 0]
+    return {keep: purities[key] for keep, key in keys}
 
 
 def _sqrt_radicand(x, total: int = 0):
@@ -269,7 +288,9 @@ def m_concurrences_pure(
     pure state's reductions onto complementary unions share their purity,
     so only the 2^(m-1) - 1 unions holding factor 0 are evaluated, twice,
     each once per call whichever partitions share it: one Gram product per
-    root union, and a partial trace of its reduction for each union inside.
+    root union, then partial traces of one factor each, in ascending order,
+    down to each union inside (planned once per process), and Tr rho^2 as one
+    real dot per state, so a batch item equals its one-state call bit for bit.
     Vanishes iff the state is a product across some split of the
     partition; invariant under per-factor unitaries.
 
@@ -285,8 +306,7 @@ def m_concurrences_pure(
             raise ShapeError(
                 f"partition covers {spec.num_factors} factors, state has {len(dims)}"
             )
-    per_spec = [[keep for keep in spec.proper_subsets() if 0 in keep]
-                for spec in partitions]
+    per_spec = [_factor0_cuts(spec) for spec in partitions]
     scratch = np.empty((3, tensor.size), dtype=np.complex128)
     purities = _subset_purities(tensor, set().union(*per_spec), scratch)
     values = []

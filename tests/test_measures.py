@@ -443,7 +443,10 @@ def test_m_concurrence_complement_pairs_match_full_sum():
     # share 13 roots) or one at a time (particle_partition() alone: its
     # sides (0, 1), (2, 3), (4, 5) lie in roots that are no side of the
     # call).  (2, 2, 2, 2) has pairs with dk^2 == N, and every side of
-    # (2, 3, 4) is its own root.
+    # (2, 3, 4) is its own root.  The qubit chains' roots hold four or five
+    # factors, so their trace chains run three or four deep, and the unit
+    # factors of (1,)*6 + (2, 2) sit in roots without being traced.  Each
+    # case is evaluated as one batch.
     rng = np.random.default_rng(19)
     boosted = boost_pure(
         compose(antisymmetric_momentum(), ghz_state()), BoostScenario.from_angle(0.9)
@@ -458,13 +461,18 @@ def test_m_concurrence_complement_pairs_match_full_sum():
         ((2, 2, 2, 2), _all_partitions(4), [haar_state(16, rng), ghz4, np.eye(16)[5]]),
         ((2, 3, 4), _all_partitions(3),
          [haar_state(24, rng), haar_state(24, rng), np.eye(24)[7]]),
+        ((2,) * 8, [singletons_partition(8), bipartition((0, 7), 8)],
+         [haar_state(256, rng) for _ in range(3)]),
+        ((2,) * 10, [singletons_partition(10)], [haar_state(1024, rng) for _ in range(2)]),
+        ((1,) * 6 + (2, 2), [singletons_partition(8), bipartition((0, 6), 8)],
+         [haar_state(4, rng) for _ in range(3)]),
     ]
     for dims, specs, vecs in cases:
-        for vec in vecs:
-            together = m_concurrences_pure(vec, specs, dims)
-            for spec, got in zip(specs, together):
+        together = m_concurrences_pure(np.array(vecs), specs, dims)
+        for spec, got in zip(specs, together):
+            for vec, value in zip(vecs, got):
                 ref = _full_sum_m_concurrence(vec, spec, dims)
-                assert abs(got - ref) < 1e-13, (dims, spec)
+                assert abs(value - ref) < 1e-13, (dims, spec)
                 assert abs(m_concurrence_pure(vec, spec, dims) - ref) < 1e-13, (dims, spec)
 
 
@@ -492,31 +500,72 @@ def test_scan_fig3_matches_full_sum_on_brute_force_boost(capsys):
 def test_m_concurrences_pure_evaluates_each_distinct_cut_once(monkeypatch):
     # the fig3 catalog needs 38 subset purities but only 31 are distinct,
     # all taken in one _subset_purities call: 13 Gram products (9 roots of
-    # dimension 12, 3 of 9, 1 of 8) and a partial trace for each of the 18
-    # other sides.  The values are bit-identical in any partition order and
-    # equal the single-partition route
+    # dimension 12, 3 of 9, 1 of 8) and, for the 18 other sides, 18 partial
+    # traces of one factor each (every intermediate of a chain is itself a
+    # side).  The values are bit-identical in any partition order, equal
+    # the single-partition route and, keep by keep, a call for that keep
+    # alone: a side's chain must not depend on what else the call computes
     rng = np.random.default_rng(23)
     batch = np.array([haar_state(216, rng) for _ in range(5)])
     specs = [spec for _, spec in FIG3_CATALOG]
 
     def logged(real, log):
-        return lambda *a, **k: log.append(a) or real(*a, **k)
+        return lambda *a, **k: log.append((a, k)) or real(*a, **k)
 
     logs = {"_subset_purities": [], "matmul": [], "einsum": []}
     for owner, name in ((measures, "_subset_purities"), (np, "matmul"), (np, "einsum")):
         monkeypatch.setattr(owner, name, logged(getattr(owner, name), logs[name]))
     values = m_concurrences_pure(batch, specs)
     monkeypatch.undo()
-    [(_, cuts, _)] = logs["_subset_purities"]
+    [((tensor, cuts, _), _)] = logs["_subset_purities"]
     assert len(cuts) == 31 and all(0 in keep for keep in cuts)
-    assert sorted(a[0].shape[1] for a in logs["matmul"]) == [8] + [9] * 3 + [12] * 9
+    assert sorted(a[0].shape[1] for a, _ in logs["matmul"]) == [8] + [9] * 3 + [12] * 9
     assert len(logs["einsum"]) == 18
+    assert all(a[1].ndim - k["out"].ndim == 2 for a, k in logs["einsum"])
+    scratch = np.empty((3, batch.size), dtype=np.complex128)
+    catalog = measures._subset_purities(tensor, cuts, scratch)
+    for keep in cuts:
+        alone = measures._subset_purities(tensor, {keep}, scratch)[keep]
+        assert np.array_equal(alone, catalog[keep]), keep
     reordered = m_concurrences_pure(batch, specs[::-1])[::-1]
     for spec, got, again in zip(specs, values, reordered):
         assert np.array_equal(got, again)
         assert np.array_equal(got, m_concurrence_pure(batch, spec))
     # an empty batch gives empty arrays, as three_tangle does
     assert [v.shape for v in m_concurrences_pure(batch[:0], specs)] == [(0,)] * 6
+
+
+def test_purity_plan_is_cached_and_immutable(capsys):
+    # the first scan builds the plan and the second reuses it, with the same
+    # bytes; a second catalog call builds nothing, and a cached plan holds
+    # only tuples and frozensets, so no caller can change it for the next
+    measures._purity_plan.cache_clear()
+    measures._factor0_cuts.cache_clear()
+    outputs = []
+    for _ in range(2):
+        assert cli.main(["scan", "fig3", "--spin", "w"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert measures._purity_plan.cache_info().misses == 1
+    specs = [spec for _, spec in FIG3_CATALOG]
+    batch = np.array([haar_state(216, np.random.default_rng(31))])
+    before = [f.cache_info().misses for f in (measures._purity_plan, measures._factor0_cuts)]
+    m_concurrences_pure(batch, specs)
+    after = [f.cache_info().misses for f in (measures._purity_plan, measures._factor0_cuts)]
+    assert after == before
+
+    def containers(value):
+        if isinstance(value, (tuple, frozenset)):
+            yield type(value)
+            for item in value:
+                yield from containers(item)
+        else:
+            assert value is None or isinstance(value, int), value
+
+    cuts = frozenset(keep for spec in specs for keep in measures._factor0_cuts(spec))
+    plan = measures._purity_plan(COMPOSITE_DIMS, cuts)
+    assert set(containers(plan)) <= {tuple, frozenset}
+    assert all(type(measures._factor0_cuts(spec)) is tuple for spec in specs)
 
 
 def test_m_concurrences_pure_allocates_scratch_once():
