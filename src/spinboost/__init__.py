@@ -39,8 +39,6 @@ from .kinematics import (
     BoostScenario,
     local_unitary,
     rapidity,
-    rotation_axis,
-    spin_rotation,
     spin_rotations,
     wigner_angle,
 )

@@ -133,7 +133,7 @@ def boosted_amplitudes(state, rotations: np.ndarray) -> np.ndarray:
     (..., 6, 6, 6) amplitude tensor, no 216x216 matrix.  `state` is a
     CompositeState or amplitudes of shape (..., 216), e.g. the members of
     a MixedState; `rotations` holds per-label rotations of shape
-    (..., 3, 2, 2), e.g. spin_rotations(axes, deltas) for a sweep.  The
+    (..., 3, 2, 2), e.g. spin_rotations(deltas) for a sweep.  The
     batch axes of both broadcast; the result has shape (..., 216).
     """
     if isinstance(state, CompositeState):
@@ -183,7 +183,7 @@ def boosted_spin_terms(state, rotations: np.ndarray) -> SpinEnsemble:
     a CompositeState, of every member of a MixedState, or of each item of
     amplitudes (..., 216)) and U(L_k) the product of the Wigner rotations
     of its label assignment L_k.  `rotations` holds per-label rotations of
-    shape (..., 3, 2, 2), e.g. spin_rotations(axes, deltas) for a sweep;
+    shape (..., 3, 2, 2), e.g. spin_rotations(deltas) for a sweep;
     its batch axes broadcast against the state's.  The reduced boosted
     spin density is mix() = sum_k |chi_k><chi_k|; its populations are
     sum_k |chi_kj|^2, nonnegative by construction.

@@ -28,7 +28,7 @@ import numpy as np
 from .boost import SpinEnsemble, _rotate_kets, boosted_amplitudes, boosted_spin_terms
 from .constants import ATOL_ALGEBRA, ATOL_PHYSICS, SPIN_DIM, SPIN_DIMS
 from .errors import InputError, ShapeError
-from .kinematics import ROTATION_AXES, spin_rotations
+from .kinematics import spin_rotations
 from .linalg import _is_unit, apply_local, row_norms
 from .measures import (
     _three_tangle_unchecked,
@@ -96,9 +96,9 @@ def _haar_factors(dims: Sequence[int], rngs: Sequence, trials: int) -> list[np.n
     # Haar-random factors: entry i has shape (len(rngs), trials, d_i, d_i).
     # Each generator draws one (2, sum d_i^2) row of normals per trial (real
     # then imaginary parts, factor by factor), so trial t is row t of its
-    # stream however the trials are split into calls.  Every factor of one
-    # dimension, over all generators and trials, is orthonormalized in one
-    # call: closed-form for d = 2, one stacked QR for d >= 3.
+    # stream however the trials are split into calls.  Each factor, over all
+    # generators and trials, is orthonormalized in one call: closed-form for
+    # d = 2, one stacked QR for d >= 3.
     dims = tuple(int(d) for d in dims)
     if any(d < 2 for d in dims):
         raise InputError(f"factor dimensions must be >= 2, got {dims}")
@@ -107,11 +107,7 @@ def _haar_factors(dims: Sequence[int], rngs: Sequence, trials: int) -> list[np.n
         rng.standard_normal(out=rows)
     z = gauss[:, :, 0] + 1j * gauss[:, :, 1]
     blocks = np.split(z, np.cumsum([d * d for d in dims[:-1]]), axis=-1)
-    stacks = {}
-    for d in set(dims):
-        same = [b.reshape(z.shape[:2] + (d, d)) for b, e in zip(blocks, dims) if e == d]
-        stacks[d] = iter(np.moveaxis(_haar_unitary(np.stack(same, axis=2)), 2, 0))
-    return [next(stacks[d]) for d in dims]
+    return [_haar_unitary(b.reshape(z.shape[:2] + (d, d))) for b, d in zip(blocks, dims)]
 
 
 # _CUT_INDEX[c, j]: position of natural spin index j = |s0 s1 s2> in x (x) y,
@@ -413,7 +409,7 @@ def condition2_suite(trials: int = 50, seed: int = 7) -> tuple[bool, list[str]]:
         # the Gaussians haar_state(27, rng) and then haar_state(8, rng) draw
         momenta, spins = _unit_rows(g[:, :27], g[:, 27:54]), _unit_rows(g[:, 54:62], g[:, 62:])
         vectors = _product_rows(momenta, spins)
-        rotations = spin_rotations(ROTATION_AXES, deltas)
+        rotations = spin_rotations(deltas)
         rhos = _mixture(_momentum_spin_rows(boosted_amplitudes(vectors, rotations)))
         ensembles = boosted_spin_terms(vectors, rotations)
         reports += verify_certificate(ClassCertificate(spins, ensembles), rhos)

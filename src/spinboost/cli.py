@@ -25,7 +25,7 @@ from .boost import boost_mixed, boost_pure, boosted_amplitudes, boosted_spin_ter
 from .classcheck import condition1_suite, condition2_suite, soundness_suite
 from .constants import SPIN_DIM
 from .errors import InputError, NumericError, SpinboostError
-from .kinematics import ROTATION_AXES, BoostScenario, spin_rotations
+from .kinematics import BoostScenario, spin_rotations
 from .linalg import projector, purity_unchecked
 from .measures import (
     WITNESS_PATHS,
@@ -103,7 +103,7 @@ def cmd_wigner(args) -> int:
 def _sweep_rotations(grid: int) -> tuple[list[str], np.ndarray]:
     """The swept deltas as CSV fields and their rotations, (grid, 3, 2, 2)."""
     deltas = np.linspace(0.0, math.pi / 2.0, grid)
-    rotations = spin_rotations(ROTATION_AXES, deltas)
+    rotations = spin_rotations(deltas)
     return [f"{d:.12g}" for d in deltas.tolist()], rotations
 
 

@@ -6,10 +6,9 @@ the normal to that plane (+z), so a boost is fully described by its
 Wigner angle delta.  Composing the observer boost with a particle boost
 is not a pure boost: the spin of each particle picks up a momentum-
 dependent rotation (Wigner rotation) about the axis perpendicular to
-both boosts.  ROTATION_AXES holds those axes.  For another geometry,
-pass spin_rotations(rotation_axis(b, dirs), deltas) to
-boost.boosted_amplitudes or boost.boosted_spin_terms, which take
-rotations directly."""
+both boosts.  ROTATION_AXES holds those axes, so the rotations are a
+function of delta alone: spin_rotations(deltas).  Another geometry would
+need new code here, not an argument."""
 
 from __future__ import annotations
 
@@ -19,10 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import MOMENTUM_LABELS
-from .errors import InputError, ShapeError
-from .linalg import _is_unit, kron, row_norms
-
-_AXIS_DEGENERATE = 1e-12
+from .errors import InputError
+from .linalg import kron, row_norms
 
 
 def rapidity(speed: float, name: str = "speed") -> float:
@@ -55,68 +52,33 @@ def wigner_angle(eta: float, xi: float) -> float:
     return math.atan2(math.tanh(eta) * math.tanh(xi), sech_sum)
 
 
-def rotation_axis(boost_axis: np.ndarray, momentum_dir: np.ndarray) -> np.ndarray:
-    """Unit Wigner-rotation axes normalize(boost_axis x p), one per momentum-
-    direction row p of shape (..., 3); each equals its row's call bit for bit."""
-    b = np.asarray(boost_axis, dtype=float).reshape(3)
-    p = np.asarray(momentum_dir, dtype=float)
-    if p.shape[-1:] != (3,):
-        raise ShapeError(f"momentum directions must have shape (..., 3), got {p.shape}")
-    nb, npp = np.linalg.norm(b), row_norms(p)[..., None]
-    norms = np.append(npp, nb)
-    if not np.all((_AXIS_DEGENERATE <= norms) & (norms < math.inf)):  # NaN fails
-        raise InputError("boost axis and momentum direction must be nonzero and finite")
-    axis = np.cross(b / nb, p / npp)
-    norm = row_norms(axis)[..., None]
-    if not np.all(norm >= _AXIS_DEGENERATE):
-        raise InputError(
-            "rotation axis degenerate: boost axis parallel to momentum direction"
-        )
-    return axis / norm
+# The per-label Wigner rotation axes of the fixed geometry, normalize(z x p)
+# for each momentum direction p, shape (3, 3).  Not the closed form (-sin, cos, 0), which differs in the
+# last bits and in the sign of label A's zero x-component.
+_AZIMUTHS = np.array([0.0, 2.0 * math.pi / 3.0, 4.0 * math.pi / 3.0])
+_DIRECTIONS = np.stack([np.cos(_AZIMUTHS), np.sin(_AZIMUTHS), np.zeros(3)], axis=1)
+ROTATION_AXES = np.cross([0.0, 0.0, 1.0], _DIRECTIONS)
+ROTATION_AXES /= row_norms(ROTATION_AXES)[:, None]
+ROTATION_AXES.flags.writeable = False
 
 
-def spin_rotation(axis: np.ndarray, delta: float) -> np.ndarray:
-    """SU(2) rotation by angle delta about a unit axis.
+def spin_rotations(deltas) -> np.ndarray:
+    """SU(2) rotations of the three labels by every angle in `deltas`.
 
-    U = cos(delta/2) I - i sin(delta/2) (axis . sigma); det U = 1.
+    U = cos(delta/2) I - i sin(delta/2) (n . sigma) for each row n of
+    ROTATION_AXES; det U = 1.  The result has shape deltas.shape +
+    (3, 2, 2): G angles give the (G, 3, 2, 2) per-label rotations of a
+    whole sweep.  Angles are taken as given (unchecked).
     """
-    n = np.asarray(axis, dtype=float).reshape(3)
-    if not _is_unit(n @ n):
-        raise InputError("rotation axis must be a unit vector")
-    if not math.isfinite(delta):
-        raise InputError(f"rotation angle must be finite, got {delta}")
-    return spin_rotations(n, delta)
-
-
-def spin_rotations(axes: np.ndarray, deltas) -> np.ndarray:
-    """spin_rotation for every angle in `deltas` and unit row of `axes`.
-
-    The result has shape deltas.shape + axes.shape[:-1] + (2, 2); axes of
-    shape (3, 3) and G angles give the (G, 3, 2, 2) per-label rotations of
-    a whole sweep.  Axes are taken as given (unit rows, unchecked).
-    """
-    n = np.asarray(axes, dtype=float)
-    d = np.asarray(deltas, dtype=float)
-    d = d.reshape(d.shape + (1,) * (n.ndim - 1))
+    d = np.asarray(deltas, dtype=float)[..., None]
     c, s = np.cos(d / 2.0), np.sin(d / 2.0)
-    nx, ny, nz = n[..., 0], n[..., 1], n[..., 2]
-    u = np.empty(np.broadcast_shapes(d.shape, nx.shape) + (2, 2), dtype=np.complex128)
+    nx, ny, nz = ROTATION_AXES.T
+    u = np.empty(d.shape[:-1] + (3, 2, 2), dtype=np.complex128)
     u[..., 0, 0] = c - 1j * s * nz
     u[..., 0, 1] = -1j * s * (nx - 1j * ny)
     u[..., 1, 0] = -1j * s * (nx + 1j * ny)
     u[..., 1, 1] = c + 1j * s * nz
     return u
-
-
-def default_directions() -> np.ndarray:
-    """Unit momentum directions at azimuths 0, 120, 240 degrees in the x-y plane."""
-    az = np.array([0.0, 2.0 * math.pi / 3.0, 4.0 * math.pi / 3.0])
-    return np.stack([np.cos(az), np.sin(az), np.zeros(3)], axis=1)
-
-
-# The per-label Wigner rotation axes of the fixed geometry, shape (3, 3).
-ROTATION_AXES = rotation_axis(np.array([0.0, 0.0, 1.0]), default_directions())
-ROTATION_AXES.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -147,7 +109,7 @@ class BoostScenario:
 
     def rotations(self) -> np.ndarray:
         """The rotations of all three labels, shape (3, 2, 2)."""
-        return spin_rotations(ROTATION_AXES, self.delta)
+        return spin_rotations(self.delta)
 
 
 def momentum_label_index(label: int | str) -> int:

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from spinboost import (
-    ROTATION_AXES,
     BoostScenario,
     CompositeState,
     MixedState,
@@ -248,7 +247,7 @@ def test_einsum_boost_matches_unitary_matrix():
     # one call over a (G, 3, 2, 2) sweep matches every angle's matrix
     deltas = np.linspace(0.0, math.pi / 2, 6)
     v = haar_vec(216, rng)
-    swept = boosted_amplitudes(v, spin_rotations(ROTATION_AXES, deltas))
+    swept = boosted_amplitudes(v, spin_rotations(deltas))
     assert swept.shape == (6, 216)
     for g, delta in enumerate(deltas):
         expected = build_boost_unitary(BoostScenario.from_angle(delta)).matrix @ v
@@ -265,7 +264,7 @@ def test_permutation_amplitudes_batch_matches_single_points():
     spin = haar_vec(8, rng)
     state = compose(permutation_momentum(coeffs), spin)
     deltas = np.linspace(0.0, math.pi / 2, 5)
-    chi = boosted_spin_terms(state, spin_rotations(ROTATION_AXES, deltas)).terms()
+    chi = boosted_spin_terms(state, spin_rotations(deltas)).terms()
     assert chi.shape == (5, 5, 8)
     for g, delta in enumerate(deltas):
         sc = BoostScenario.from_angle(delta)

@@ -41,7 +41,7 @@ from spinboost.classcheck import (
     soundness_suite,
 )
 from spinboost.constants import COMPOSITE_DIMS, ID2, PAULI_X
-from spinboost.kinematics import ROTATION_AXES, spin_rotations
+from spinboost.kinematics import spin_rotations
 from spinboost.linalg import (
     apply_local,
     hermitian_eigen,
@@ -142,7 +142,9 @@ def test_haar_unitary_2x2_closed_form_matches_qr():
 
 
 def test_haar_factors_3x3_are_the_stacked_qr():
-    # factors of dimension 3 still come from one stacked QR, bit for bit
+    # each dimension-3 factor is orthonormalized by its own QR call, and
+    # equals the one stacked QR of all of them bit for bit: LAPACK factors
+    # each matrix of a stack alone
     dims = COMPOSITE_DIMS
     rngs = [np.random.default_rng(7 + 1000 * i) for i in range(12)]
     factors = _haar_factors(dims, rngs, 100)
@@ -740,7 +742,7 @@ def _mixed_batch(rng):
     spins = haar_state(8, rng, (4,))
     vectors = np.array([compose(m, s).vector for m, s in zip(momenta, spins)])
     scenarios = [BoostScenario(d) for d in rng.uniform(0.0, math.pi / 2, 4)]
-    rotations = spin_rotations(ROTATION_AXES, [sc.delta for sc in scenarios])
+    rotations = spin_rotations([sc.delta for sc in scenarios])
     rhos = np.array([boost_pure(CompositeState(v), sc).spin_density()
                      for v, sc in zip(vectors, scenarios)])
     return spins, vectors, rotations, rhos, scenarios
@@ -779,7 +781,7 @@ def test_batched_verification_fails_only_broken_items():
     spins = haar_state(8, rng, (4,))
     vectors = np.array([compose(haar_state(27, rng), s).vector for s in spins])
     deltas = rng.uniform(0.0, math.pi / 2, 4)
-    rotations = spin_rotations(ROTATION_AXES, deltas)
+    rotations = spin_rotations(deltas)
     honest = boost.boosted_spin_terms(vectors, rotations)
     rhos = np.array([
         boost_pure(CompositeState(v), BoostScenario(d)).spin_density()
@@ -827,7 +829,7 @@ def test_swept_certificate_shares_rows_across_angles():
     spin = haar_state(8, rng)
     state = compose(haar_state(27, rng), spin)
     deltas = rng.uniform(0.0, math.pi / 2, 5)
-    swept = boost.boosted_spin_terms(state, spin_rotations(ROTATION_AXES, deltas))
+    swept = boost.boosted_spin_terms(state, spin_rotations(deltas))
     assert swept.rows.shape == (27, 8) and swept.rotations.shape == (5, 27, 3, 2, 2)
     mixes = swept.mix()
     reports = verify_certificate(ClassCertificate(np.tile(spin, (5, 1)), swept), mixes)

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from spinboost import (
-    ROTATION_AXES,
     BoostScenario,
     CompositeState,
     MixedState,
@@ -168,7 +167,7 @@ def _fig2_row_by_row(coeffs, variant, grid, alpha=None):
     # witness_from_amplitudes call per alpha and one f-string per cell
     momentum = permutation_momentum(coeffs)
     deltas = np.linspace(0.0, math.pi / 2.0, grid)
-    rotations = spin_rotations(ROTATION_AXES, deltas)
+    rotations = spin_rotations(deltas)
     up, down = (boosted_spin_terms(compose(momentum, basis), rotations).terms()
                 for basis in np.eye(8)[[0, 7]])
     lines = ["alpha,delta,witness,gme_bound"]
@@ -264,7 +263,7 @@ def test_scan_fig2_surface_matches_closed_form(variant, capsys):
         "product": np.eye(6)[0],
         ",".join(repr(complex(c)) for c in custom): custom,
     }
-    rotations = spin_rotations(ROTATION_AXES, deltas)
+    rotations = spin_rotations(deltas)
     for spec, coeffs in momenta.items():
         code, out, _ = run(
             ["scan", "fig2", "--momentum", spec, "--variant", variant], capsys

@@ -11,13 +11,11 @@ from spinboost import (
     ROTATION_AXES,
     BoostScenario,
     InputError,
-    ShapeError,
     rapidity,
-    rotation_axis,
-    spin_rotation,
+    spin_rotations,
     wigner_angle,
 )
-from spinboost.kinematics import default_directions, local_unitary
+from spinboost.kinematics import local_unitary
 
 # Independently computed: atan(8/15) for observer and particle speeds 0.8.
 DELTA_08 = 0.4899573262537283
@@ -79,98 +77,51 @@ def test_wigner_angle_symmetric_monotone_bounded(eta, xi):
     assert wigner_angle(eta + 0.1, xi) >= d - 1e-14
 
 
-def test_rotation_axis_orthogonal_unit():
-    rng = np.random.default_rng(5)
-    for _ in range(30):
-        b = rng.normal(size=3)
-        p = rng.normal(size=3)
-        if np.linalg.norm(np.cross(b, p)) < 1e-6:
-            continue
-        n = rotation_axis(b, p)
-        assert abs(np.linalg.norm(n) - 1.0) < 1e-12
-        assert abs(n @ b) < 1e-12 * np.linalg.norm(b)
-        assert abs(n @ p) < 1e-12 * np.linalg.norm(p)
-
-
-def test_rotation_axis_degenerate_raises():
-    z = np.array([0.0, 0.0, 1.0])
-    with pytest.raises(InputError):
-        rotation_axis(z, z)
-    with pytest.raises(InputError):
-        rotation_axis(z, -2.0 * z)
-    # NaN compares false against the degeneracy threshold; it must not pass
-    for p in ([np.nan, 0.0, 0.0], [np.inf, 0.0, 0.0]):
-        with pytest.raises(InputError):
-            rotation_axis(z, p)
-        with pytest.raises(InputError):
-            rotation_axis(p, z)
-
-
-def _rotation_axis_reference(b, p):
-    # the formula for one direction: np.linalg.norm and np.cross of vectors
-    axis = np.cross(b / np.linalg.norm(b), p / np.linalg.norm(p))
-    return axis / np.linalg.norm(axis)
+def _directions():
+    # unit momentum directions at azimuths 0, 120, 240 degrees in the x-y plane
+    az = np.array([0.0, 2.0 * math.pi / 3.0, 4.0 * math.pi / 3.0])
+    return np.stack([np.cos(az), np.sin(az), np.zeros(3)], axis=1)
 
 
 def test_rotation_axis_rows_match_single_vector_formula():
-    # a batch of directions equals the one-vector formula row by row, bit
-    # for bit, so the sweeps see the same axes as before batching
-    rng = np.random.default_rng(11)
-    b = rng.normal(size=3)
-    p = rng.normal(size=(4, 5, 3)) * rng.uniform(0.01, 100.0, size=(4, 5, 1))
-    axes = rotation_axis(b, p)
-    assert axes.shape == (4, 5, 3)
-    ref = [[_rotation_axis_reference(b, q) for q in row] for row in p]
-    np.testing.assert_array_equal(axes, ref)
+    # each row is the one-vector formula normalize(z x p) for its direction,
+    # bit for bit.  The closed form (-sin, cos, 0) is not the pin: it flips
+    # the sign of label A's zero x-component and moves label B's row by
+    # ~1e-16, and every output byte depends on these axes.
     z = np.array([0.0, 0.0, 1.0])
-    np.testing.assert_array_equal(
-        ROTATION_AXES, [_rotation_axis_reference(z, d) for d in default_directions()]
-    )
+    ref = [np.cross(z, p) / np.linalg.norm(np.cross(z, p)) for p in _directions()]
+    assert ROTATION_AXES.tobytes() == np.array(ref).tobytes()
     with pytest.raises(ValueError):  # the module constant is read-only
         ROTATION_AXES[0, 0] = 1.0
-    # one degenerate or non-finite row fails the whole batch
-    for bad in (-4.0 * b, [np.nan, 0.0, 0.0]):
-        q = p.copy()
-        q[2, 3] = bad
-        with pytest.raises(InputError):
-            rotation_axis(b, q)
-    with pytest.raises(ShapeError):
-        rotation_axis(b, np.ones((3, 2)))
+    # angles of any batch shape give that shape + (3, 2, 2), and each item
+    # equals its scalar call bit for bit
+    rng = np.random.default_rng(11)
+    for shape in ((), (7,), (4, 5)):
+        deltas = np.asarray(rng.uniform(0.0, math.pi / 2.0, size=shape))
+        u = spin_rotations(deltas)
+        assert u.shape == shape + (3, 2, 2)
+        for idx in np.ndindex(shape):
+            np.testing.assert_array_equal(u[idx], spin_rotations(float(deltas[idx])))
 
 
 def test_spin_rotation_unitary_su2():
     rng = np.random.default_rng(9)
-    for _ in range(20):
-        axis = rng.normal(size=3)
-        axis /= np.linalg.norm(axis)
-        delta = rng.uniform(0, math.pi)
-        u = spin_rotation(axis, delta)
-        np.testing.assert_allclose(u @ u.conj().T, np.eye(2), atol=1e-14)
-        assert abs(np.linalg.det(u) - 1.0) < 1e-12  # special unitary
-        # angle recovery: Tr U = 2 cos(delta/2)
-        assert abs(np.trace(u).real - 2.0 * math.cos(delta / 2.0)) < 1e-12
+    for delta in rng.uniform(0, math.pi, size=20):
+        for u in spin_rotations(delta):  # one per label
+            np.testing.assert_allclose(u @ u.conj().T, np.eye(2), atol=1e-14)
+            assert abs(np.linalg.det(u) - 1.0) < 1e-12  # special unitary
+            # angle recovery: Tr U = 2 cos(delta/2)
+            assert abs(np.trace(u).real - 2.0 * math.cos(delta / 2.0)) < 1e-12
 
 
 def test_spin_rotation_composition():
-    axis = np.array([0.0, 1.0, 0.0])
-    u = spin_rotation(axis, 0.3) @ spin_rotation(axis, 0.5)
-    np.testing.assert_allclose(u, spin_rotation(axis, 0.8), atol=1e-14)
-
-
-def test_default_directions_planar_trine():
-    dirs = default_directions()
-    assert dirs.shape == (3, 3)
-    np.testing.assert_allclose(np.linalg.norm(dirs, axis=1), 1.0, atol=1e-14)
-    np.testing.assert_allclose(dirs[:, 2], 0.0, atol=1e-14)  # x-y plane
-    for i in range(3):
-        j = (i + 1) % 3
-        assert abs(dirs[i] @ dirs[j] - math.cos(2 * math.pi / 3)) < 1e-12
-    np.testing.assert_allclose(dirs.sum(axis=0), 0.0, atol=1e-12)
+    u = spin_rotations(0.3) @ spin_rotations(0.5)
+    np.testing.assert_allclose(u, spin_rotations(0.8), atol=1e-14)
 
 
 def test_rotation_axes_are_planar_trine():
     axes = ROTATION_AXES
-    dirs = default_directions()
+    dirs = _directions()
     assert axes.shape == (3, 3)
     np.testing.assert_allclose(np.linalg.norm(axes, axis=1), 1.0, atol=1e-13)
     # each axis is orthogonal to the +z boost direction and its momentum
@@ -181,15 +132,6 @@ def test_rotation_axes_are_planar_trine():
     for i in range(3):
         j = (i + 1) % 3
         assert abs(axes[i] @ axes[j] - math.cos(2 * math.pi / 3)) < 1e-12
-
-
-def test_spin_rotation_rejects_nonfinite_input():
-    # NaN compares false against the unit-norm tolerance; it must not pass
-    with pytest.raises(InputError):
-        spin_rotation(np.array([np.nan, 0.0, 0.0]), 0.3)
-    for delta in (math.nan, math.inf):
-        with pytest.raises(InputError):
-            spin_rotation(np.array([1.0, 0.0, 0.0]), delta)
 
 
 def test_scenario_from_speeds_matches_angle():
@@ -205,6 +147,9 @@ def test_scenario_validates_delta_range():
         BoostScenario.from_angle(-0.1)
     with pytest.raises(InputError):
         BoostScenario.from_angle(math.pi / 2 + 0.01)
+    for bad in (math.nan, math.inf, -math.inf):  # NaN fails every comparison
+        with pytest.raises(InputError):
+            BoostScenario.from_angle(bad)
     BoostScenario.from_angle(0.0)
     BoostScenario.from_angle(math.pi / 2)
 
@@ -212,8 +157,11 @@ def test_scenario_validates_delta_range():
 def test_scenario_rotation_labels():
     sc = BoostScenario.from_angle(0.4)
     rot = sc.rotations()
-    for i in range(3):  # label i rotates about axis i by delta
-        np.testing.assert_array_equal(rot[i], spin_rotation(ROTATION_AXES[i], sc.delta))
+    sigma = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+    c, s = math.cos(sc.delta / 2.0), math.sin(sc.delta / 2.0)
+    for i, n in enumerate(ROTATION_AXES):  # label i rotates about axis i by delta
+        oracle = c * np.eye(2) - 1j * s * np.tensordot(n, sigma, axes=1)
+        np.testing.assert_allclose(rot[i], oracle, rtol=0, atol=1e-15)
     # labels 'A'-'C' name indices 0-2, and any other label is rejected
     for letters, indices in (("ABC", (0, 1, 2)), ("CAB", (2, 0, 1))):
         np.testing.assert_array_equal(

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from spinboost import (
-    ROTATION_AXES,
     BoostScenario,
     CompositeState,
     InputError,
@@ -609,7 +608,7 @@ def test_witness_from_amplitudes_matches_density_route():
     zero_weight = np.array([0.6, 0.0, 0.0, -0.8j, 0.0, 0.0])
     coeff_sets = (antisymmetric_coeffs(), zero_weight, np.eye(6)[0])
     deltas = np.concatenate(([0.0, math.pi / 2], rng.uniform(0, math.pi / 2, 6)))
-    rotations = spin_rotations(ROTATION_AXES, deltas)
+    rotations = spin_rotations(deltas)
     worst = 0.0
     for coeffs in coeff_sets:
         for alpha in rng.uniform(0.0, math.pi, 4):
