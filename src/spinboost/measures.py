@@ -188,12 +188,10 @@ def _factor0_cuts(spec: PartitionSpec) -> tuple:  # a pure state's cuts, keyed b
 def _purity_plan(dims: tuple[int, ...], cuts: frozenset) -> tuple:
     # _subset_purities' bookkeeping as tuples: (keep, key) pairs and, per
     # root (the largest, then first, subset of dimension <= sqrt(N) holding
-    # a side), (axes, Gram shape, steps).  A step (src, dst, (a, d, c), key)
-    # traces d out of node src, shaped (a, d, c) * 2, into node dst: (start,
-    # stop) spans per item of the flat scratch.  A side's chain drops its
-    # root's other non-unit factors in ascending order, so a node of size s
-    # sits at [s^2, 2 s^2) of scratch[0] and, made depth first, outlives its
-    # subtree (all below s^2 / 2).
+    # a side), (axes, Gram shape, steps).  A step (parent, (a, d, c), key)
+    # traces d out of the node at chain `parent`, shaped (a, d, c) * 2; the
+    # root's own step is (None, None, key).  A side's chain drops its root's
+    # other non-unit factors in ascending order.
     n, factors = math.prod(dims), range(len(dims))
     size = {s: math.prod(dims[i] for i in s)
             for k in factors for s in itertools.combinations(factors, k + 1)}
@@ -205,39 +203,41 @@ def _purity_plan(dims: tuple[int, ...], cuts: frozenset) -> tuple:
     drops = {s: tuple(i for i in root_of[s] if i not in s and dims[i] > 1) for s in root_of}
     plan = []
     for root in sorted(set(root_of.values())):
-        loc = {(): (2 * n, 2 * n + size[root] ** 2)}
-        steps = [(None, loc[()], None, (root, ()))]
+        steps = [(None, None, (root, ()))]
         for path in sorted({d[:k] for s, d in drops.items() if root_of[s] == root
                             for k in range(1, len(d) + 1)}):
             a = math.prod(dims[i] for i in root if i < path[-1] and i not in path)
             c = math.prod(dims[i] for i in root if i > path[-1])
-            loc[path] = ((a * c) ** 2, 2 * (a * c) ** 2)
-            steps.append((loc[path[:-1]], loc[path], (a, dims[path[-1]], c), (root, path)))
+            steps.append((path[:-1], (a, dims[path[-1]], c), (root, path)))
         axes = (0, *(1 + i for i in sorted(factors, key=lambda i: i not in root)))
         plan.append((axes, (size[root], n // size[root]), tuple(steps)))
     return tuple((keep, (root_of[s], drops[s])) for keep, s in sides.items()), tuple(plan)
 
 
-def _subset_purities(tensor: np.ndarray, cuts, scratch) -> dict:
-    # Purities of each batch state's reductions onto each cut's smaller side,
-    # written only into scratch, (3, B*N) complex.  Root and chain depend on
-    # the side alone, so a purity is the same arithmetic in any call.
+def _subset_purities(tensor: np.ndarray, cuts) -> dict:
+    # Purities of each batch state's reductions onto each cut's smaller side;
+    # root and chain depend on the side alone, so each is the same in any call.
+    # A root's amplitudes, conjugate and Gram reuse one buffer per call (made
+    # per root, glibc trims and refaults them: 2600 page faults per catalog
+    # call, twice the time); the chains' reductions are plain arrays.
     b, (keys, plan) = len(tensor), _purity_plan(tensor.shape[1:], frozenset(cuts))
-    def at(span, shape):
-        return scratch.reshape(-1)[b * span[0]: b * span[1]].reshape((b,) + shape)
+    work = np.empty((3, tensor.size), dtype=np.complex128)
     purities = {}
     for axes, (dk, rest), steps in plan:
-        mat = scratch[0].reshape(b, dk, rest)
+        mat, mat_c = work[:2].reshape(2, b, dk, rest)
         np.copyto(mat.reshape(tensor.transpose(axes).shape), tensor.transpose(axes))
-        mat_c = np.conjugate(mat, out=scratch[1].reshape(mat.shape))
-        np.matmul(mat, mat_c.transpose(0, 2, 1), out=at(steps[0][1], (dk, dk)))
-        for src, dst, adc, key in steps:
-            if src is not None:
-                np.einsum("...ijkljm->...iklm", at(src, adc * 2), out=at(dst, adc[::2] * 2))
-            # Tr rho^2: one real dot of rho's float view, numpy's dot per item
-            # for (1, n) @ (n, 1), so batch items keep their one-state bits
-            flat = at(dst, (1, dst[1] - dst[0])).view(np.float64)
-            purities[key] = (flat @ flat.transpose(0, 2, 1))[:, 0, 0]
+        np.conjugate(mat, out=mat_c)
+        gram = work[2, :b * dk * dk].reshape(b, dk, dk)
+        nodes = {(): np.matmul(mat, mat_c.transpose(0, 2, 1), out=gram)}
+        for parent, adc, (root, path) in steps:
+            if adc is not None:  # steps run depth first: keep path's ancestors only
+                nodes = {p: v for p, v in nodes.items() if path[:len(p)] == p}
+                nodes[path] = np.einsum("...ijkljm->...iklm",
+                                        nodes[parent].reshape((b,) + adc * 2))
+            # Tr rho^2: numpy's real dot per item of (1, n) @ (n, 1), one-state bits
+            rho = nodes[path]
+            flat = rho.reshape(b, 1, math.prod(rho.shape[1:])).view(np.float64)
+            purities[root, path] = (flat @ flat.transpose(0, 2, 1))[:, 0, 0]
     return {keep: purities[key] for keep, key in keys}
 
 
@@ -307,8 +307,7 @@ def m_concurrences_pure(
                 f"partition covers {spec.num_factors} factors, state has {len(dims)}"
             )
     per_spec = [_factor0_cuts(spec) for spec in partitions]
-    scratch = np.empty((3, tensor.size), dtype=np.complex128)
-    purities = _subset_purities(tensor, set().union(*per_spec), scratch)
+    purities = _subset_purities(tensor, set().union(*per_spec))
     values = []
     for spec, cuts in zip(partitions, per_spec):
         m = spec.num_parts
