@@ -139,7 +139,7 @@ def boosted_amplitudes(state, rotations: np.ndarray) -> np.ndarray:
     if isinstance(state, CompositeState):
         vec = state.vector
     else:
-        vec = _state_rows(state, COMPOSITE_DIM, "composite state")
+        vec = _state_rows(state, COMPOSITE_DIM, "composite state")[0]
     block = _momentum_blocks(rotations)
     return apply_local([block, block, block], vec, (6, 6, 6))
 
@@ -169,7 +169,7 @@ def _momentum_kets(state) -> tuple[np.ndarray, np.ndarray]:
         labels = np.tile(_MOMENTUM_BASIS_LABELS, (len(state.weights), 1))
     else:
         vec = (state.vector if isinstance(state, CompositeState)
-               else _state_rows(state, COMPOSITE_DIM, "composite state"))
+               else _state_rows(state, COMPOSITE_DIM, "composite state")[0])
         m, labels = _momentum_spin_rows(vec), _MOMENTUM_BASIS_LABELS
     carries = np.einsum("...ki,...ki->...k", m.conj(), m).real > _NEGLIGIBLE_WEIGHT
     keep = np.any(carries.reshape(-1, carries.shape[-1]), axis=0)

@@ -31,6 +31,7 @@ from .errors import InputError, ShapeError
 from .kinematics import spin_rotations
 from .linalg import _is_unit, apply_local, row_norms
 from .measures import (
+    _qubit_gram,
     _three_tangle_unchecked,
     m_concurrences_pure,
     three_tangle,
@@ -276,9 +277,9 @@ def single_qubit_spectra(psi) -> np.ndarray:
 
     `psi` holds amplitudes of shape (..., 8); the result has shape
     (..., 3, 2), eigenvalues descending.  Each 2x2 reduction [[a, b],
-    [conj b, d]] comes straight from the amplitudes, and its eigenvalues
-    are (a + d)/2 +- sqrt(((a - d)/2)^2 + |b|^2): no density matrix,
-    partial trace or eigensolver.
+    [conj b, d]] comes straight from the amplitudes by m_concurrences_pure's
+    qubit-root kernel, and its eigenvalues are (a + d)/2 +- sqrt(((a - d)/2)^2
+    + |b|^2): no density matrix, partial trace or eigensolver.
     """
     psi = np.asarray(psi, dtype=np.complex128)
     if psi.shape[-1:] != (SPIN_DIM,):
@@ -286,11 +287,8 @@ def single_qubit_spectra(psi) -> np.ndarray:
     # rows (qubit c up, qubit c down) against the other two, by _CUT_INDEX's
     # inverse; np.take's C-contiguous copy sums a batch item like a lone state
     rows = np.take(psi, np.argsort(_CUT_INDEX).reshape(3, 2, 4), axis=-1)
-    up, down = rows[..., 0, :], rows[..., 1, :]
-    a = np.sum(up.real**2 + up.imag**2, axis=-1)
-    d = np.sum(down.real**2 + down.imag**2, axis=-1)
-    b = np.abs(np.sum(up * down.conj(), axis=-1))
-    r = np.hypot((a - d) / 2.0, b)
+    a, d, b = _qubit_gram(rows[..., 0, :], rows[..., 1, :])
+    r = np.hypot((a - d) / 2.0, np.abs(b))
     mean = (a + d) / 2.0
     return np.stack([mean + r, mean - r], axis=-1)
 

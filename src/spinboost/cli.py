@@ -131,11 +131,16 @@ def _scan_fig2(args, grid: int) -> str:
         for v, out in values.items():
             out[rows] = witness_from_amplitudes(chi, v)
     # + 0.0 prints -0.0 as 0; gme_bound always takes the symmetric value
+    wit = (values[variant] + 0.0).ravel().tolist()
+    bound = _gme_bound(values["symmetric"]).ravel().tolist()
+    spec = "%.12g,%.12g"
+    if variant == "symmetric":  # one format per value; a bound is 0 or its value
+        wit = ("%.12g," * len(wit) % tuple(wit)).split(",")[:-1]
+        bound, spec = [s if b else "0" for s, b in zip(wit, bound)], "%s,%s"
     fields = [None] * (3 * len(alphas) * grid)
     fields[0::3] = [head for head in map(_fmt, alphas) for _ in deltas]
-    fields[1::3] = (values[variant] + 0.0).ravel().tolist()
-    fields[2::3] = _gme_bound(values["symmetric"]).ravel().tolist()
-    row = "".join(f"%s,{d},%.12g,%.12g\n" for d in deltas)  # deltas baked in
+    fields[1::3], fields[2::3] = wit, bound
+    row = "".join(f"%s,{d},{spec}\n" for d in deltas)  # deltas baked in
     return "alpha,delta,witness,gme_bound\n" + (row * len(alphas)) % tuple(fields)
 
 

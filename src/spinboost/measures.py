@@ -62,7 +62,7 @@ from .constants import (
     SPIN_DIMS,
 )
 from .errors import InputError, NumericError, ShapeError
-from .linalg import kron, require_density, row_norms
+from .linalg import kron, require_density
 from .states import CompositeState, PartitionSpec, _state_rows
 
 WITNESS_PATHS = ("matrix_elements", "pauli_settings")
@@ -214,6 +214,13 @@ def _purity_plan(dims: tuple[int, ...], cuts: frozenset) -> tuple:
     return tuple((keep, (root_of[s], drops[s])) for keep, s in sides.items()), tuple(plan)
 
 
+def _qubit_gram(up, down):
+    # (a, d, x) of a qubit reduction [[a, x], [conj x, d]] from rows up, down (..., n)
+    a = np.sum(up.real**2 + up.imag**2, axis=-1)
+    d = np.sum(down.real**2 + down.imag**2, axis=-1)
+    return a, d, np.sum(up * down.conj(), axis=-1)
+
+
 def _subset_purities(tensor: np.ndarray, cuts) -> dict:
     # Purities of each batch state's reductions onto each cut's smaller side;
     # root and chain depend on the side alone, so each is the same in any call.
@@ -226,9 +233,13 @@ def _subset_purities(tensor: np.ndarray, cuts) -> dict:
     for axes, (dk, rest), steps in plan:
         mat, mat_c = work[:2].reshape(2, b, dk, rest)
         np.copyto(mat.reshape(tensor.transpose(axes).shape), tensor.transpose(axes))
-        np.conjugate(mat, out=mat_c)
         gram = work[2, :b * dk * dk].reshape(b, dk, dk)
-        nodes = {(): np.matmul(mat, mat_c.transpose(0, 2, 1), out=gram)}
+        if dk == 2:  # elementwise: a stacked matmul runs one zgemm per item
+            gram[:, 0, 0], gram[:, 1, 1], gram[:, 0, 1] = _qubit_gram(mat[:, 0], mat[:, 1])
+            gram[:, 1, 0] = gram[:, 0, 1].conj()
+        else:
+            np.matmul(mat, np.conjugate(mat, out=mat_c).transpose(0, 2, 1), out=gram)
+        nodes = {(): gram}
         for parent, adc, (root, path) in steps:
             if adc is not None:  # steps run depth first: keep path's ancestors only
                 nodes = {p: v for p, v in nodes.items() if path[:len(p)] == p}
@@ -267,8 +278,8 @@ def _batch_of_states(state, dims: Sequence[int] | None):
                 f"cannot infer factor dims for a state of size {vec.shape[-1]}"
             )
     dims = tuple(int(d) for d in dims)
-    vec = _state_rows(vec, int(np.prod(dims)), "state")
-    return vec, dims, (row_norms(vec) ** 2) ** 2
+    vec, sq = _state_rows(vec, int(np.prod(dims)), "state")
+    return vec, dims, sq**2
 
 
 def _unbatch(values: np.ndarray, batch_shape: tuple[int, ...]):
@@ -288,9 +299,10 @@ def m_concurrences_pure(
     pure state's reductions onto complementary unions share their purity,
     so only the 2^(m-1) - 1 unions holding factor 0 are evaluated, twice,
     each once per call whichever partitions share it: one Gram product per
-    root union, then partial traces of one factor each, in ascending order,
-    down to each union inside (planned once per process), and Tr rho^2 as one
-    real dot per state, so a batch item equals its one-state call bit for bit.
+    root union (whole-batch sums for a qubit), then one-factor partial traces
+    in ascending order down to each union inside (planned once per process),
+    and Tr rho^2 as one real dot per state, so a batch item equals its
+    one-state call bit for bit.
     Vanishes iff the state is a product across some split of the
     partition; invariant under per-factor unitaries.
 

@@ -42,8 +42,8 @@ from .errors import InputError, ShapeError, StateFileError, ValidationError
 from .linalg import _is_unit, require_density, row_norms
 
 
-def _state_rows(vec, dim: int, what: str) -> np.ndarray:
-    """Amplitudes (..., dim) as a complex array; each row's |psi|^2 passes _is_unit."""
+def _state_rows(vec, dim: int, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """Amplitudes (..., dim) as a complex array and each row's |psi|^2, checked by _is_unit."""
     v = np.asarray(vec, dtype=np.complex128)
     if v.ndim == 0 or v.shape[-1] != dim:
         raise ShapeError(f"{what} must have {dim} amplitudes, got shape {v.shape}")
@@ -51,11 +51,11 @@ def _state_rows(vec, dim: int, what: str) -> np.ndarray:
     if not np.all(_is_unit(sq)):  # NaN fails too
         worst = sq.flat[np.argmax(np.abs(sq - 1.0))]
         raise ValidationError(f"{what} is not normalized: |psi|^2 = {worst}")
-    return v
+    return v, sq
 
 
 def _as_state_vector(vec, dim: int, what: str) -> np.ndarray:
-    return _state_rows(np.ravel(vec), dim, what)
+    return _state_rows(np.ravel(vec), dim, what)[0]
 
 
 def _momentum_spin_rows(vec: np.ndarray) -> np.ndarray:
@@ -164,10 +164,10 @@ class MixedState:
         w = np.asarray(self.weights, dtype=float).ravel()
         if not np.all(w > 0.0):  # NaN fails too
             raise ValidationError("mixture weights must be positive")
-        v = _state_rows(self.vectors, COMPOSITE_DIM, "mixture member")
+        v, sq = _state_rows(self.vectors, COMPOSITE_DIM, "mixture member")
         if v.shape != (w.size, COMPOSITE_DIM):
             raise ShapeError(f"{w.size} mixture weights but vectors of shape {v.shape}")
-        trace = float(w @ row_norms(v) ** 2)  # the trace of spin_density()
+        trace = float(w @ sq)  # the trace of spin_density()
         if not _is_unit(trace):  # and so, with positive weights, nonempty
             raise ValidationError(f"mixture weights q_i|psi_i|^2 sum to {trace}, not 1")
         object.__setattr__(self, "weights", w)

@@ -204,6 +204,29 @@ def test_scan_fig2_bytes_match_row_by_row_rendering(spec, variant, sweep, capsys
     assert out == _fig2_row_by_row(coeffs, variant.replace("-", "_"), grid, alpha)
 
 
+@pytest.mark.parametrize("variant", ["symmetric", "as-printed"])
+def test_scan_fig2_bound_is_the_symmetric_string_or_zero(variant, monkeypatch, capsys):
+    # gme_bound repeats the symmetric witness string where that value is > 0
+    # and is 0 elsewhere, NaN and -0.0 included, whichever variant is printed
+    edge = [math.nan, -0.0, 0.0, -1e-17, 5e-324, 0.1 + 1e-15, 1.0]
+    real = cli.witness_from_amplitudes
+
+    def patched(chi, variant="symmetric"):
+        out = real(chi, variant)
+        if variant == "symmetric":  # one block holds the whole 9x9 grid
+            out.ravel()[:len(edge)] = edge
+        return out
+
+    monkeypatch.setattr(cli, "witness_from_amplitudes", patched)
+    outs = [run(["scan", "fig2", "--grid", "9", "--variant", v], capsys)[1]
+            for v in ("symmetric", variant)]
+    symmetric, rows = ([r.split(",") for r in out.splitlines()[1:]] for out in outs)
+    assert [r[2] for r in symmetric[:len(edge)]] == [
+        "nan", "0", "0", "-1e-17", "4.94065645841e-324", "0.1", "1"]
+    for sym, row in zip(symmetric, rows, strict=True):
+        assert row[3] == (sym[2] if float(sym[2]) > 0 else "0")
+
+
 def _fig2_closed_form(alpha, delta):
     """The fig2 witness in closed form: (W_symmetric, W_as_printed).
 

@@ -11,6 +11,7 @@ from spinboost import (
     BoostScenario,
     CompositeState,
     InputError,
+    MixedState,
     PartitionSpec,
     ShapeError,
     ValidationError,
@@ -34,7 +35,7 @@ from spinboost import (
     witness_from_amplitudes,
 )
 from spinboost.classcheck import _all_partitions, _haar_factors, haar_state
-from spinboost import cli, measures
+from spinboost import boost, classcheck, cli, kinematics, linalg, measures, states
 from spinboost.cli import FIG3_CATALOG
 from spinboost.constants import COMPOSITE_DIMS
 from spinboost.boost import boost_pure, build_boost_unitary
@@ -542,6 +543,89 @@ def test_m_concurrences_pure_evaluates_each_distinct_cut_once(monkeypatch):
     empty = m_concurrences_pure(np.empty((0, 4)), [singletons_partition(8)], (1,) * 6 + (2, 2))
     assert [v.shape for v in empty] == [(0,)]
     assert [v.shape for v in m_concurrences_pure(np.empty((2, 0, 216)), specs)] == [(2, 0)] * 6
+
+
+# Factor dims whose roots are all qubits, with partitions that reach every
+# cut holding factor 0 (for (1,)*6 + (2, 2), sides of unit factors are traced
+# from a qubit root down to 1x1)
+QUBIT_ROOT_CASES = [
+    ((2, 2, 2), _all_partitions(3)),
+    ((2, 3), _all_partitions(2)),
+    ((3, 2), _all_partitions(2)),
+    ((1,) * 6 + (2, 2), [singletons_partition(8), bipartition((0, 6), 8)]),
+]
+
+
+def test_qubit_roots_take_no_matmul(monkeypatch):
+    # a qubit root's Gram is whole-batch sums, not one small zgemm per item:
+    # a default check condition1 chunk (12 states + 1200 rotations) and the
+    # two-factor cases make no np.matmul call at all
+    rng = np.random.default_rng(37)
+    calls = []
+    real = np.matmul
+    monkeypatch.setattr(np, "matmul", lambda *a, **k: calls.append(a) or real(*a, **k))
+    batch = haar_state(8, rng, (1212,))
+    values = m_concurrences_pure(batch, _all_partitions(3), (2, 2, 2))
+    assert [v.shape for v in values] == [(1212,)] * len(_all_partitions(3))
+    for dims in ((2, 3), (3, 2)):
+        m_concurrences_pure(haar_state(6, rng, (4,)), _all_partitions(2), dims)
+    assert calls == []
+
+
+def test_qubit_root_purities_match_partial_trace_oracle():
+    # every cut's purity, from a qubit root (and its unit chains), against an
+    # explicit partial trace of the projector; the empty batch gives (0,)
+    rng = np.random.default_rng(41)
+    for dims, specs in QUBIT_ROOT_CASES:
+        batch = haar_state(math.prod(dims), rng, (5,))
+        tensor = batch.reshape((-1,) + dims)
+        cuts = {keep for spec in specs for keep in measures._factor0_cuts(spec)}
+        purities = measures._subset_purities(tensor, cuts)
+        for keep in cuts:
+            for vec, got in zip(batch, purities[keep]):
+                red = partial_trace(projector(vec), dims, keep)
+                assert abs(got - np.vdot(red, red).real) < 1e-15, (dims, keep)
+        empty = measures._subset_purities(tensor[:0], cuts)
+        assert all(empty[keep].shape == (0,) for keep in cuts)
+
+
+def test_qubit_roots_give_each_item_its_single_state_bits():
+    # a batch item of any shape or stride equals its lone state's call bit
+    # for bit, on every partition of each qubit-root case
+    rng = np.random.default_rng(43)
+    for dims, specs in QUBIT_ROOT_CASES:
+        n = math.prod(dims)
+        strided = np.repeat(haar_state(n, rng, (3, 4)), 2, axis=-1)[..., ::2]
+        for batch in (haar_state(n, rng), haar_state(n, rng, (1,)),
+                      haar_state(n, rng, (7,)), haar_state(n, rng, (3, 4)), strided):
+            got = m_concurrences_pure(batch, specs, dims)
+            for index in np.ndindex(batch.shape[:-1]):
+                alone = m_concurrences_pure(batch[index].copy(), specs, dims)
+                for value, single in zip(got, alone):
+                    assert np.asarray(value)[index] == single, (dims, batch.shape)
+                    assert isinstance(single, float)
+
+
+def test_norms_are_taken_once(monkeypatch):
+    # the unit rule's |psi|^2 is reused for |psi|^4 and a mixture's trace
+    calls = []
+    real = linalg.row_norms
+    for module in (linalg, states, measures, boost, classcheck, kinematics):
+        if hasattr(module, "row_norms"):
+            monkeypatch.setattr(module, "row_norms",
+                                lambda v: calls.append(v.shape) or real(v))
+    rng = np.random.default_rng(47)
+    spins = haar_state(8, rng, (2, 3))
+    composite = compose(antisymmetric_momentum(), ghz_state()).vector
+    members = np.stack([composite, haar_state(216, rng)])
+    calls.clear()
+    for call in (lambda: m_concurrences_pure(spins, _all_partitions(3)),
+                 lambda: m_concurrences_pure(composite, [singletons_partition(6)]),
+                 lambda: three_tangle(spins),
+                 lambda: MixedState(np.array([0.25, 0.75]), members)):
+        call()
+        assert len(calls) == 1
+        calls.clear()
 
 
 def test_purity_plan_is_cached_and_immutable(capsys):
