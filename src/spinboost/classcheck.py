@@ -31,10 +31,10 @@ from .errors import InputError, ShapeError
 from .kinematics import spin_rotations
 from .linalg import _is_unit, apply_local, row_norms
 from .measures import (
+    _batch_of_states,
+    _m_concurrences_unchecked,
     _qubit_gram,
     _three_tangle_unchecked,
-    m_concurrences_pure,
-    three_tangle,
     witness_from_amplitudes,
 )
 from .states import (
@@ -69,8 +69,9 @@ def haar_state(dim: int, rng, batch: tuple[int, ...] = ()) -> np.ndarray:
 
 
 def _unit_rows(re: np.ndarray, im: np.ndarray) -> np.ndarray:  # (re + i im) / norm
-    v = re + 1j * im
-    return v / row_norms(v)[..., None]
+    v = np.empty(np.shape(re), dtype=np.complex128)
+    v.real, v.imag = re, im
+    return np.divide(v, row_norms(v)[..., None], out=v)
 
 
 def _haar_unitary(g: np.ndarray) -> np.ndarray:
@@ -106,7 +107,8 @@ def _haar_factors(dims: Sequence[int], rngs: Sequence, trials: int) -> list[np.n
     gauss = np.empty((len(rngs), trials, 2, sum(d * d for d in dims)))
     for rng, rows in zip(rngs, gauss):
         rng.standard_normal(out=rows)
-    z = gauss[:, :, 0] + 1j * gauss[:, :, 1]
+    z = np.empty(gauss[:, :, 0].shape, dtype=np.complex128)
+    z.real, z.imag = gauss[:, :, 0], gauss[:, :, 1]
     blocks = np.split(z, np.cumsum([d * d for d in dims[:-1]]), axis=-1)
     return [_haar_unitary(b.reshape(z.shape[:2] + (d, d))) for b, d in zip(blocks, dims)]
 
@@ -119,12 +121,15 @@ _CUT_INDEX = np.array(
 
 
 def _biseparable_terms(cuts, weights, rng) -> np.ndarray:
-    # Terms sqrt(w) x (x) y, shape (..., n, 8), for cuts and weights (..., n):
-    # a Haar qubit x on spin `cut`, a Haar pair y on the other two spins.
-    x = np.sqrt(weights)[..., None] * haar_state(2, rng, cuts.shape)
+    # Terms sqrt(w) x (x) y, shape (..., n, 8), for cuts and weights (..., n): a Haar
+    # qubit x on spin `cut`, a Haar pair y on the others, cuts 1, 2 reordered in place.
+    x = haar_state(2, rng, cuts.shape)
+    x *= np.sqrt(weights)[..., None]
     y = haar_state(4, rng, cuts.shape)
-    prod = (x[..., :, None] * y[..., None, :]).reshape(cuts.shape + (SPIN_DIM,))
-    return np.take_along_axis(prod, _CUT_INDEX[cuts], axis=-1)
+    out = (x[..., :, None] * y[..., None, :]).reshape(cuts.shape + (SPIN_DIM,))
+    for c in (1, 2):
+        out[cuts == c] = out[cuts == c][:, _CUT_INDEX[c]]
+    return out
 
 
 def sample_biseparable(
@@ -227,8 +232,9 @@ def check_condition1(
     rngs = list(map(np.random.default_rng, np.broadcast_to(seeds, vec.shape[:-1]).flat))
 
     def invariants(states: np.ndarray) -> np.ndarray:  # (invariants, *batch)
-        values = m_concurrences_pure(states, specs, dims)
-        values += [three_tangle(states)] if dims == (2, 2, 2) else []
+        vec, _, norm4 = _batch_of_states(states, dims)  # validated once for all
+        values = _m_concurrences_unchecked(vec, dims, norm4, specs)
+        values += [_three_tangle_unchecked(vec) / norm4] if dims == (2, 2, 2) else []
         return np.reshape(values, (len(values),) + states.shape[:-1])
 
     base = invariants(rows)[..., None]
@@ -236,8 +242,8 @@ def check_condition1(
     bad = np.empty((len(rows), trials), dtype=bool)
     for start in range(0, trials, CONDITION1_CHUNK):
         stop = min(start + CONDITION1_CHUNK, trials)
-        factors = _haar_factors(dims, rngs, stop - start)
-        dev = np.abs(invariants(apply_local(factors, rows[:, None], dims)) - base)
+        rotated = apply_local(_haar_factors(dims, rngs, stop - start), rows[:, None], dims)
+        dev = np.abs(invariants(rotated) - base)  # the factors are freed by now
         bad[:, start:stop] = ~np.all(dev <= atol, axis=0)  # NaN counts as a failure
         worst = np.maximum(worst, dev.max(axis=-1))
     conc = worst[: len(specs)].max(axis=0, initial=0.0)
@@ -284,10 +290,11 @@ def single_qubit_spectra(psi) -> np.ndarray:
     psi = np.asarray(psi, dtype=np.complex128)
     if psi.shape[-1:] != (SPIN_DIM,):
         raise ShapeError(f"spin amplitudes need shape (..., 8), got {psi.shape}")
-    # rows (qubit c up, qubit c down) against the other two, by _CUT_INDEX's
-    # inverse; np.take's C-contiguous copy sums a batch item like a lone state
-    rows = np.take(psi, np.argsort(_CUT_INDEX).reshape(3, 2, 4), axis=-1)
-    a, d, b = _qubit_gram(rows[..., 0, :], rows[..., 1, :])
+    # per cut c, C-ordered up/down rows (one psi-sized copy): unit-stride sums as for one state
+    psi3 = psi.reshape(psi.shape[:-1] + (2, 2, 2))
+    grams = [_qubit_gram(*np.ascontiguousarray(np.moveaxis(psi3, c - 3, 0))
+                         .reshape((2,) + psi.shape[:-1] + (4,))) for c in range(3)]
+    a, d, b = (np.stack(entry, axis=-1) for entry in zip(*grams))
     r = np.hypot((a - d) / 2.0, np.abs(b))
     mean = (a + d) / 2.0
     return np.stack([mean + r, mean - r], axis=-1)
@@ -328,10 +335,25 @@ def verify_certificate(
                          f"do not match an ensemble of batch shape {batch}")
     w = np.einsum("...ki,...ki->...k", ens.rows.conj(), ens.rows).real
     base_vectors = ens.rows / np.sqrt(np.where(w > 0.0, w, 1.0))[..., None]
+    # base deviations before psi exists, unitarity last: fewest term-sized arrays alive
+    norm = row_norms(base)  # the unit rule accepted |base|: check against the ray
+    base_ok = _is_unit(norm**2)
+    base = base / np.where(norm > 0.0, norm, 1.0)[..., None]
+    # one dot product per term, so no term's value depends on the others
+    overlap = (base_vectors[..., None, :] @ base.conj()[..., None, :, None])[..., 0, 0]
+    phase = np.exp(1j * np.angle(overlap))
+    base_dev = phase[..., None] * base[..., None, :]  # base_vectors - this, in its buffer
+    base_dev = np.linalg.norm(np.subtract(base_vectors, base_dev, out=base_dev), axis=-1)
+
     psi = _rotate_kets(ens.rotations, base_vectors)
     # sum_k w_k |psi_k><psi_k| = ens.mix(), from the terms the invariants are checked on
     diff = _mixture(np.sqrt(w)[..., None] * psi) - rho
     rec_err = row_norms(diff.reshape(batch + (SPIN_DIM * SPIN_DIM,)))
+    spec_dev = np.abs(single_qubit_spectra(psi)
+                      - single_qubit_spectra(base)[..., None, :, :])
+    spec_dev = spec_dev.max(axis=(-2, -1))
+    tangle_dev = np.abs(_three_tangle_unchecked(psi)
+                        - _three_tangle_unchecked(base)[..., None])
 
     # ||f f^H - I||_F of each factor [[a, b], [c, d]] from its entries
     a, b, c, d = (ens.rotations[..., i, j] for i in (0, 1) for j in (0, 1))
@@ -339,21 +361,6 @@ def verify_certificate(
     e22 = np.abs(c)**2 + np.abs(d)**2 - 1.0
     e12 = a * c.conj() + b * d.conj()
     unitarity = np.sqrt(e11**2 + e22**2 + 2.0 * np.abs(e12)**2).max(axis=-1)
-    norm = row_norms(base)  # the unit rule accepted |base|: check against the ray
-    base_ok = _is_unit(norm**2)
-    base = base / np.where(norm > 0.0, norm, 1.0)[..., None]
-    # one dot product per term, so no term's value depends on the others
-    overlap = (base_vectors[..., None, :] @ base.conj()[..., None, :, None])[..., 0, 0]
-    phase = np.exp(1j * np.angle(overlap))
-    base_dev = np.linalg.norm(
-        base_vectors - phase[..., None] * base[..., None, :], axis=-1
-    )
-
-    spec_dev = np.abs(single_qubit_spectra(psi)
-                      - single_qubit_spectra(base)[..., None, :, :])
-    spec_dev = spec_dev.max(axis=(-2, -1))
-    tangle_dev = np.abs(_three_tangle_unchecked(psi)
-                        - _three_tangle_unchecked(base)[..., None])
     live = w > 0.0
     good = (
         (spec_dev <= invariant_atol)

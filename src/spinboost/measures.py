@@ -311,7 +311,10 @@ def m_concurrences_pure(
     ray it spans.  Returns one value per partition: a float for a single
     state, an array of shape (...) for a batch.
     """
-    vec, dims, norm4 = _batch_of_states(state, dims)
+    return _m_concurrences_unchecked(*_batch_of_states(state, dims), partitions)
+
+
+def _m_concurrences_unchecked(vec, dims, norm4, partitions) -> list:  # _batch_of_states' output
     tensor = vec.reshape((-1,) + dims)
     for spec in partitions:
         if spec.num_factors != len(dims):

@@ -1,5 +1,6 @@
 """Haar sampling, biseparable models, invariance checks, certificates."""
 
+import functools
 import itertools
 import math
 import tracemalloc
@@ -48,8 +49,9 @@ from spinboost.linalg import (
     partial_trace,
     projector,
     purity_unchecked,
+    row_norms,
 )
-from spinboost.measures import m_concurrence_pure, three_tangle
+from spinboost.measures import _qubit_gram, m_concurrence_pure, three_tangle
 from spinboost.states import (
     CompositeState,
     basis_momentum,
@@ -611,6 +613,105 @@ def test_single_qubit_spectra_match_eigensolver():
     for bad in (np.ones(4), np.ones((2, 16))):  # only 8 amplitudes are a spin state
         with pytest.raises(ShapeError):
             single_qubit_spectra(bad)
+
+
+# Full-copy formulas the lean kernels must reproduce bit for bit: complex rows
+# through two complex temporaries, one np.take of all three cuts, and the
+# product terms reordered by take_along_axis.
+def _unit_rows_oracle(re, im):
+    v = re + 1j * im
+    return v / row_norms(v)[..., None]
+
+
+def _haar_state_oracle(dim, rng, batch):
+    shape = tuple(batch) + (dim,)
+    return _unit_rows_oracle(rng.normal(size=shape), rng.normal(size=shape))
+
+
+def _haar_factors_oracle(dims, rngs, trials):
+    gauss = np.empty((len(rngs), trials, 2, sum(d * d for d in dims)))
+    for rng, rows in zip(rngs, gauss):
+        rng.standard_normal(out=rows)
+    z = gauss[:, :, 0] + 1j * gauss[:, :, 1]
+    blocks = np.split(z, np.cumsum([d * d for d in dims[:-1]]), axis=-1)
+    return [_haar_unitary(b.reshape(z.shape[:2] + (d, d))) for b, d in zip(blocks, dims)]
+
+
+def _spectra_oracle(psi):
+    psi = np.asarray(psi, dtype=np.complex128)
+    rows = np.take(psi, np.argsort(classcheck._CUT_INDEX).reshape(3, 2, 4), axis=-1)
+    a, d, b = _qubit_gram(rows[..., 0, :], rows[..., 1, :])
+    r = np.hypot((a - d) / 2.0, np.abs(b))
+    mean = (a + d) / 2.0
+    return np.stack([mean + r, mean - r], axis=-1)
+
+
+def _biseparable_oracle(cuts, weights, rng):
+    x = np.sqrt(weights)[..., None] * _haar_state_oracle(2, rng, cuts.shape)
+    y = _haar_state_oracle(4, rng, cuts.shape)
+    prod = (x[..., :, None] * y[..., None, :]).reshape(cuts.shape + (8,))
+    return np.take_along_axis(prod, classcheck._CUT_INDEX[cuts], axis=-1)
+
+
+@pytest.mark.parametrize("batch", [(), (1,), (7,), (3, 4), "strided", "transposed"])
+def test_lean_kernels_match_full_copy_formulas(batch):
+    # every bit of the kernels equals its full-copy formula, for any batch
+    # shape and for views: a strided one, and one whose batch axes are
+    # transposed (verify_certificate's psi) or Fortran-ordered
+    rng = np.random.default_rng(61)
+
+    def draw(make, *tail):  # make(shape) as an array of shape batch + tail, or a view
+        if batch == "strided":
+            return make((3, 2 * tail[0]) + tail[1:])[:, ::2]
+        if batch == "transposed":
+            return np.swapaxes(make((4, 3) + tail), 0, 1)
+        return make(batch + tail)
+
+    def normal(shape):
+        return rng.normal(size=shape)
+
+    re, im = draw(normal, 8), draw(normal, 8)
+    np.testing.assert_array_equal(classcheck._unit_rows(re, im), _unit_rows_oracle(re, im))
+    psi = draw(lambda shape: classcheck._unit_rows(normal(shape), normal(shape)), 8)
+    for psi in (psi, np.asfortranarray(psi)):
+        np.testing.assert_array_equal(single_qubit_spectra(psi), _spectra_oracle(psi))
+
+    cuts = draw(lambda shape: rng.integers(0, 3, size=shape), 4)
+    weights = np.abs(draw(normal, 4))
+    weights /= weights.sum(axis=-1, keepdims=True)
+    np.testing.assert_array_equal(
+        classcheck._biseparable_terms(cuts, weights, np.random.default_rng(5)),
+        _biseparable_oracle(cuts, weights, np.random.default_rng(5)))
+
+
+@pytest.mark.parametrize("n_rngs, trials", [(1, 1), (1, 7), (7, 1), (3, 4)])
+def test_haar_factors_match_full_copy_formula(n_rngs, trials):
+    for dims in ((2, 2, 2), (2, 3), COMPOSITE_DIMS):
+        got, want = (f(dims, [np.random.default_rng(s) for s in range(n_rngs)], trials)
+                     for f in (_haar_factors, _haar_factors_oracle))
+        for f, g in zip(got, want, strict=True):
+            np.testing.assert_array_equal(f, g)
+
+
+@pytest.mark.parametrize("call, bound", [
+    (condition1_suite, 1.0e6),  # 1.15 MB with a full copy of the factors alive
+    (condition2_suite, 1.8e6),  # 2.62 MB with three cuts' rows taken at once
+    (soundness_suite, 1.45e6),  # 1.89 MB with the reordered terms a second copy
+    # 1.24 MB for one np.take of all three cuts, 3x the amplitudes
+    (functools.partial(single_qubit_spectra,
+                       haar_state(8, np.random.default_rng(3), (50, 27))), 0.5e6),
+], ids=["condition1", "condition2", "soundness", "spectra"])
+def test_check_suites_peak_memory_at_default_trials(call, bound):
+    # no step of a suite builds a copy larger than its input, so the
+    # transient peak at default trials stays under its bound
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
 
 
 def _single_term_certificate(base, factors, base_vector):

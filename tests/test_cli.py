@@ -796,6 +796,29 @@ def test_check_suites_pass(capsys):
         assert f"{suite}: PASS" in out
 
 
+@pytest.mark.parametrize("args, line", [
+    ("condition1", "local-unitary invariance over 12 states: max deviation 1.887e-15"),
+    ("condition1 --seed 123", "local-unitary invariance over 12 states: max deviation 2.498e-15"),
+    ("condition1 --seed 991", "local-unitary invariance over 12 states: max deviation 1.221e-15"),
+    ("condition2", "certificates over 50 boosts: max reconstruction 1.931e-16, "
+                   "max invariant deviation 9.992e-16"),
+    ("condition2 --seed 123", "certificates over 50 boosts: max reconstruction 1.731e-16, "
+                              "max invariant deviation 1.443e-15"),
+    ("condition2 --seed 991", "certificates over 50 boosts: max reconstruction 2.655e-16, "
+                              "max invariant deviation 1.110e-15"),
+    # past one chunk of CONDITION2_CHUNK boosts
+    ("condition2 --seed 991 --trials 130", "certificates over 130 boosts: max reconstruction "
+                                           "2.655e-16, max invariant deviation 1.443e-15"),
+    ("soundness", "witness over 1000 biseparable samples: max value -1.511e-02"),
+    ("soundness --seed 123", "witness over 1000 biseparable samples: max value -5.044e-03"),
+    ("soundness --seed 991", "witness over 1000 biseparable samples: max value -1.562e-02"),
+])
+def test_check_suite_output_is_pinned(args, line, capsys):
+    # every byte a suite prints, at the default and other seeds
+    suite, *options = args.split()
+    assert run(["check", suite, *options], capsys) == (0, f"{line}\n{suite}: PASS\n", "")
+
+
 def test_check_seed_changes_runs(capsys):
     _, out_a, _ = run(["check", "soundness", "--trials", "5", "--seed", "1"], capsys)
     _, out_b, _ = run(["check", "soundness", "--trials", "5", "--seed", "2"], capsys)
@@ -819,7 +842,7 @@ def test_check_failure_exits_one(monkeypatch, capsys):
 def test_check_condition1_failure_exits_one(monkeypatch, capsys):
     # a "measure" that is not LU-invariant, the population of |000>, must
     # fail every state on every trial, named by state, seed and trial
-    monkeypatch.setattr(classcheck, "three_tangle",
+    monkeypatch.setattr(classcheck, "_three_tangle_unchecked",
                         lambda psi: np.abs(psi[..., 0]) ** 2)
     code, out, _ = run(["check", "condition1", "--trials", "3", "--seed", "7"], capsys)
     assert code == 1

@@ -606,8 +606,10 @@ def test_qubit_roots_give_each_item_its_single_state_bits():
                     assert isinstance(single, float)
 
 
-def test_norms_are_taken_once(monkeypatch):
-    # the unit rule's |psi|^2 is reused for |psi|^4 and a mixture's trace
+def test_norms_are_taken_once(monkeypatch, capsys):
+    # the unit rule's |psi|^2 is reused for |psi|^4 and a mixture's trace;
+    # check condition1 validates the states and each chunk's rotated states
+    # once for all invariants, after the one normalization of its Haar states
     calls = []
     real = linalg.row_norms
     for module in (linalg, states, measures, boost, classcheck, kinematics):
@@ -626,6 +628,8 @@ def test_norms_are_taken_once(monkeypatch):
         call()
         assert len(calls) == 1
         calls.clear()
+    assert cli.main(["check", "condition1"]) == 0
+    assert calls == [(10, 8), (12, 8), (12, 100, 8)]
 
 
 def test_purity_plan_is_cached_and_immutable(capsys):
