@@ -62,6 +62,10 @@ FIG3_CATALOG = (
     ("spin2_vs_rest", bipartition((3,), 6)),
     ("spin3_vs_rest", bipartition((5,), 6)),
 )
+# A fig3 CSV is this head, then d.join(_FIG3_SUFFIXES) for each delta string d
+_FIG3_HEAD = "# partitions: %s\ndelta,partition,m_concurrence\n" % "; ".join(
+    f"{name}={spec}" for name, spec in FIG3_CATALOG)
+_FIG3_SUFFIXES = ("", *(f",{name},%.12g\n" for name, _ in FIG3_CATALOG))
 SUITES = {
     "condition1": condition1_suite,
     "condition2": condition2_suite,
@@ -146,18 +150,14 @@ def _scan_fig2(args, grid: int) -> str:
 
 def _scan_fig3(args, grid: int) -> str:
     momentum = permutation_momentum(_momentum_coeffs(args.momentum))
-    if args.spin == "w":
-        spin = w_state()
-    else:
-        spin = ghz_state() if args.alpha is None else ghz_alpha(args.alpha)
+    spin = (w_state() if args.spin == "w"
+            else ghz_state() if args.alpha is None else ghz_alpha(args.alpha))
     state = compose(momentum, spin)
     deltas, rotations = _sweep_rotations(grid)
-    catalog = "; ".join(f"{name}={spec}" for name, spec in FIG3_CATALOG)
     boosted = boosted_amplitudes(state, rotations)
     values = m_concurrences_pure(boosted, [spec for _, spec in FIG3_CATALOG])
-    rows = "".join(f"{d},{name},%.12g\n" for d in deltas for name, _ in FIG3_CATALOG)
-    head = f"# partitions: {catalog}\ndelta,partition,m_concurrence\n"
-    return head + rows % tuple((np.stack(values, axis=1) + 0.0).ravel().tolist())
+    rows = "".join(d.join(_FIG3_SUFFIXES) for d in deltas)
+    return _FIG3_HEAD + rows % tuple((np.stack(values, axis=1) + 0.0).ravel().tolist())
 
 
 def cmd_scan(args) -> int:
@@ -193,10 +193,7 @@ def cmd_witness(args) -> int:
     path_dev = max(abs(matrix[v].value - pauli[v].value) for v in WITNESS_VARIANTS)
     print(f"value {_fmt(main_report.value)}  (variant {args.variant})")
     print(f"offdiag_term {_fmt(main_report.offdiag_term)}")
-    print(
-        "population_terms "
-        + " ".join(_fmt(t) for t in main_report.population_terms)
-    )
+    print("population_terms", *map(_fmt, main_report.population_terms))
     for v in WITNESS_VARIANTS:
         print(f"variant {v}: {_fmt(matrix[v].value)}")
     print(f"paths_max_deviation {_fmt(path_dev)}")
@@ -212,9 +209,8 @@ def _scenario_from_args(args) -> BoostScenario:
             raise InputError("--delta excludes --observer-speed and --particle-speed")
         return BoostScenario.from_angle(args.delta)
     if args.observer_speed is None or args.particle_speed is None:
-        raise InputError(
-            "boost needs either --delta or both --observer-speed and --particle-speed"
-        )
+        raise InputError("boost needs either --delta or both --observer-speed and "
+                         "--particle-speed")
     return BoostScenario.from_speeds(args.observer_speed, args.particle_speed)
 
 
@@ -226,9 +222,7 @@ def cmd_boost(args) -> int:
     elif isinstance(state, MixedState):
         boosted = boost_mixed(state, scenario)
     else:
-        raise InputError(
-            "boost needs a composite or mixed state file (momentum info required)"
-        )
+        raise InputError("boost needs a composite or mixed state file (momentum info required)")
     rho = boosted.spin_density()
     outputs = [(args.out, _state_text(boosted))]
     if args.spin_out:
@@ -303,11 +297,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         # looked up per call, not bound into the parser once per process, so
         # a cmd_* wrapped or patched after the first call is the one that runs
         return globals()[f"cmd_{args.command}"](args)
+    except SystemExit as exc:  # argparse's exit: 0 after --help, 2 on a usage error
+        return exc.code
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3

@@ -101,9 +101,7 @@ def _witness(pops, coherence, variant: str):
     # Populations (..., 8) and the complex 2 rho07 (...) to the value,
     # 2|rho07| and the three population terms.
     if variant not in WITNESS_VARIANTS:
-        raise InputError(
-            f"unknown variant {variant!r}, expected one of {WITNESS_VARIANTS}"
-        )
+        raise InputError(f"unknown variant {variant!r}, expected one of {WITNESS_VARIANTS}")
     # populations may dip an epsilon below zero on valid densities
     pops = np.maximum(pops, 0.0)
     terms = [2.0 * np.sqrt(pops[..., i] * pops[..., j]) for i, j in _POP_PAIRS[variant]]
@@ -188,10 +186,10 @@ def _factor0_cuts(spec: PartitionSpec) -> tuple:  # a pure state's cuts, keyed b
 def _purity_plan(dims: tuple[int, ...], cuts: frozenset) -> tuple:
     # _subset_purities' bookkeeping as tuples: (keep, key) pairs and, per
     # root (the largest, then first, subset of dimension <= sqrt(N) holding
-    # a side), (axes, Gram shape, steps).  A step (parent, (a, d, c), key)
-    # traces d out of the node at chain `parent`, shaped (a, d, c) * 2; the
-    # root's own step is (None, None, key).  A side's chain drops its root's
-    # other non-unit factors in ascending order.
+    # a side), (axes, Gram shape, steps).  A step ((a, d, c), key) traces d
+    # out of its parent, the node of its path less the last factor, shaped
+    # (a, d, c) * 2; the root's own step is (None, key).  A side's chain
+    # drops its root's other non-unit factors in ascending order.
     n, factors = math.prod(dims), range(len(dims))
     size = {s: math.prod(dims[i] for i in s)
             for k in factors for s in itertools.combinations(factors, k + 1)}
@@ -203,12 +201,12 @@ def _purity_plan(dims: tuple[int, ...], cuts: frozenset) -> tuple:
     drops = {s: tuple(i for i in root_of[s] if i not in s and dims[i] > 1) for s in root_of}
     plan = []
     for root in sorted(set(root_of.values())):
-        steps = [(None, None, (root, ()))]
+        steps = [(None, (root, ()))]
         for path in sorted({d[:k] for s, d in drops.items() if root_of[s] == root
                             for k in range(1, len(d) + 1)}):
             a = math.prod(dims[i] for i in root if i < path[-1] and i not in path)
             c = math.prod(dims[i] for i in root if i > path[-1])
-            steps.append((path[:-1], (a, dims[path[-1]], c), (root, path)))
+            steps.append(((a, dims[path[-1]], c), (root, path)))
         axes = (0, *(1 + i for i in sorted(factors, key=lambda i: i not in root)))
         plan.append((axes, (size[root], n // size[root]), tuple(steps)))
     return tuple((keep, (root_of[s], drops[s])) for keep, s in sides.items()), tuple(plan)
@@ -221,12 +219,22 @@ def _qubit_gram(up, down):
     return a, d, np.sum(up * down.conj(), axis=-1)
 
 
+def _trace_middle(x):  # Tr_j of x (..., i, j, k, l, j, m), see _subset_purities
+    out = x[..., 0, :, :, 0, :].copy()
+    for j in range(1, x.shape[-5]):
+        out += x[..., j, :, :, j, :]
+    return out
+
+
 def _subset_purities(tensor: np.ndarray, cuts) -> dict:
     # Purities of each batch state's reductions onto each cut's smaller side;
     # root and chain depend on the side alone, so each is the same in any call.
     # A root's amplitudes, conjugate and Gram reuse one buffer per call (made
     # per root, glibc trims and refaults them: 2600 page faults per catalog
-    # call, twice the time); the chains' reductions are plain arrays.
+    # call, twice the time); the chains' reductions are plain arrays.  A
+    # one-factor trace adds its parent's d diagonal slices in ascending order
+    # into a copy of the first, the order np.einsum("...ijkljm->...iklm")
+    # sums in, so each purity keeps einsum's bits without its per-call setup.
     b, (keys, plan) = len(tensor), _purity_plan(tensor.shape[1:], frozenset(cuts))
     work = np.empty((3, tensor.size), dtype=np.complex128)
     purities = {}
@@ -239,14 +247,13 @@ def _subset_purities(tensor: np.ndarray, cuts) -> dict:
             gram[:, 1, 0] = gram[:, 0, 1].conj()
         else:
             np.matmul(mat, np.conjugate(mat, out=mat_c).transpose(0, 2, 1), out=gram)
-        nodes = {(): gram}
-        for parent, adc, (root, path) in steps:
-            if adc is not None:  # steps run depth first: keep path's ancestors only
-                nodes = {p: v for p, v in nodes.items() if path[:len(p)] == p}
-                nodes[path] = np.einsum("...ijkljm->...iklm",
-                                        nodes[parent].reshape((b,) + adc * 2))
+        chain = [gram]  # the nodes of path's prefixes, root first
+        for adc, (root, path) in steps:
+            if path:  # steps run depth first, so chain[len(path) - 1] is the parent
+                del chain[len(path):]
+                chain.append(_trace_middle(chain[-1].reshape((b,) + adc * 2)))
             # Tr rho^2: numpy's real dot per item of (1, n) @ (n, 1), one-state bits
-            rho = nodes[path]
+            rho = chain[-1]
             flat = rho.reshape(b, 1, math.prod(rho.shape[1:])).view(np.float64)
             purities[root, path] = (flat @ flat.transpose(0, 2, 1))[:, 0, 0]
     return {keep: purities[key] for keep, key in keys}
@@ -274,9 +281,7 @@ def _batch_of_states(state, dims: Sequence[int] | None):
         elif vec.shape[-1] == SPIN_DIM:
             dims = SPIN_DIMS
         else:
-            raise ShapeError(
-                f"cannot infer factor dims for a state of size {vec.shape[-1]}"
-            )
+            raise ShapeError(f"cannot infer factor dims for a state of size {vec.shape[-1]}")
     dims = tuple(int(d) for d in dims)
     vec, sq = _state_rows(vec, int(np.prod(dims)), "state")
     return vec, dims, sq**2
@@ -301,10 +306,12 @@ def m_concurrences_pure(
     each once per call whichever partitions share it: one Gram product per
     root union (whole-batch sums for a qubit), then one-factor partial traces
     in ascending order down to each union inside (planned once per process),
-    and Tr rho^2 as one real dot per state, so a batch item equals its
-    one-state call bit for bit.
-    Vanishes iff the state is a product across some split of the
-    partition; invariant under per-factor unitaries.
+    and Tr rho^2 as one real dot per state.  A trace adds its parent's d
+    diagonal slices in ascending order, the order np.einsum sums them in, so
+    it has einsum's bits; it and the dot are per-item arithmetic, so a batch
+    item equals its one-state call bit for bit.  Vanishes iff the state is a
+    product across some split of the partition; invariant under per-factor
+    unitaries.
 
     `state` is a CompositeState or amplitudes of shape (..., N), a batch
     of states; every row must pass the unit rule and is measured as the

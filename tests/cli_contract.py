@@ -97,7 +97,9 @@ CASES = (
     Case("scan fig3 --grid 3"),
     Case("scan fig3 --grid 5 --momentum product"),
     Case("scan fig2 --grid 1", 2, "error: --grid must be at least 2"),
-    # an unknown option exits 2 with argparse's usage error on stderr
+    # argparse's exits are main's return codes: 0 for --help, and an
+    # unknown option exits 2 with the usage error on stderr
+    Case("scan --help", process=True),
     Case("scan fig2 --threads 2", 2, "spinboost: error: unrecognized arguments: --threads 2",
          process=True),
     Case("scan fig2 --momentum 1,2", 2, "error: custom momentum needs 6"),

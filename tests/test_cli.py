@@ -58,10 +58,7 @@ def _run_contract(case, capsys):
     # one case in the working directory; a scan's --out file is its output
     build_input(case)
     inputs, argv = sorted(os.listdir()), case.argv.split()
-    try:
-        code = cli.main(argv)
-    except SystemExit as exc:  # argparse rejected the command line
-        code = exc.code
+    code = cli.main(argv)
     out, err = capsys.readouterr()
     _check_contract(case, inputs, code, out, err)
     if argv[0] == "scan" and "--out" in argv:

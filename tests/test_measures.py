@@ -502,9 +502,10 @@ def test_m_concurrences_pure_evaluates_each_distinct_cut_once(monkeypatch):
     # all taken in one _subset_purities call: 13 Gram products (9 roots of
     # dimension 12, 3 of 9, 1 of 8) and, for the 18 other sides, 18 partial
     # traces of one factor each (every intermediate of a chain is itself a
-    # side).  The values are bit-identical in any partition order, equal
-    # the single-partition route and, keep by keep, a call for that keep
-    # alone: a side's chain must not depend on what else the call computes
+    # side), each a _trace_middle slice sum with no np.einsum.  The values
+    # are bit-identical in any partition order, equal the single-partition
+    # route and, keep by keep, a call for that keep alone: a side's chain
+    # must not depend on what else the call computes
     rng = np.random.default_rng(23)
     batch = np.array([haar_state(216, rng) for _ in range(5)])
     specs = [spec for _, spec in FIG3_CATALOG]
@@ -516,16 +517,17 @@ def test_m_concurrences_pure_evaluates_each_distinct_cut_once(monkeypatch):
             return out
         return call
 
-    logs = {"_subset_purities": [], "matmul": [], "einsum": []}
-    for owner, name in ((measures, "_subset_purities"), (np, "matmul"), (np, "einsum")):
+    logs = {"_subset_purities": [], "_trace_middle": [], "matmul": [], "einsum": []}
+    for owner, name in ((measures, "_subset_purities"), (measures, "_trace_middle"),
+                        (np, "matmul"), (np, "einsum")):
         monkeypatch.setattr(owner, name, logged(getattr(owner, name), logs[name]))
     values = m_concurrences_pure(batch, specs)
     monkeypatch.undo()
     [((tensor, cuts), _)] = logs["_subset_purities"]
     assert len(cuts) == 31 and all(0 in keep for keep in cuts)
     assert sorted(a[0].shape[1] for a, _ in logs["matmul"]) == [8] + [9] * 3 + [12] * 9
-    assert len(logs["einsum"]) == 18
-    assert all(a[1].ndim - out.ndim == 2 for a, out in logs["einsum"])
+    assert len(logs["_trace_middle"]) == 18 and not logs["einsum"]
+    assert all(a[0].ndim - out.ndim == 2 for a, out in logs["_trace_middle"])
     catalog = measures._subset_purities(tensor, cuts)
     for keep in cuts:
         alone = measures._subset_purities(tensor, {keep})[keep]
@@ -543,6 +545,25 @@ def test_m_concurrences_pure_evaluates_each_distinct_cut_once(monkeypatch):
     empty = m_concurrences_pure(np.empty((0, 4)), [singletons_partition(8)], (1,) * 6 + (2, 2))
     assert [v.shape for v in empty] == [(0,)]
     assert [v.shape for v in m_concurrences_pure(np.empty((2, 0, 216)), specs)] == [(2, 0)] * 6
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "strided"])
+def test_trace_middle_matches_einsum_bit_for_bit(layout):
+    # the chain's one-factor trace adds the d diagonal slices in ascending
+    # order, as np.einsum("...ijkljm->...iklm") does, so every purity keeps
+    # its bits; elementwise adds only, so no BLAS kernel can change them
+    rng = np.random.default_rng(31)
+    for d, a, c, batch in itertools.product((2, 3), (1, 2, 3), (1, 2, 3),
+                                            ((), (1,), (7,))):
+        shape = batch + (a, d, c) * 2
+        x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        if layout == "F":
+            x = np.asfortranarray(x)
+        elif layout == "strided":  # every other entry of a wider parent
+            x = np.repeat(x, 2, axis=-1)[..., ::2]
+        got, want = measures._trace_middle(x), np.einsum("...ijkljm->...iklm", x)
+        assert got.shape == want.shape == batch + (a, c, a, c)
+        assert got.tobytes() == want.tobytes(), (d, a, c, batch)
 
 
 # Factor dims whose roots are all qubits, with partitions that reach every
