@@ -21,7 +21,6 @@ from spinboost import (
     boost_pure,
     boosted_amplitudes,
     boosted_spin_density_fast,
-    boosted_spin_terms,
     build_boost_unitary,
     compose,
     composite_spin_ensemble,
@@ -252,31 +251,6 @@ def test_einsum_boost_matches_unitary_matrix():
     for g, delta in enumerate(deltas):
         expected = build_boost_unitary(BoostScenario.from_angle(delta)).matrix @ v
         np.testing.assert_allclose(swept[g], expected, atol=1e-13)
-
-
-def test_permutation_amplitudes_batch_matches_single_points():
-    # boosted_spin_terms over a sweep of G angles equals G single-angle
-    # calls, and the mixture of the terms is the certificate's mixture
-    rng = np.random.default_rng(11)
-    coeffs = random_coeffs(rng)
-    coeffs[2] = 0.0
-    coeffs /= np.linalg.norm(coeffs)
-    spin = haar_vec(8, rng)
-    state = compose(permutation_momentum(coeffs), spin)
-    deltas = np.linspace(0.0, math.pi / 2, 5)
-    chi = boosted_spin_terms(state, spin_rotations(deltas)).terms()
-    assert chi.shape == (5, 5, 8)
-    for g, delta in enumerate(deltas):
-        sc = BoostScenario.from_angle(delta)
-        chi1 = boosted_spin_terms(state, sc.rotations()).terms()
-        np.testing.assert_allclose(chi1, chi[g], atol=1e-15)
-        rho = np.einsum("ki,kj->ij", chi1, chi1.conj())
-        np.testing.assert_allclose(
-            rho, composite_spin_ensemble(state, sc).mix(), atol=1e-14
-        )
-        np.testing.assert_allclose(
-            rho, boosted_spin_density_fast(coeffs, spin, sc), atol=1e-15
-        )
 
 
 def test_reduced_spin_purity_drops_for_entangling_boost():

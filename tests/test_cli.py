@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 from cli_contract import CASES, build_input
@@ -360,7 +361,6 @@ def test_scan_fig2_cell_matches_mpmath(capsys):
     # The fig2 cell alpha = 0.8 pi, delta = 0.4 pi (antisymmetric momentum),
     # evaluated from the definitions at 30 digits.  Its populations 1, 2
     # and 4 vanish, so roundoff in them would show as ~1e-9 here.
-    mp = pytest.importorskip("mpmath")
     alpha = float(np.linspace(0.0, math.pi, 61)[48])
     delta = float(np.linspace(0.0, math.pi / 2, 61)[48])
     code, out, _ = run(

@@ -93,15 +93,6 @@ def test_rotation_axis_rows_match_single_vector_formula():
     assert ROTATION_AXES.tobytes() == np.array(ref).tobytes()
     with pytest.raises(ValueError):  # the module constant is read-only
         ROTATION_AXES[0, 0] = 1.0
-    # angles of any batch shape give that shape + (3, 2, 2), and each item
-    # equals its scalar call bit for bit
-    rng = np.random.default_rng(11)
-    for shape in ((), (7,), (4, 5)):
-        deltas = np.asarray(rng.uniform(0.0, math.pi / 2.0, size=shape))
-        u = spin_rotations(deltas)
-        assert u.shape == shape + (3, 2, 2)
-        for idx in np.ndindex(shape):
-            np.testing.assert_array_equal(u[idx], spin_rotations(float(deltas[idx])))
 
 
 def test_spin_rotation_unitary_su2():

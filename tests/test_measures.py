@@ -2,8 +2,8 @@
 
 import itertools
 import math
-import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -193,6 +193,7 @@ def test_m_concurrence_frozen_three_qubit_values():
     cut = bipartition((0,), 3)
     assert abs(m_concurrence_pure(ghz_state(), cut) - 1.0) < 1e-12
     assert abs(m_concurrence_pure(w_state(), cut) - math.sqrt(8.0) / 3.0) < 1e-12
+    assert all(isinstance(v, float) for v in m_concurrences_pure(w_state(), [singles, cut]))
 
 
 def test_m_concurrence_vanishes_on_products():
@@ -335,7 +336,6 @@ def cayley_tangle(rows):
 
 
 def test_three_tangle_matches_cayley_polynomial():
-    mpmath = pytest.importorskip("mpmath")
     rng = np.random.default_rng(24)
     rows = np.array([haar_state(8, rng) for _ in range(200)])
     got, want = three_tangle(rows), cayley_tangle(rows)
@@ -371,32 +371,6 @@ def test_three_tangle_local_unitary_invariant_and_bounded():
         factors = _haar_factors((2, 2, 2), [np.random.default_rng(trial)], 1)
         w = apply_local(factors, v, (2, 2, 2))[0, 0]
         assert abs(three_tangle(w) - tau) < 1e-10
-
-
-def test_batched_measures_match_per_row_loop():
-    rng = np.random.default_rng(17)
-    cases = [
-        ((2, 2, 2), _all_partitions(3)),
-        (COMPOSITE_DIMS, [spec for _, spec in FIG3_CATALOG]),
-    ]
-    for dims, specs in cases:
-        n = int(np.prod(dims))
-        for batch_shape in ((1,), (7,), (2, 3)):
-            rows = np.array(
-                [haar_state(n, rng) for _ in range(int(np.prod(batch_shape)))]
-            )
-            batch = rows.reshape(batch_shape + (n,))
-            for spec in specs:
-                got = m_concurrence_pure(batch, spec, dims)
-                assert got.shape == batch_shape
-                want = [m_concurrence_pure(row, spec, dims) for row in rows]
-                assert all(isinstance(x, float) for x in want)
-                assert np.array_equal(got.ravel(), want)
-            if dims == (2, 2, 2):
-                got = three_tangle(batch)
-                assert got.shape == batch_shape
-                want = [three_tangle(row) for row in rows]
-                assert np.array_equal(got.ravel(), want)
 
 
 def test_batched_measures_reject_one_unnormalized_row():
@@ -547,25 +521,6 @@ def test_m_concurrences_pure_evaluates_each_distinct_cut_once(monkeypatch):
     assert [v.shape for v in m_concurrences_pure(np.empty((2, 0, 216)), specs)] == [(2, 0)] * 6
 
 
-@pytest.mark.parametrize("layout", ["C", "F", "strided"])
-def test_trace_middle_matches_einsum_bit_for_bit(layout):
-    # the chain's one-factor trace adds the d diagonal slices in ascending
-    # order, as np.einsum("...ijkljm->...iklm") does, so every purity keeps
-    # its bits; elementwise adds only, so no BLAS kernel can change them
-    rng = np.random.default_rng(31)
-    for d, a, c, batch in itertools.product((2, 3), (1, 2, 3), (1, 2, 3),
-                                            ((), (1,), (7,))):
-        shape = batch + (a, d, c) * 2
-        x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        if layout == "F":
-            x = np.asfortranarray(x)
-        elif layout == "strided":  # every other entry of a wider parent
-            x = np.repeat(x, 2, axis=-1)[..., ::2]
-        got, want = measures._trace_middle(x), np.einsum("...ijkljm->...iklm", x)
-        assert got.shape == want.shape == batch + (a, c, a, c)
-        assert got.tobytes() == want.tobytes(), (d, a, c, batch)
-
-
 # Factor dims whose roots are all qubits, with partitions that reach every
 # cut holding factor 0 (for (1,)*6 + (2, 2), sides of unit factors are traced
 # from a qubit root down to 1x1)
@@ -608,23 +563,6 @@ def test_qubit_root_purities_match_partial_trace_oracle():
                 assert abs(got - np.vdot(red, red).real) < 1e-15, (dims, keep)
         empty = measures._subset_purities(tensor[:0], cuts)
         assert all(empty[keep].shape == (0,) for keep in cuts)
-
-
-def test_qubit_roots_give_each_item_its_single_state_bits():
-    # a batch item of any shape or stride equals its lone state's call bit
-    # for bit, on every partition of each qubit-root case
-    rng = np.random.default_rng(43)
-    for dims, specs in QUBIT_ROOT_CASES:
-        n = math.prod(dims)
-        strided = np.repeat(haar_state(n, rng, (3, 4)), 2, axis=-1)[..., ::2]
-        for batch in (haar_state(n, rng), haar_state(n, rng, (1,)),
-                      haar_state(n, rng, (7,)), haar_state(n, rng, (3, 4)), strided):
-            got = m_concurrences_pure(batch, specs, dims)
-            for index in np.ndindex(batch.shape[:-1]):
-                alone = m_concurrences_pure(batch[index].copy(), specs, dims)
-                for value, single in zip(got, alone):
-                    assert np.asarray(value)[index] == single, (dims, batch.shape)
-                    assert isinstance(single, float)
 
 
 def test_norms_are_taken_once(monkeypatch, capsys):
@@ -686,7 +624,7 @@ def test_purity_plan_is_cached_and_immutable(capsys):
     assert all(type(measures._factor0_cuts(spec)) is tuple for spec in specs)
 
 
-def test_m_concurrences_pure_peak_memory_is_bounded():
+def test_m_concurrences_pure_peak_memory_is_bounded(peak_bytes):
     # one buffer of three amplitude-sized rows per call holds a root's
     # amplitudes, their conjugate and its Gram product, and a chain keeps
     # only the reductions on its current path: a catalog call and a call
@@ -701,14 +639,7 @@ def test_m_concurrences_pure_peak_memory_is_bounded():
         for keep in ((0,), (0, 2, 4), (0, 1, 2, 4))
     ]
     for call in calls:
-        call()
-        tracemalloc.start()
-        try:
-            call()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 3.5 * batch.nbytes
+        assert peak_bytes(call)[1] < 3.5 * batch.nbytes
 
 
 def test_sqrt_radicand_noise_policy():
