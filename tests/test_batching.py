@@ -2,32 +2,29 @@
 for bit, on every layout in LAYOUTS.  ROWS holds one row per batched kernel.
 
 To add a kernel, add a Row.  `build(rng, batch)` returns the call's
-arguments; each ndarray among them has the batch axes first, and the others
-are shared by every item.  `extract(out, batch)` returns the result as arrays
-with the batch axes first; it is None where an item is not its single call (a
-kernel that draws the whole batch from one generator).  An `oracle`, a
+arguments, each an array with the batch axes first.  `extract(out, batch)`
+returns the result as arrays with the batch axes first.  An `oracle`, a
 full-copy reference formula, must equal the kernel on the whole batch.
+Kernels that draw a whole batch from one generator are no rows: their
+full-copy formulas are tested in test_classcheck.py.
 """
 
 import math
 from typing import Callable, NamedTuple
-from unittest import mock
 
 import numpy as np
 import pytest
 
 from spinboost import (BoostScenario, ClassCertificate, CompositeState, basis_momentum,
-                       bipartition, check_condition1, compose, composite_spin_ensemble,
-                       m_concurrences_pure, permutation_momentum, singletons_partition,
-                       spin_rotations, three_tangle, verify_certificate)
+                       bipartition, check_condition1, compose, m_concurrences_pure,
+                       permutation_momentum, singletons_partition, spin_rotations,
+                       three_tangle, verify_certificate)
 from spinboost import boost, classcheck, measures
 from spinboost.boost import boost_pure
-from spinboost.classcheck import (_all_partitions, _haar_factors, _haar_unitary,
-                                  condition2_suite, haar_state, single_qubit_spectra)
+from spinboost.classcheck import _all_partitions, haar_state, single_qubit_spectra
 from spinboost.cli import FIG3_CATALOG
 from spinboost.constants import COMPOSITE_DIMS
 from spinboost.linalg import apply_local, row_norms
-from spinboost.measures import _qubit_gram
 
 LAYOUTS = {  # name: (batch shape the builder draws, view of each drawn array)
     "()": ((), lambda a: a),
@@ -53,7 +50,7 @@ class Row(NamedTuple):
     name: str
     fn: Callable
     build: Callable
-    extract: Callable | None = _parts
+    extract: Callable = _parts
     oracle: Callable | None = None
 
 
@@ -61,73 +58,8 @@ def _normal(rng, shape):
     return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
 
-# Full-copy formulas the lean kernels must reproduce bit for bit: complex rows
-# through two complex temporaries, one np.take of all three cuts, and the
-# product terms reordered by take_along_axis.
-def _unit_rows_oracle(re, im):
-    v = re + 1j * im
-    return v / row_norms(v)[..., None]
-
-
-def _haar_state_oracle(dim, rng, batch):
-    shape = tuple(batch) + (dim,)
-    return _unit_rows_oracle(rng.normal(size=shape), rng.normal(size=shape))
-
-
-def _haar_factors_oracle(dims, rngs, trials):
-    gauss = np.empty((len(rngs), trials, 2, sum(d * d for d in dims)))
-    for rng, rows in zip(rngs, gauss):
-        rng.standard_normal(out=rows)
-    z = gauss[:, :, 0] + 1j * gauss[:, :, 1]
-    blocks = np.split(z, np.cumsum([d * d for d in dims[:-1]]), axis=-1)
-    return [_haar_unitary(b.reshape(z.shape[:2] + (d, d))) for b, d in zip(blocks, dims)]
-
-
-def _spectra_oracle(psi):
-    psi = np.asarray(psi, dtype=np.complex128)
-    rows = np.take(psi, np.argsort(classcheck._CUT_INDEX).reshape(3, 2, 4), axis=-1)
-    a, d, b = _qubit_gram(rows[..., 0, :], rows[..., 1, :])
-    r = np.hypot((a - d) / 2.0, np.abs(b))
-    mean = (a + d) / 2.0
-    return np.stack([mean + r, mean - r], axis=-1)
-
-
-def _biseparable_oracle(cuts, weights, rng):
-    x = np.sqrt(weights)[..., None] * _haar_state_oracle(2, rng, cuts.shape)
-    y = _haar_state_oracle(4, rng, cuts.shape)
-    prod = (x[..., :, None] * y[..., None, :]).reshape(cuts.shape + (8,))
-    return np.take_along_axis(prod, classcheck._CUT_INDEX[cuts], axis=-1)
-
-
 def _row_norms_oracle(v):
     return np.reshape([np.linalg.norm(r) for r in v.reshape(-1, v.shape[-1])], v.shape[:-1])
-
-
-def _condition2_reference(trials, seed):
-    # condition2_suite as it read with one certificate per trial: the same
-    # draws, each boosted, reduced, certified and verified alone
-    rng = np.random.default_rng(seed)
-    reports = []
-    for _ in range(trials):
-        momentum, spin = haar_state(27, rng), haar_state(8, rng)
-        sc = BoostScenario(rng.uniform(0.0, math.pi / 2.0))
-        state = compose(momentum, spin)
-        cert = ClassCertificate(spin, composite_spin_ensemble(state, sc))
-        reports.append(verify_certificate(cert, boost_pure(state, sc).spin_density()))
-    lines = [f"FAIL scenario {i}: {rep}" for i, rep in enumerate(reports) if not rep]
-    worst_rec = max(r.reconstruction_error for r in reports)
-    worst_inv = max(max(r.max_spectrum_deviation, r.max_tangle_deviation)
-                    for r in reports)
-    lines.append(
-        f"certificates over {trials} boosts: max reconstruction "
-        f"{worst_rec:.3e}, max invariant deviation {worst_inv:.3e}"
-    )
-    return all(reports), lines
-
-
-def _condition2_in_chunks_of_5(trials, seed):  # so 7 and 12 trials cross chunks
-    with mock.patch.object(classcheck, "CONDITION2_CHUNK", 5):
-        return condition2_suite(trials, seed)
 
 
 def _certificates(rng, batch):
@@ -158,10 +90,6 @@ def _dashed(dims):
     return "-".join(map(str, dims))
 
 
-def _seeded(factors, dims):  # factors(dims, rngs, t) for n generators seeded 0, 1, ...
-    return lambda n, t: factors(dims, [np.random.default_rng(s) for s in range(n)], t)
-
-
 SWEPT = compose(permutation_momentum(np.array([0.6, 0, 0, -0.8j, 0, 0])), haar_state(8, 11))
 M_CASES = [  # dims and partitions; every root of the last four is a qubit
     (COMPOSITE_DIMS, [spec for _, spec in FIG3_CATALOG]),
@@ -174,18 +102,8 @@ ROWS = [
     *(Row(f"row_norms-{n}", row_norms, lambda rng, b, n=n: [_normal(rng, b + (n,))],
           oracle=_row_norms_oracle) for n in (2, 4, 8, 27, 216)),
     Row("unit_rows", classcheck._unit_rows,
-        lambda rng, b: [rng.normal(size=b + (8,)), rng.normal(size=b + (8,))],
-        oracle=_unit_rows_oracle),
-    Row("single_qubit_spectra", single_qubit_spectra, lambda rng, b: [haar_state(8, rng, b)],
-        oracle=_spectra_oracle),
-    Row("biseparable_terms",
-        lambda cuts, w: classcheck._biseparable_terms(cuts, w, np.random.default_rng(5)),
-        lambda rng, b: [rng.integers(0, 3, b + (4,)), rng.dirichlet(np.ones(4), b)], None,
-        lambda cuts, w: _biseparable_oracle(cuts, w, np.random.default_rng(5))),
-    *(Row(f"haar_factors-{_dashed(dims)}", _seeded(_haar_factors, dims),
-          lambda rng, b: (b + (1, 1))[:2],  # batch: (generators, trials)
-          None, _seeded(_haar_factors_oracle, dims))
-      for dims in ((2, 2, 2), (2, 3), COMPOSITE_DIMS)),
+        lambda rng, b: [rng.normal(size=b + (8,)), rng.normal(size=b + (8,))]),
+    Row("single_qubit_spectra", single_qubit_spectra, lambda rng, b: [haar_state(8, rng, b)]),
     *(Row(f"trace_middle-{_dashed(adc)}", measures._trace_middle,
           lambda rng, b, adc=adc: [_normal(rng, b + adc * 2)],
           oracle=lambda x: np.einsum("...ijkljm->...iklm", x))
@@ -220,8 +138,6 @@ ROWS = [
         lambda rng, b: [haar_state(216, rng, b)], _reports),
     Row("verify_certificate", _certify, _certificates,
         lambda out, batch: (out[0], *_reports(out[1], batch))),
-    Row("condition2_suite", _condition2_in_chunks_of_5,  # batch: trials
-        lambda rng, b: (math.prod(b), int(rng.integers(1000))), None, _condition2_reference),
 ]
 # (row, layout) pairs that break the contract today: a Fortran-ordered batch of
 # base states gives some items another max_base_deviation than the item alone
@@ -245,16 +161,14 @@ def assert_bits(got, want, where):
 def _check(row, layout):
     shape, view = LAYOUTS[layout]
     rng = np.random.default_rng([61, list(LAYOUTS).index(layout)])
-    args = [view(a) if isinstance(a, np.ndarray) else a for a in row.build(rng, shape)]
+    args = [view(a) for a in row.build(rng, shape)]
     out = row.fn(*args)
     if row.oracle is not None:
         assert_bits(out, row.oracle(*args), (layout, "oracle"))
-    if row.extract is None:
-        return
     batch = view(np.empty(shape)).shape  # transposed: (4, 3) drawn, (3, 4) seen
     got = [np.asarray(part) for part in row.extract(out, batch)]
     for index in np.ndindex(batch):
-        item = [np.array(a[index]) if isinstance(a, np.ndarray) else a for a in args]
+        item = [np.array(a[index]) for a in args]
         single = row.extract(row.fn(*item), ())
         assert_bits([g[index] for g in got], single, (layout, index))
     assert [g.shape for g in got] == [batch + np.shape(s) for s in single], layout
