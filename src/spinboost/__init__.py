@@ -16,15 +16,6 @@ from .boost import (
     build_boost_unitary,
     composite_spin_ensemble,
 )
-from .classcheck import (
-    CertificateReport,
-    ClassCertificate,
-    InvarianceReport,
-    check_condition1,
-    haar_state,
-    sample_biseparable,
-    verify_certificate,
-)
 from .constants import COMPOSITE_DIMS, SPIN_DIMS
 from .errors import (
     InputError,
@@ -80,8 +71,34 @@ from .states import (
 
 __version__ = "0.1.0"
 
-# The public API is every name imported above.
-__all__ = sorted(
-    name for name, value in globals().items()
-    if not name.startswith("_") and not isinstance(value, types.ModuleType)
+# classcheck, which only the check suites run, is imported on first use of
+# one of these names (PEP 562), so other commands neither load nor compile it.
+_CLASSCHECK_NAMES = (
+    "CertificateReport",
+    "ClassCertificate",
+    "InvarianceReport",
+    "check_condition1",
+    "haar_state",
+    "sample_biseparable",
+    "verify_certificate",
 )
+
+# The public API is every name imported above and the classcheck names.
+__all__ = sorted([
+    *(name for name, value in globals().items()
+      if not name.startswith("_") and not isinstance(value, types.ModuleType)),
+    *_CLASSCHECK_NAMES,
+])
+
+
+def __getattr__(name):
+    if name not in _CLASSCHECK_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import classcheck
+
+    value = globals()[name] = getattr(classcheck, name)
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_CLASSCHECK_NAMES})

@@ -338,7 +338,8 @@ def verify_certificate(
     # base deviations before psi exists, unitarity last: fewest term-sized arrays alive
     norm = row_norms(base)  # the unit rule accepted |base|: check against the ray
     base_ok = _is_unit(norm**2)
-    base = base / np.where(norm > 0.0, norm, 1.0)[..., None]
+    # C order, so a Fortran-ordered batch reduces each item as the item alone
+    base = np.ascontiguousarray(base / np.where(norm > 0.0, norm, 1.0)[..., None])
     # one dot product per term, so no term's value depends on the others
     overlap = (base_vectors[..., None, :] @ base.conj()[..., None, :, None])[..., 0, 0]
     phase = np.exp(1j * np.angle(overlap))

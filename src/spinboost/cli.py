@@ -22,7 +22,6 @@ import sys
 import numpy as np
 
 from .boost import boost_mixed, boost_pure, boosted_amplitudes, boosted_spin_terms
-from .classcheck import condition1_suite, condition2_suite, soundness_suite
 from .constants import SPIN_DIM
 from .errors import InputError, NumericError, SpinboostError
 from .kinematics import BoostScenario, spin_rotations
@@ -30,11 +29,12 @@ from .linalg import projector, purity_unchecked
 from .measures import (
     WITNESS_PATHS,
     WITNESS_VARIANTS,
+    _amplitude_moments,
     _gme_bound,
     _path_values,
+    _witness,
     ghz_witness,
     m_concurrences_pure,
-    witness_from_amplitudes,
 )
 from .states import (
     CompositeState,
@@ -66,11 +66,8 @@ FIG3_CATALOG = (
 _FIG3_HEAD = "# partitions: %s\ndelta,partition,m_concurrence\n" % "; ".join(
     f"{name}={spec}" for name, spec in FIG3_CATALOG)
 _FIG3_SUFFIXES = ("", *(f",{name},%.12g\n" for name, _ in FIG3_CATALOG))
-SUITES = {
-    "condition1": condition1_suite,
-    "condition2": condition2_suite,
-    "soundness": soundness_suite,
-}
+# check runs classcheck's <name>_suite; classcheck is imported only there
+SUITES = ("condition1", "condition2", "soundness")
 # Amplitudes per block of fig2 alpha rows (128 KB of complex128): a whole
 # grid at once is slower than row by row, and larger blocks raise peak RSS.
 FIG2_BLOCK = 2**13
@@ -132,8 +129,9 @@ def _scan_fig2(args, grid: int) -> str:
     for start in range(0, len(alphas), step):
         rows = slice(start, start + step)
         chi = spins[rows, 0] * up + spins[rows, 7] * down  # (rows, grid, K, 8)
+        moments = _amplitude_moments(chi)  # one reduction for every variant
         for v, out in values.items():
-            out[rows] = witness_from_amplitudes(chi, v)
+            out[rows] = _witness(*moments, v)[0]
     # + 0.0 prints -0.0 as 0; gme_bound always takes the symmetric value
     wit = (values[variant] + 0.0).ravel().tolist()
     bound = _gme_bound(values["symmetric"]).ravel().tolist()
@@ -235,12 +233,14 @@ def cmd_boost(args) -> int:
 
 
 def cmd_check(args) -> int:
+    from . import classcheck
+
     if args.trials is not None and args.trials < 1:
         raise InputError("--trials must be at least 1")
     if args.seed < 0:
         raise InputError("--seed must be nonnegative")
     trials = {} if args.trials is None else {"trials": args.trials}
-    ok, lines = SUITES[args.suite](seed=args.seed, **trials)
+    ok, lines = getattr(classcheck, f"{args.suite}_suite")(seed=args.seed, **trials)
     for line in lines:
         print(line)
     print(f"{args.suite}: {'PASS' if ok else 'FAIL'}")
@@ -289,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also write the reduced spin density matrix (JSON)")
 
     p = sub.add_parser("check", help="run a property-check suite")
-    p.add_argument("suite", choices=tuple(SUITES))
+    p.add_argument("suite", choices=SUITES)
     p.add_argument("--trials", type=int, default=None)
     p.add_argument("--seed", type=int, default=7)
 

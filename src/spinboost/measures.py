@@ -164,9 +164,14 @@ def witness_from_amplitudes(psi, variant: str = "symmetric") -> np.ndarray:
     psi = np.asarray(psi, dtype=np.complex128)
     if psi.ndim < 2 or psi.shape[-2] < 1 or psi.shape[-1] != SPIN_DIM:
         raise ShapeError(f"witness terms need shape (..., K >= 1, 8), got {psi.shape}")
+    return _witness(*_amplitude_moments(psi), variant)[0]
+
+
+def _amplitude_moments(psi):
+    # Terms (..., K, 8) to the populations (..., 8) and 2 rho07 (...), the
+    # inputs of _witness for every variant
     pops = np.sum(psi.real**2 + psi.imag**2, axis=-2)
-    rho07 = np.sum(psi[..., 0] * psi[..., 7].conj(), axis=-1)
-    return _witness(pops, 2.0 * rho07, variant)[0]
+    return pops, 2.0 * np.sum(psi[..., 0] * psi[..., 7].conj(), axis=-1)
 
 
 def gme_lower_bound(rho: np.ndarray, validate: bool = True) -> float:

@@ -19,7 +19,6 @@ both are used by the witness command.
 from __future__ import annotations
 
 import errno
-import json
 import math
 import os
 from dataclasses import dataclass
@@ -296,6 +295,8 @@ def _amps_from_json(raw, dim: int, where: str) -> np.ndarray:
 
 def _state_text(state: StateLike) -> str:
     # The JSON text of a composite, mixed, bare-spin or spin-density state file.
+    import json  # here and in read_state: only the state-file commands load it
+
     if isinstance(state, CompositeState):
         doc = {"dims": list(COMPOSITE_DIMS), "amps": _amps_to_json(state.vector)}
     elif isinstance(state, MixedState):
@@ -345,12 +346,16 @@ def read_state(path) -> StateLike:
     """Load a state file; returns CompositeState, MixedState, a plain
     8-amplitude spin vector or an 8x8 spin density matrix depending on the
     file contents."""
+    import json
+
     try:
-        with open(path) as fh:
-            doc = json.load(fh)
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise StateFileError(f"cannot read state file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    try:  # bytes: json.loads decodes them whatever the locale's encoding
+        doc = json.loads(data)
+    except (ValueError, RecursionError) as exc:  # not JSON, not text, or nested too deep
         raise StateFileError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise StateFileError(f"{path}: top level must be an object")

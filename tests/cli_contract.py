@@ -40,7 +40,7 @@ def _composite():
 
 
 COMPOSITE_DIMS = [3, 2, 3, 2, 3, 2]
-# file name -> the state or JSON document it holds
+# file name -> the state, JSON document or raw bytes it holds
 BUILDERS = {
     "s.json": _composite,
     "spin.json": ghz_state,
@@ -51,6 +51,9 @@ BUILDERS = {
     "big.json": lambda: {"dims": COMPOSITE_DIMS, "amps": [[1e200, 0]] + [[0.0, 0.0]] * 215},
     "e11.json": lambda: {"dims": COMPOSITE_DIMS, "amps": [  # |psi|^2 = 1 + 1.1e-9
         [z.real, z.imag] for z in (math.sqrt(1 + 1.1e-9) * _composite().vector).tolist()]},
+    "bom.json": lambda: b'\xff\xfe{"dims": [2,2,2]}',  # a UTF-16 mark, then odd bytes
+    "deep.json": lambda: b"[" * 100_000 + b"]" * 100_000,
+    "digits.json": lambda: b'{"dims": [2,2,2], "amps": [[1%s, 0]]}' % (b"0" * 5000),
 }
 
 
@@ -60,7 +63,10 @@ def build_input(case: Case) -> None:
     if name not in BUILDERS:
         return
     made = BUILDERS[name]()
-    if isinstance(made, dict):
+    if isinstance(made, bytes):
+        with open(name, "wb") as fh:
+            fh.write(made)
+    elif isinstance(made, dict):
         with open(name, "w") as fh:
             json.dump(made, fh)
     else:
@@ -139,4 +145,10 @@ CASES = (
     Case("witness b.json", 2, "error: b.json: amps[0] is not a [re, im] pair"),
     Case("witness big.json", 2, "error: big.json: composite state is not normalized",
          process=True),
+    # a file json cannot decode, as text or as a document, is bad input too
+    Case("witness bom.json", 2, "error: bom.json is not valid JSON: 'utf-16-le' codec",
+         process=True),
+    Case("boost deep.json --delta 0.3 --out o.json", 2,
+         "error: deep.json is not valid JSON: maximum recursion depth", process=True),
+    Case("witness digits.json", 2, "error: digits.json is not valid JSON: Exceeds the limit"),
 )

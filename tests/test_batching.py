@@ -139,9 +139,6 @@ ROWS = [
     Row("verify_certificate", _certify, _certificates,
         lambda out, batch: (out[0], *_reports(out[1], batch))),
 ]
-# (row, layout) pairs that break the contract today: a Fortran-ordered batch of
-# base states gives some items another max_base_deviation than the item alone
-FAULTS = [("verify_certificate", "fortran")]
 
 
 def assert_bits(got, want, where):
@@ -177,11 +174,4 @@ def _check(row, layout):
 @pytest.mark.parametrize("row", ROWS, ids=[row.name for row in ROWS])
 def test_batch_items_equal_single_calls(row):
     for layout in LAYOUTS:
-        if (row.name, layout) not in FAULTS:
-            _check(row, layout)
-
-
-@pytest.mark.xfail(reason="a known fault; whether an item differs depends on data and BLAS kernel")
-@pytest.mark.parametrize("name, layout", FAULTS)
-def test_known_batch_faults(name, layout):
-    _check(next(row for row in ROWS if row.name == name), layout)
+        _check(row, layout)

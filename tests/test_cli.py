@@ -78,19 +78,81 @@ def test_cli_contract(case, tmp_path, monkeypatch, capsys):
         assert out == "".join("".join(lines[part]) for part in parts)
 
 
+def _run_python(*args, **kwargs):
+    # a fresh `python -W error` that compiles its sources, as an install
+    # without a bytecode cache does; the checkout's own src/ comes first, so
+    # no other installed spinboost stands in for it
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, PYTHONDONTWRITEBYTECODE="1")
+    return subprocess.run([sys.executable, "-W", "error", *args], env=env,
+                          capture_output=True, timeout=120, **kwargs)
+
+
 @pytest.mark.parametrize("case", [case for case in CASES if case.process], ids=str)
 def test_cli_contract_as_process(case, tmp_path, monkeypatch):
-    # the checkout's own src/ comes first, so no other installed spinboost
-    # stands in for it
     monkeypatch.chdir(tmp_path)
     build_input(case)
     inputs = sorted(os.listdir())
-    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path, PYTHONDONTWRITEBYTECODE="1")
-    argv = [sys.executable, "-W", "error", "-m", "spinboost.cli", *case.argv.split()]
-    proc = subprocess.run(argv, env=env, capture_output=True, timeout=120)
+    proc = _run_python("-m", "spinboost.cli", *case.argv.split())
     _check_contract(case, inputs, proc.returncode, proc.stdout.decode(),
                     proc.stderr.decode())
+
+
+PUBLIC_API = """
+    BoostScenario BoostUnitary COMPOSITE_DIMS CertificateReport ClassCertificate
+    CompositeState DensityCheck InputError InvarianceReport MixedState NumericError
+    PartitionSpec ROTATION_AXES SPIN_DIMS ShapeError SpinEnsemble SpinboostError
+    StateFileError ValidationError WitnessReport antisymmetric_coeffs
+    antisymmetric_momentum basis_momentum bipartition boost_mixed boost_pure
+    boosted_amplitudes boosted_spin_density_fast boosted_spin_terms
+    build_boost_unitary check_condition1 compose composite_spin_ensemble ghz_alpha
+    ghz_state ghz_witness gme_lower_bound haar_state hermitian_eigen
+    is_density_matrix kron local_unitary m_concurrence_pure m_concurrences_pure
+    partial_trace particle_partition permutation_momentum rapidity read_state
+    sample_biseparable singletons_partition spin_rotations
+    spins_vs_momenta_partition three_tangle verify_certificate w_state
+    wigner_angle witness_from_amplitudes write_state
+""".split()
+CLASSCHECK_NAMES = ["CertificateReport", "ClassCertificate", "InvarianceReport",
+                    "check_condition1", "haar_state", "sample_biseparable",
+                    "verify_certificate"]
+# Prints which of classcheck and json each stage has loaded, the package's
+# names, and whether each name in argv is classcheck's object
+STARTUP_PROBE = """
+import io, sys
+from contextlib import redirect_stdout
+import spinboost, spinboost.cli as cli
+
+def stage(name, argv=None):
+    if argv:
+        with redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0
+    print(name, *(m for m in ("spinboost.classcheck", "json") if m in sys.modules))
+
+cli.build_parser()
+stage("parser")
+stage("scan", ["scan", "fig3", "--grid", "2"])
+print(*spinboost.__all__)
+print(*dir(spinboost))
+print(hasattr(spinboost, "no_such_name"))
+stage("lookups")
+stage("check", ["check", "soundness", "--trials", "2"])
+print(*(getattr(spinboost, n) is getattr(spinboost.classcheck, n) for n in sys.argv[1:]))
+"""
+
+
+def test_commands_import_only_what_they_run(tmp_path):
+    # scan never loads the check suites or the JSON codec, nor does a look at
+    # the package's names; check loads classcheck, whose names stay public
+    proc = _run_python("-c", STARTUP_PROBE, *CLASSCHECK_NAMES, cwd=tmp_path, text=True)
+    assert proc.stderr == ""
+    parser, scan, public, names, unknown, lookups, check, same = proc.stdout.splitlines()
+    assert [parser, scan, lookups] == ["parser", "scan", "lookups"]
+    assert public.split() == PUBLIC_API
+    assert set(CLASSCHECK_NAMES) <= set(names.split())
+    assert unknown == "False"
+    assert check == "check spinboost.classcheck"
+    assert same.split() == ["True"] * len(CLASSCHECK_NAMES)
 
 
 def test_scan_fig2_schema(tmp_path, capsys):
@@ -249,15 +311,15 @@ def test_scan_fig2_bound_is_the_symmetric_string_or_zero(variant, monkeypatch, c
     # gme_bound repeats the symmetric witness string where that value is > 0
     # and is 0 elsewhere, NaN and -0.0 included, whichever variant is printed
     edge = [math.nan, -0.0, 0.0, -1e-17, 5e-324, 0.1 + 1e-15, 1.0]
-    real = cli.witness_from_amplitudes
+    real = cli._witness
 
-    def patched(chi, variant="symmetric"):
-        out = real(chi, variant)
+    def patched(pops, coherence, variant):
+        value, *rest = real(pops, coherence, variant)
         if variant == "symmetric":  # one block holds the whole 9x9 grid
-            out.ravel()[:len(edge)] = edge
-        return out
+            value.ravel()[:len(edge)] = edge
+        return value, *rest
 
-    monkeypatch.setattr(cli, "witness_from_amplitudes", patched)
+    monkeypatch.setattr(cli, "_witness", patched)
     outs = [run(["scan", "fig2", "--grid", "9", "--variant", v], capsys)[1]
             for v in ("symmetric", variant)]
     symmetric, rows = ([r.split(",") for r in out.splitlines()[1:]] for out in outs)
