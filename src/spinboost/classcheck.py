@@ -210,7 +210,8 @@ def check_condition1(
     is the same trial for any larger `trials`.  Chunks of CONDITION1_CHUNK
     trials are rotated and evaluated for all states at once, so memory does
     not grow with `trials`.  Returns one report for a single state, a list
-    in C order for a batch, each equal bit for bit to the state's single call.
+    in C order for a batch, each equal bit for bit to the state's single call
+    whenever the states share their nonzero pattern (m_concurrences_pure).
     """
     seeds = np.asarray(seed, dtype=object)  # Python ints of any size
     if not all(isinstance(x, (int, np.integer)) and not isinstance(x, bool)

@@ -191,7 +191,7 @@ def _factor0_cuts(spec: PartitionSpec) -> tuple:  # a pure state's cuts, keyed b
 def _purity_plan(dims: tuple[int, ...], cuts: frozenset) -> tuple:
     # _subset_purities' bookkeeping as tuples: (keep, key) pairs and, per
     # root (the largest, then first, subset of dimension <= sqrt(N) holding
-    # a side), (axes, Gram shape, steps).  A step ((a, d, c), key) traces d
+    # a side), (factor order, dimension, steps).  A step ((a, d, c), key) traces d
     # out of its parent, the node of its path less the last factor, shaped
     # (a, d, c) * 2; the root's own step is (None, key).  A side's chain
     # drops its root's other non-unit factors in ascending order.
@@ -212,8 +212,8 @@ def _purity_plan(dims: tuple[int, ...], cuts: frozenset) -> tuple:
             a = math.prod(dims[i] for i in root if i < path[-1] and i not in path)
             c = math.prod(dims[i] for i in root if i > path[-1])
             steps.append(((a, dims[path[-1]], c), (root, path)))
-        axes = (0, *(1 + i for i in sorted(factors, key=lambda i: i not in root)))
-        plan.append((axes, (size[root], n // size[root]), tuple(steps)))
+        axes = tuple(sorted(factors, key=lambda i: i not in root))
+        plan.append((axes, size[root], tuple(steps)))
     return tuple((keep, (root_of[s], drops[s])) for keep, s in sides.items()), tuple(plan)
 
 
@@ -231,21 +231,29 @@ def _trace_middle(x):  # Tr_j of x (..., i, j, k, l, j, m), see _subset_purities
     return out
 
 
-def _subset_purities(tensor: np.ndarray, cuts) -> dict:
-    # Purities of each batch state's reductions onto each cut's smaller side;
+@functools.cache
+def _root_index(dims, axes, dk):  # a root's (dk, N/dk) matrix as flat amplitude indices
+    index = np.arange(math.prod(dims)).reshape(dims).transpose(axes).reshape(dk, -1)
+    index.flags.writeable = False  # shared by every call
+    return index
+
+
+def _subset_purities(amps: np.ndarray, dims: tuple[int, ...], cuts) -> dict:
+    # Purities of each state (b, N)'s reductions onto each cut's smaller side;
     # root and chain depend on the side alone, so each is the same in any call.
-    # A root's amplitudes, conjugate and Gram reuse one buffer per call (made
-    # per root, glibc trims and refaults them: 2600 page faults per catalog
-    # call, twice the time); the chains' reductions are plain arrays.  A
-    # one-factor trace adds its parent's d diagonal slices in ascending order
-    # into a copy of the first, the order np.einsum("...ijkljm->...iklm")
-    # sums in, so each purity keeps einsum's bits without its per-call setup.
-    b, (keys, plan) = len(tensor), _purity_plan(tensor.shape[1:], frozenset(cuts))
-    work = np.empty((3, tensor.size), dtype=np.complex128)
-    purities = {}
-    for axes, (dk, rest), steps in plan:
-        mat, mat_c = work[:2].reshape(2, b, dk, rest)
-        np.copyto(mat.reshape(tensor.transpose(axes).shape), tensor.transpose(axes))
+    # A root's matrix keeps the columns where some item is nonzero (a dropped
+    # one adds exact zeros to a Gram entry; a qubit root's whole-batch sums
+    # regroup with their length, so it keeps all), in one buffer per call with
+    # its conjugate and Gram (per-root arrays refault).  A one-factor trace adds
+    # its parent's d diagonal slices in ascending order, as np.einsum does.
+    b, (keys, plan) = len(amps), _purity_plan(dims, frozenset(cuts))
+    live = np.any(amps, axis=0) if any(dk > 2 for _, dk, _ in plan) else None
+    work, purities = np.empty((3, amps.size), dtype=np.complex128), {}
+    for axes, dk, steps in plan:
+        index = _root_index(dims, axes, dk)
+        index = index[:, live[index].any(axis=0)] if dk > 2 else index
+        mat, mat_c = work[:2, :b * index.size].reshape((2, b) + index.shape)
+        np.take(amps, index, axis=1, out=mat, mode="wrap")  # "raise" would buffer out
         gram = work[2, :b * dk * dk].reshape(b, dk, dk)
         if dk == 2:  # elementwise: a stacked matmul runs one zgemm per item
             gram[:, 0, 0], gram[:, 1, 1], gram[:, 0, 1] = _qubit_gram(mat[:, 0], mat[:, 1])
@@ -309,14 +317,16 @@ def m_concurrences_pure(
     pure state's reductions onto complementary unions share their purity,
     so only the 2^(m-1) - 1 unions holding factor 0 are evaluated, twice,
     each once per call whichever partitions share it: one Gram product per
-    root union (whole-batch sums for a qubit), then one-factor partial traces
-    in ascending order down to each union inside (planned once per process),
+    root union over the amplitude columns where some state is nonzero (for a
+    qubit, whole-batch sums over all), then one-factor partial traces in
+    ascending order down to each union inside (planned once per process),
     and Tr rho^2 as one real dot per state.  A trace adds its parent's d
     diagonal slices in ascending order, the order np.einsum sums them in, so
-    it has einsum's bits; it and the dot are per-item arithmetic, so a batch
-    item equals its one-state call bit for bit.  Vanishes iff the state is a
-    product across some split of the partition; invariant under per-factor
-    unitaries.
+    it has einsum's bits.  A batch item equals its one-state call bit for bit
+    whenever the batch's states share their nonzero pattern (one sweep, or
+    dense states); else a BLAS kernel that does not sum columns in order may
+    move its last bits.  Vanishes iff the state is a product across some
+    split of the partition; invariant under per-factor unitaries.
 
     `state` is a CompositeState or amplitudes of shape (..., N), a batch
     of states; every row must pass the unit rule and is measured as the
@@ -327,14 +337,13 @@ def m_concurrences_pure(
 
 
 def _m_concurrences_unchecked(vec, dims, norm4, partitions) -> list:  # _batch_of_states' output
-    tensor = vec.reshape((-1,) + dims)
     for spec in partitions:
         if spec.num_factors != len(dims):
             raise ShapeError(
                 f"partition covers {spec.num_factors} factors, state has {len(dims)}"
             )
     per_spec = [_factor0_cuts(spec) for spec in partitions]
-    purities = _subset_purities(tensor, set().union(*per_spec))
+    purities = _subset_purities(vec.reshape(-1, vec.shape[-1]), dims, set().union(*per_spec))
     values = []
     for spec, cuts in zip(partitions, per_spec):
         m = spec.num_parts

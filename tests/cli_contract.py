@@ -97,9 +97,13 @@ CASES = (
     *_stdout_and_out(f"scan fig3 --grid 5 {MOMENTUM}"),
     *_stdout_and_out("scan fig3 --grid 5 --alpha 0.3"),
     Case("scan fig3 --spin ghz"),
-    # the 2-point scan is the header and the two end deltas of the 121-point one
-    *(Case(f"scan fig3 --spin {spin} --grid 2", same=f"scan fig3 --spin {spin}",
-           lines=(slice(0, 8), slice(-6, None))) for spin in ("ghz", "w")),
+    Case("scan fig3 --momentum product"),
+    # the 2-point scan is the header and the two end deltas of the 121-point
+    # one, also for the sparse product momentum, whose live columns must not
+    # depend on the grid
+    *(Case(f"scan fig3 {flags} --grid 2", same=f"scan fig3 {flags}",
+           lines=(slice(0, 8), slice(-6, None)))
+      for flags in ("--spin ghz", "--spin w", "--momentum product")),
     Case("scan fig3 --grid 3"),
     Case("scan fig3 --grid 5 --momentum product"),
     Case("scan fig2 --grid 1", 2, "error: --grid must be at least 2"),

@@ -1,5 +1,7 @@
 """The batch contract, tested once: each batch item equals its single call bit
 for bit, on every layout in LAYOUTS.  ROWS holds one row per batched kernel.
+m_concurrences_pure keeps it for states that share one nonzero pattern (Haar
+rows, or one sweep); tests/test_measures.py bounds mixed-pattern batches.
 
 To add a kernel, add a Row.  `build(rng, batch)` returns the call's
 arguments, each an array with the batch axes first.  `extract(out, batch)`
@@ -16,9 +18,9 @@ import numpy as np
 import pytest
 
 from spinboost import (BoostScenario, ClassCertificate, CompositeState, basis_momentum,
-                       bipartition, check_condition1, compose, m_concurrences_pure,
-                       permutation_momentum, singletons_partition, spin_rotations,
-                       three_tangle, verify_certificate)
+                       bipartition, boosted_amplitudes, check_condition1, compose,
+                       m_concurrences_pure, permutation_momentum, singletons_partition,
+                       spin_rotations, three_tangle, verify_certificate)
 from spinboost import boost, classcheck, measures
 from spinboost.boost import boost_pure
 from spinboost.classcheck import _all_partitions, haar_state, single_qubit_spectra
@@ -111,6 +113,10 @@ ROWS = [
     *(Row(f"m_concurrences-{_dashed(dims)}",
           lambda psi, dims=dims, specs=specs: m_concurrences_pure(psi, specs, dims),
           lambda rng, b, n=math.prod(dims): [haar_state(n, rng, b)]) for dims, specs in M_CASES),
+    Row("m_concurrences-sweep",  # every item has the same 16 nonzero amplitudes of 216
+        lambda psi: m_concurrences_pure(psi, M_CASES[0][1]),
+        lambda rng, b: [boosted_amplitudes(SWEPT, spin_rotations(
+            rng.uniform(0.0, math.pi / 2, b)))]),
     Row("three_tangle", three_tangle, lambda rng, b: [haar_state(8, rng, b)]),
     *(Row(f"apply_local-{_dashed(dims)}",
           lambda amps, *fs, dims=dims: apply_local(fs, amps, dims),

@@ -25,6 +25,7 @@ from spinboost import (
     m_concurrence_pure,
     m_concurrences_pure,
     antisymmetric_coeffs,
+    boosted_amplitudes,
     boosted_spin_density_fast,
     boosted_spin_terms,
     permutation_momentum,
@@ -497,14 +498,14 @@ def test_m_concurrences_pure_evaluates_each_distinct_cut_once(monkeypatch):
         monkeypatch.setattr(owner, name, logged(getattr(owner, name), logs[name]))
     values = m_concurrences_pure(batch, specs)
     monkeypatch.undo()
-    [((tensor, cuts), _)] = logs["_subset_purities"]
+    [((amps, dims, cuts), _)] = logs["_subset_purities"]
     assert len(cuts) == 31 and all(0 in keep for keep in cuts)
     assert sorted(a[0].shape[1] for a, _ in logs["matmul"]) == [8] + [9] * 3 + [12] * 9
     assert len(logs["_trace_middle"]) == 18 and not logs["einsum"]
     assert all(a[0].ndim - out.ndim == 2 for a, out in logs["_trace_middle"])
-    catalog = measures._subset_purities(tensor, cuts)
+    catalog = measures._subset_purities(amps, dims, cuts)
     for keep in cuts:
-        alone = measures._subset_purities(tensor, {keep})[keep]
+        alone = measures._subset_purities(amps, dims, {keep})[keep]
         assert np.array_equal(alone, catalog[keep]), keep
     reordered = m_concurrences_pure(batch, specs[::-1])[::-1]
     for spec, got, again in zip(specs, values, reordered):
@@ -519,6 +520,62 @@ def test_m_concurrences_pure_evaluates_each_distinct_cut_once(monkeypatch):
     empty = m_concurrences_pure(np.empty((0, 4)), [singletons_partition(8)], (1,) * 6 + (2, 2))
     assert [v.shape for v in empty] == [(0,)]
     assert [v.shape for v in m_concurrences_pure(np.empty((2, 0, 216)), specs)] == [(2, 0)] * 6
+
+
+def _fig3_sweep(coeffs, grid=121):  # scan fig3's boosted GHZ amplitudes, (grid, 216)
+    rotations = spin_rotations(np.linspace(0.0, math.pi / 2.0, grid))
+    return boosted_amplitudes(compose(permutation_momentum(coeffs), ghz_state()), rotations)
+
+
+def test_gram_products_contract_over_live_columns(monkeypatch):
+    # a boost keeps every momentum label, so a sweep keeps the unboosted zero
+    # pattern (48 of 216 amplitudes nonzero for the antisymmetric momentum, 8
+    # for the product one), and each root of dimension 12, 9 and 8 (of 18, 24
+    # and 27 columns) contracts only over the columns where some item is
+    # nonzero; Haar states keep every column, and so do qubit roots, whose
+    # whole-batch sums would regroup without the zero columns of GHZ states
+    specs = [spec for _, spec in FIG3_CATALOG]
+    calls = []
+    real, real_qubit = np.matmul, measures._qubit_gram
+    monkeypatch.setattr(np, "matmul",
+                        lambda *a, **k: calls.append(a[0].shape[1:]) or real(*a, **k))
+    for batch, (c12, c9, c8) in ((_fig3_sweep(antisymmetric_coeffs()), (12, 24, 6)),
+                                 (_fig3_sweep(np.eye(6)[0]), (2, 8, 1)),
+                                 (haar_state(216, 43, (5,)), (18, 24, 27))):
+        calls.clear()
+        m_concurrences_pure(batch, specs)
+        assert sorted(calls) == [(8, c8)] + [(9, c9)] * 3 + [(12, c12)] * 9
+    monkeypatch.setattr(measures, "_qubit_gram",
+                        lambda up, down: calls.append(up.shape) or real_qubit(up, down))
+    calls.clear()
+    m_concurrences_pure(np.array([ghz_state()] * 3), _all_partitions(3))
+    assert calls == [(3, 4)] * 3
+
+
+def test_mixed_pattern_batch_items_match_their_single_calls():
+    # a batch contracts over the union of its items' live columns, an item
+    # alone over its own: the extra columns add exact zeros, but a BLAS kernel
+    # that does not sum columns in order may regroup the rest.  So items whose
+    # zero pattern is the batch's (the Haar rows here) are exact, and sweep
+    # items and rows with random momentum blocks zeroed are within 1e-15
+    rng = np.random.default_rng(53)
+    sweep = boosted_amplitudes(compose(antisymmetric_momentum(), ghz_state()),
+                               spin_rotations(rng.uniform(0.0, math.pi / 2, 6)))
+    keep = rng.random((6, 3, 1, 3, 1, 3, 1)) < 0.5  # each row's kept momentum kets
+    zeroed = (haar_state(216, rng, (6,)).reshape((6,) + COMPOSITE_DIMS) * keep).reshape(6, 216)
+    zeroed /= np.linalg.norm(zeroed, axis=1, keepdims=True)
+    batch = rng.permutation(np.concatenate([sweep, haar_state(216, rng, (4,)), zeroed]))
+    specs = [spec for _, spec in FIG3_CATALOG]
+    together = np.stack(m_concurrences_pure(batch, specs), axis=1)
+    live = np.any(batch, axis=0)
+    exact = 0
+    for psi, got in zip(batch, together):
+        alone = np.array(m_concurrences_pure(psi, specs))
+        if np.array_equal(psi != 0, live):
+            assert got.tobytes() == alone.tobytes()
+            exact += 1
+        assert np.max(np.abs(got - alone)) <= 1e-15
+    assert exact == 4
 
 
 # Factor dims whose roots are all qubits, with partitions that reach every
@@ -554,14 +611,13 @@ def test_qubit_root_purities_match_partial_trace_oracle():
     rng = np.random.default_rng(41)
     for dims, specs in QUBIT_ROOT_CASES:
         batch = haar_state(math.prod(dims), rng, (5,))
-        tensor = batch.reshape((-1,) + dims)
         cuts = {keep for spec in specs for keep in measures._factor0_cuts(spec)}
-        purities = measures._subset_purities(tensor, cuts)
+        purities = measures._subset_purities(batch, dims, cuts)
         for keep in cuts:
             for vec, got in zip(batch, purities[keep]):
                 red = partial_trace(projector(vec), dims, keep)
                 assert abs(got - np.vdot(red, red).real) < 1e-15, (dims, keep)
-        empty = measures._subset_purities(tensor[:0], cuts)
+        empty = measures._subset_purities(batch[:0], dims, cuts)
         assert all(empty[keep].shape == (0,) for keep in cuts)
 
 
@@ -627,15 +683,15 @@ def test_purity_plan_is_cached_and_immutable(capsys):
 def test_m_concurrences_pure_peak_memory_is_bounded(peak_bytes):
     # one buffer of three amplitude-sized rows per call holds a root's
     # amplitudes, their conjugate and its Gram product, and a chain keeps
-    # only the reductions on its current path: a catalog call and a call
-    # for one side, smaller or larger than its complement, each peak below
-    # 3.5 batches of amplitudes
+    # only the reductions on its current path: a catalog call on Haar states
+    # and on a sweep, and a call for one side, smaller or larger than its
+    # complement, each peak below 3.5 batches of amplitudes
     rng = np.random.default_rng(29)
     batch = np.array([haar_state(216, rng) for _ in range(121)])
-    tensor = batch.reshape((-1,) + COMPOSITE_DIMS)
     specs = [spec for _, spec in FIG3_CATALOG]
-    calls = [lambda: m_concurrences_pure(batch, specs)] + [
-        lambda keep=keep: measures._subset_purities(tensor, {keep})
+    calls = [lambda psi=psi: m_concurrences_pure(psi, specs)
+             for psi in (batch, _fig3_sweep(antisymmetric_coeffs()))] + [
+        lambda keep=keep: measures._subset_purities(batch, COMPOSITE_DIMS, {keep})
         for keep in ((0,), (0, 2, 4), (0, 1, 2, 4))
     ]
     for call in calls:
